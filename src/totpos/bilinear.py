@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .classify import is_totally_positive
 from .errors import ConsistencyError, DomainError, InputError
 from .linalg import Matrix, det, ksubsets, submatrix, transpose_inverse
-from .scalars import DEFAULT_POLICY, TolerancePolicy
+from .scalars import DEFAULT_POLICY, TolerancePolicy, minor_scale
 from .spectra import SpectralOptions, gk_spectrum, refine_eigenbasis
 
 
@@ -109,7 +109,7 @@ def form_family_positive(
             for r in range(1, n + 1)
         ]
     )
-    scale = max(signed.entry_scale(), 1.0)
+    scale = signed.entry_scale()
     for k in range(1, n + 1):
         for rset in ksubsets(n, k):
             for sset in ksubsets(n, k):
@@ -117,7 +117,7 @@ def form_family_positive(
                 if form.gram.is_exact:
                     if not value > 0:
                         return False
-                elif not float(value) > p.zero_threshold(scale**k):
+                elif not float(value) > p.zero_threshold(minor_scale(scale, k)):
                     return False
     return True
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import InputError, SingularityError, StrictnessWarning
 from .linalg import Matrix, det, minor_levels
-from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy, sign_of
+from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy, minor_scale, sign_of
 
 
 class TPKind(enum.Enum):
@@ -64,10 +64,10 @@ def _scan_minors(
     m: Matrix, policy: TolerancePolicy, mode: str
 ) -> bool:
     """mode='positive': all minors > 0; mode='nonnegative': none < 0."""
-    scale = max(m.entry_scale(), 1.0)
+    scale = m.entry_scale()
     indeterminate = False
     for k, table in minor_levels(m):
-        level_scale = max(scale**k, 1.0)
+        level_scale = minor_scale(scale, k)
         for value in table.values():
             s = sign_of(value, policy, level_scale)
             if s < 0:
@@ -123,13 +123,13 @@ def is_variation_diminishing(m: Matrix, policy: TolerancePolicy | None = None) -
     if not m.is_square:
         raise InputError("variation tests are defined for square matrices")
     p = policy or DEFAULT_POLICY
-    if sign_of(det(m, p), p, max(m.entry_scale(), 1.0) ** m.rows) == 0:
+    scale = m.entry_scale()
+    if sign_of(det(m, p), p, minor_scale(scale, m.rows)) == 0:
         raise SingularityError("variation-diminishing test requires invertibility")
-    scale = max(m.entry_scale(), 1.0)
     for k, table in minor_levels(m):
         has_pos = False
         has_neg = False
-        level_scale = max(scale**k, 1.0)
+        level_scale = minor_scale(scale, k)
         for value in table.values():
             s = sign_of(value, p, level_scale)
             if s > 0:

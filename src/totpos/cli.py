@@ -34,7 +34,7 @@ from .sampling import random_tp_parameters
 from .scalars import TolerancePolicy, parse_scalar
 from .serialization import format_matrix_grid, input_digest, parse_matrix, payload
 from .spectra import verify_gk
-from .whitney import TPParameters, factorize, synthesize, word_for
+from .whitney import TPParameters, factorize, synthesize
 
 
 def _read_text(path: str) -> str:
@@ -50,8 +50,6 @@ def _policy(args: argparse.Namespace) -> TolerancePolicy:
     tol = getattr(args, "tol", None)
     if tol is None:
         return TolerancePolicy()
-    if tol < 0:
-        raise InputError("tolerance must be nonnegative")
     return TolerancePolicy(eps_abs=tol, eps_rel=tol)
 
 
@@ -115,7 +113,7 @@ def _params_from_json(text: str) -> TPParameters:
         raise InputError("parameter JSON must be an object")
     try:
         n = int(data["n"])
-        word = tuple(int(i) for i in data["word"]) if "word" in data else word_for(n)
+        word = tuple(int(i) for i in data["word"])
 
         def scalars(key: str) -> tuple:
             return tuple(

@@ -37,7 +37,6 @@ from .linalg import (
     nullspace,
     rank,
     reversal_permutation,
-    transpose_inverse,
 )
 from .scalars import DEFAULT_POLICY, TolerancePolicy, as_fraction
 from .spectra import SpectralOptions, gk_spectrum, refine_eigenbasis
@@ -350,7 +349,7 @@ def stable_flags(
     g_w = w_inv @ g @ w
     k_mat = None
     if sigma_mode == "tilde":
-        k_mat = w_inv @ c0_matrix(n) @ transpose_inverse(w)
+        k_mat = w_inv @ c0_matrix(n) @ w_inv.transpose()
     dilation, contraction, finite = _transport_blocks(g_w, sigma_mode, k_mat)
     margin = min(
         min(float(c) for c in params.c),

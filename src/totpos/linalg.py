@@ -7,11 +7,14 @@ float backend (mixed entries coerce to float).  Row/column indices on
 (:func:`minor`, :func:`submatrix`, :func:`ksubsets`) speak the 1-based,
 strictly increasing convention used throughout the public API.
 
-Determinants on the exact backend use fraction-free Bareiss elimination after
-clearing denominators row by row; minors of all orders come from a dynamic
-program that expands each order-k minor along its last row using the order
-k-1 table, which is far cheaper than independent eliminations when a caller
-needs every minor of every order.
+On the exact backend, determinants, rank, solves, inverses and kernels all
+come from one fraction-free Bareiss elimination, run on integers after the
+denominators are cleared along the rows or the columns, whichever costs fewer
+bits.  On the float backend, determinant and rank share one partial-pivot
+forward sweep.  Minors of all orders come from a dynamic program that expands
+each order-k minor along its last row using the order k-1 table, which is far
+cheaper than independent eliminations when a caller needs every minor of
+every order.
 """
 
 from __future__ import annotations
@@ -248,72 +251,100 @@ def submatrix(m: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Matr
     return Matrix([[m[i - 1, j - 1] for j in cs] for i in rs])
 
 
-# -- determinants ---------------------------------------------------------
+# -- elimination kernels --------------------------------------------------
 
 
-def _det_exact(m: Matrix) -> Fraction:
-    """Fraction-free Bareiss determinant after per-row denominator clearing."""
-    n = m.rows
-    a: list[list[int]] = []
-    scale = Fraction(1)
-    for i in range(n):
-        row = [as_fraction(x) for x in m.row_tuple(i)]
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        scale *= den
-        a.append([int(x * den) for x in row])
+def _bareiss(
+    rows: Sequence[Sequence[int | Fraction]], reduce: bool = False
+) -> tuple[list[list[int]], list[int], int, list[int], list[int]]:
+    """Fraction-free Bareiss (1968) elimination, the one exact kernel.
+
+    Rows M become integers A = diag(R)·M·diag(C), clearing denominators on
+    the side (rows or columns) whose lcms have fewer bits; the other side's
+    scales are all ones.  Each update divides exactly by the previous pivot.
+    Returns (A, pivot columns, row permutation sign, R, C): A in echelon form,
+    or with ``reduce`` in d·RREF form, every pivot equal to the last one, d.
+    """
+    row_den = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    col_den = [math.lcm(*(x.denominator for x in col)) for col in zip(*rows)]
+    if sum(d.bit_length() for d in row_den) <= sum(d.bit_length() for d in col_den):
+        col_den = [1] * len(col_den)
+    else:
+        row_den = [1] * len(row_den)
+    a = [
+        [x.numerator * (r * c // x.denominator) for x, c in zip(row, col_den)]
+        for row, r in zip(rows, row_den)
+    ]
+    nrows = len(a)
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: exact integer division by the previous pivot
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+    for c in range(len(col_den)):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        row = a[r]
+        pivot = row[c]
+        for i in range(nrows) if reduce else range(r + 1, nrows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], row)]
+        pivots.append(c)
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    return a, pivots, sign, row_den, col_den
 
 
-def _det_float(m: Matrix, policy: TolerancePolicy) -> float:
-    n = m.rows
-    a = [list(map(float, m.row_tuple(i))) for i in range(n)]
+def _float_sweep(m: Matrix, policy: TolerancePolicy) -> tuple[list[int], float]:
+    """Partial-pivot forward sweep: (pivot columns, signed pivot product).
+
+    A column whose largest candidate lies in the zero band has no pivot.
+    """
     scale = max(m.entry_scale(), 1.0)
-    det = 1.0
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if policy.is_zero(a[p][k], scale):
-            return 0.0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1.0 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
+    a = [list(map(float, m.row_tuple(i))) for i in range(m.rows)]
+    pivots: list[int] = []
+    product = 1.0
+    for c in range(m.cols):
+        r = len(pivots)
+        if r == m.rows:
+            break
+        p = max(range(r, m.rows), key=lambda i: abs(a[i][c]))
+        if policy.is_zero(a[p][c], scale):
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            product = -product
+        product *= a[r][c]
+        inv = 1.0 / a[r][c]
+        for i in range(r + 1, m.rows):
+            f = a[i][c] * inv
             if f == 0.0:
                 continue
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-    return det
+            for j in range(c + 1, m.cols):
+                a[i][j] -= f * a[r][j]
+        pivots.append(c)
+    return pivots, product
+
+
+# -- determinants ---------------------------------------------------------
 
 
 def det(m: Matrix, policy: TolerancePolicy | None = None) -> Scalar:
     """Determinant; exact input gives an exact Fraction."""
     if not m.is_square:
         raise InputError("determinant requires a square matrix")
-    if m.is_exact:
-        return _det_exact(m)
-    return _det_float(m, policy or DEFAULT_POLICY)
+    if not m.is_exact:
+        pivots, product = _float_sweep(m, policy or DEFAULT_POLICY)
+        return product if len(pivots) == m.rows else 0.0
+    a, pivots, sign, row_den, col_den = _bareiss(m.to_lists())
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * a[-1][-1], math.prod(row_den) * math.prod(col_den))
 
 
 def minor(
@@ -391,53 +422,10 @@ def compound(m: Matrix, k: int, policy: TolerancePolicy | None = None) -> Matrix
 # -- rank, inverses, nullspace --------------------------------------------
 
 
-def _echelon_exact(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place forward elimination; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 def rank(m: Matrix, policy: TolerancePolicy | None = None) -> int:
     if m.is_exact:
-        rows = [[as_fraction(x) for x in m.row_tuple(i)] for i in range(m.rows)]
-        _, pivots = _echelon_exact(rows)
-        return len(pivots)
-    p = policy or DEFAULT_POLICY
-    scale = max(m.entry_scale(), 1.0)
-    a = [list(map(float, m.row_tuple(i))) for i in range(m.rows)]
-    r = 0
-    for c in range(m.cols):
-        piv = max(range(r, m.rows), key=lambda i: abs(a[i][c]), default=None)
-        if piv is None or p.is_zero(a[piv][c], scale):
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1.0 / a[r][c]
-        for i in range(r + 1, m.rows):
-            f = a[i][c] * inv
-            for j in range(c, m.cols):
-                a[i][j] -= f * a[r][j]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+        return len(_bareiss(m.to_lists())[1])
+    return len(_float_sweep(m, policy or DEFAULT_POLICY)[0])
 
 
 def inverse(m: Matrix, policy: TolerancePolicy | None = None) -> Matrix:
@@ -446,15 +434,14 @@ def inverse(m: Matrix, policy: TolerancePolicy | None = None) -> Matrix:
         raise InputError("inverse requires a square matrix")
     n = m.rows
     if m.is_exact:
-        aug = [
-            [as_fraction(x) for x in m.row_tuple(i)]
-            + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-            for i in range(n)
-        ]
-        _, pivots = _echelon_exact(aug)
+        rows = zip(m.to_lists(), Matrix.identity(n).to_lists())
+        a, pivots, _, _, col_den = _bareiss([x + e for x, e in rows], reduce=True)
         if pivots != list(range(n)):
             raise SingularityError("matrix is singular")
-        return Matrix([row[n:] for row in aug])
+        # identity columns have denominator 1, so their scale is 1
+        return Matrix(
+            [[Fraction(x * c, a[i][i]) for x in a[i][n:]] for i, c in enumerate(col_den[:n])]
+        )
     p = policy or DEFAULT_POLICY
     scale = max(m.entry_scale(), 1.0)
     a = [
@@ -488,27 +475,25 @@ def solve(m: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
     n = m.rows
     if len(rhs) != n:
         raise InputError("right-hand side length mismatch")
-    aug = [
-        [as_fraction(x) for x in m.row_tuple(i)] + [as_fraction(rhs[i])]
-        for i in range(n)
-    ]
-    _, pivots = _echelon_exact(aug)
+    a, pivots, _, _, col_den = _bareiss(
+        [[*row, as_fraction(b)] for row, b in zip(m.to_exact().to_lists(), rhs)],
+        reduce=True,
+    )
     if pivots != list(range(n)):
         raise SingularityError("matrix is singular")
-    return tuple(row[n] for row in aug)
+    return tuple(Fraction(a[i][n] * col_den[i], a[i][i] * col_den[n]) for i in range(n))
 
 
 def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Exact kernel basis (possibly empty) of an exact matrix."""
-    rows = [[as_fraction(x) for x in m.row_tuple(i)] for i in range(m.rows)]
-    reduced, pivots = _echelon_exact(rows)
+    a, pivots, _, _, col_den = _bareiss(m.to_exact().to_lists(), reduce=True)
     free = [c for c in range(m.cols) if c not in pivots]
     basis: list[tuple[Fraction, ...]] = []
     for f in free:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
+            v[c] = Fraction(-a[r][f] * col_den[c], a[r][c] * col_den[f])
         basis.append(tuple(v))
     return basis
 

@@ -10,6 +10,7 @@ need a boolean collapse the indeterminate band pessimistically and emit a
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,18 @@ class TolerancePolicy:
 
 
 DEFAULT_POLICY = TolerancePolicy()
+
+
+def minor_scale(entry_scale: float, k: int) -> float:
+    """Zero-band scale of an order-k minor: max(entry_scale, 1)**k.
+
+    Past the float range it saturates to inf, a band that takes in every
+    finite value.
+    """
+    try:
+        return max(entry_scale, 1.0) ** k
+    except OverflowError:
+        return math.inf
 
 
 def sign_of(x: Scalar, policy: TolerancePolicy | None = None, scale: float = 1.0) -> int:
@@ -97,7 +110,10 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
         raise InputError(f"cannot parse scalar {text!r}") from exc
     if exact:
         return value
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"scalar {text!r} is outside the float range") from None
 
 
 def format_scalar(x: Scalar) -> str:

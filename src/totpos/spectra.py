@@ -27,7 +27,7 @@ from .errors import (
     InputError,
     SingularityError,
 )
-from .linalg import Matrix, det, inverse, ksubsets, minor_levels, nullspace
+from .linalg import Matrix, det, ksubsets, minor_levels, nullspace, solve
 from .scalars import DEFAULT_POLICY, TolerancePolicy
 
 
@@ -413,7 +413,7 @@ def refine_eigenbasis(
         ]
         shifted = m - Matrix.diagonal([Fraction(eigenvalues[j])] * n)
         try:
-            raw = list(inverse(shifted).apply(col))
+            raw = list(solve(shifted, col))
         except SingularityError:
             # the shift IS an exact eigenvalue, so its eigenvector is the
             # kernel of the shifted matrix, computable without error

@@ -29,7 +29,7 @@ from .errors import (
     SingularityError,
 )
 from .linalg import Matrix, det, reversal_permutation
-from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy, sign_of
+from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy, minor_scale, sign_of
 
 WordKind = Literal["standard", "reversed"]
 Side = Literal["lower", "upper"]
@@ -437,6 +437,6 @@ def monoid_generate_check(m: Matrix, policy: TolerancePolicy | None = None) -> b
     if not m.is_square:
         raise InputError("monoid membership requires a square matrix")
     p = policy or DEFAULT_POLICY
-    if sign_of(det(m, p), p, max(m.entry_scale(), 1.0) ** m.rows) == 0:
+    if sign_of(det(m, p), p, minor_scale(m.entry_scale(), m.rows)) == 0:
         raise SingularityError("monoid membership test requires invertibility")
     return is_totally_nonnegative(m, p)

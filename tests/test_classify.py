@@ -20,6 +20,7 @@ from totpos.errors import SingularityError, StrictnessWarning
 from totpos.linalg import Matrix, ksubsets, reversal_permutation, submatrix
 from totpos.sampling import random_tn_matrix, random_tp_matrix, random_vector
 from totpos.scalars import TolerancePolicy
+from totpos.whitney import monoid_generate_check
 
 VANDERMONDE = Matrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
 TRIDIAG = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
@@ -149,6 +150,21 @@ def test_float_zero_band_is_pessimistic_and_warns():
     m = Matrix([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
     with pytest.warns(StrictnessWarning):
         assert not is_totally_positive(m)
+
+
+def test_float_zero_band_saturates_past_float_range():
+    # the entry scale's fourth power leaves the float range: the order-4 band
+    # turns infinitely wide and resolves like any band, never OverflowError
+    m = Matrix([[1, 1, 1, 1], [1, 2, 4, 8], [1, 3, 9, 27], [1, 4, 16, 1e100]])
+    with pytest.warns(StrictnessWarning):
+        assert not is_totally_positive(m)
+    assert is_totally_nonnegative(m)
+    with pytest.raises(SingularityError):
+        is_variation_diminishing(m)
+    with pytest.raises(SingularityError):
+        monoid_generate_check(m)
+    big_diagonal = Matrix.diagonal([1e100, 1.0, 1.0, 1.0])
+    assert classify(big_diagonal).kind is TPKind.TOTALLY_NONNEGATIVE_ONLY
 
 
 def test_float_tp_clearly_positive():

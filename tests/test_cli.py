@@ -154,3 +154,25 @@ def test_float_backend_with_tolerance(tmp_path, capsys):
     path.write_text("1 1 1\n1 2 4\n1 3 9\n")
     assert main(["classify", str(path), "--backend", "float", "--tol", "1e-8"]) == 0
     assert "TotallyPositive" in capsys.readouterr().out
+
+
+def test_synth_params_require_word(tmp_path, capsys):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({"n": 2, "a": ["1"], "t": ["1", "1"], "b": ["1"]}))
+    assert main(["synth", "--params", str(pfile)]) == 2
+    assert "missing field 'word'" in capsys.readouterr().err
+
+
+def test_float_overflow_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1e400 1\n1 1\n")
+    assert main(["classify", str(path), "--backend", "float"]) == 2
+    assert "outside the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_nonpositive_tolerance_rejected_once(vandermonde, tol, capsys):
+    assert main(["classify", vandermonde, "--backend", "float", "--tol", tol]) == 2
+    assert capsys.readouterr().err == (
+        "error: tolerance policy requires positive eps_abs and eps_rel\n"
+    )

@@ -260,3 +260,72 @@ def test_reversal_permutation():
     rho = reversal_permutation(3)
     assert rho == Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert rho @ rho == Matrix.identity(3)
+
+
+def _sympy_matrix(m):
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m[i, j]))
+
+
+def _from_sympy(values):
+    return tuple(F(int(x.p), int(x.q)) for x in values)
+
+
+def _differential_cases():
+    """Seeded exact inputs: n = 1..7, square and n x (n+1), a third of them
+    rank-deficient, with denominators small, large per entry, or large and
+    shared down each column or along each row."""
+    rng = random.Random(20261018)
+    for n in range(1, 8):
+        for trial in range(12):
+            cols = n + trial % 2
+            style = trial // 3
+            col_dens = [rng.randint(1, 10**20) for _ in range(cols)]
+            row_dens = [rng.randint(1, 10**20) for _ in range(n)]
+
+            def entry(i, j):
+                num = rng.randint(-(10**12), 10**12)
+                if style == 0:
+                    return F(rng.randint(-9, 9), rng.randint(1, 4))
+                if style == 1:
+                    return F(num, rng.randint(1, 10 ** rng.randint(1, 24)))
+                if style == 2:
+                    return F(num, col_dens[j])
+                return F(num, row_dens[i])
+
+            rows = [[entry(i, j) for j in range(cols)] for i in range(n)]
+            if trial % 3 == 2:
+                # rank-deficient: a row replaced by a combination of the others
+                i = rng.randrange(n)
+                others = [r for k, r in enumerate(rows) if k != i]
+                coeffs = [F(rng.randint(-3, 3), rng.randint(1, 7)) for _ in others]
+                rows[i] = [sum((c * r[j] for c, r in zip(coeffs, others)), F(0)) for j in range(cols)]
+            rhs = [F(rng.randint(-99, 99), rng.randint(1, 10**9)) for _ in range(n)]
+            yield Matrix(rows), rhs
+
+
+def test_exact_kernel_matches_sympy():
+    from totpos.linalg import _bareiss
+
+    deficient = 0
+    column_cleared = 0
+    for m, rhs in _differential_cases():
+        sm = _sympy_matrix(m)
+        r = rank(m)
+        assert r == sm.rank()
+        deficient += r < m.rows
+        column_cleared += any(c != 1 for c in _bareiss(m.to_lists())[4])
+        assert nullspace(m) == [_from_sympy(v) for v in sm.nullspace()]
+        if not m.is_square:
+            continue
+        (d,) = _from_sympy([sm.det()])
+        assert det(m) == d
+        if d == 0:
+            with pytest.raises(SingularityError):
+                inverse(m)
+            with pytest.raises(SingularityError):
+                solve(m, rhs)
+            continue
+        inv = sm.inv()
+        assert inverse(m) == Matrix([list(_from_sympy(inv.row(i))) for i in range(m.rows)])
+        assert solve(m, rhs) == _from_sympy(sm.LUsolve(sympy.Matrix(rhs)))
+    assert deficient >= 25 and column_cleared >= 10

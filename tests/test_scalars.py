@@ -1,5 +1,6 @@
 """Scalar parsing, formatting, and tolerance policy behavior."""
 
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from totpos.scalars import (
     as_fraction,
     format_scalar,
     is_exact_scalar,
+    minor_scale,
     parse_scalar,
     sign_of,
     strict_sign_of,
@@ -30,6 +32,15 @@ def test_parse_scalar_exact():
 def test_parse_scalar_float():
     x = parse_scalar("1/4", exact=False)
     assert isinstance(x, float) and x == 0.25
+    with pytest.raises(InputError, match="outside the float range"):
+        parse_scalar("1e400", exact=False)
+    assert parse_scalar("1e400") == 10**400
+
+
+def test_minor_scale_saturates():
+    assert minor_scale(0.5, 3) == 1.0
+    assert minor_scale(2.0, 3) == 8.0
+    assert minor_scale(1e100, 4) == math.inf
 
 
 def test_format_round_trip():
