@@ -35,7 +35,6 @@ from .curves import (
     CurveReport,
     DihedralQuadruple,
     MomentCurve,
-    OsculatingFlagCurve,
     TableFlagCurve,
     convex_curve_check,
     dihedral_partition,
@@ -109,95 +108,3 @@ from .whitney import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "A_to_form",
-    "BilinearForm",
-    "CanonicalBasisResult",
-    "CirclePoint",
-    "ConditioningError",
-    "ConsistencyError",
-    "ConvergenceError",
-    "ConvexReport",
-    "CurveReport",
-    "DEFAULT_POLICY",
-    "DihedralQuadruple",
-    "DomainError",
-    "Flag",
-    "GKReport",
-    "InputError",
-    "Matrix",
-    "MomentCurve",
-    "OsculatingFlagCurve",
-    "Scalar",
-    "SingularityError",
-    "SpectralOptions",
-    "Spectrum",
-    "StableFlagPair",
-    "StrictnessWarning",
-    "TPClass",
-    "TPKind",
-    "TPParameters",
-    "TableFlagCurve",
-    "TolerancePolicy",
-    "TotposError",
-    "UniParams",
-    "adapted_basis",
-    "as_fraction",
-    "c0_matrix",
-    "canonical_basis",
-    "classify",
-    "compound",
-    "convex_curve_check",
-    "det",
-    "dihedral_partition",
-    "factorize",
-    "flag_from_matrix",
-    "form_family_positive",
-    "form_to_A",
-    "format_scalar",
-    "gen_x",
-    "gen_y",
-    "gk_spectrum",
-    "hyperplane_intersection_count",
-    "identity_component_check",
-    "in_B_pos",
-    "in_B_pos_prime",
-    "inverse",
-    "is_oscillatory",
-    "is_positive_curve_sampled",
-    "is_positive_quadruple",
-    "is_totally_nonnegative",
-    "is_totally_positive",
-    "is_totally_positive_form",
-    "is_variation_diminishing",
-    "ksubsets",
-    "membership_uni",
-    "minor",
-    "minor_levels",
-    "monoid_generate_check",
-    "nullspace",
-    "opposed",
-    "osculating_flag",
-    "parse_scalar",
-    "perron",
-    "rank",
-    "reversal_permutation",
-    "reversed_flag",
-    "reversed_word",
-    "sign_of",
-    "sign_variation",
-    "solve",
-    "stable_flags",
-    "standard_flag",
-    "standard_word",
-    "sturm_distinct_real_roots",
-    "submatrix",
-    "synthesize",
-    "synthesize_uni",
-    "tilde",
-    "transpose_inverse",
-    "variation_diminishes_on",
-    "verify_gk",
-    "word_for",
-]

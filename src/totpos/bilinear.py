@@ -194,11 +194,12 @@ def canonical_basis(
     c_check = transpose_inverse(c, p)
     sign = 1 if n % 2 else -1
     comparison = (c @ c_check).scale(sign)
-    if not is_totally_positive(comparison, p):
+    try:
+        spectrum = gk_spectrum(comparison, options, p)
+    except DomainError:
         raise ConsistencyError(
             "the canonical comparison matrix failed its positivity law"
-        )
-    spectrum = gk_spectrum(comparison, options, p, assume_tp=True)
+        ) from None
     if comparison.is_exact and form.gram.is_exact:
         # exact basis: the off-anti-diagonal entries then vanish to the
         # accuracy of the basis itself, not of float64 arithmetic

@@ -4,8 +4,14 @@ A square matrix is totally positive when every minor of every order is
 strictly positive, and totally nonnegative when none is negative.  Checking
 all of them is exponential in n but exact, which is the point: these
 functions are the ground truth the rest of the library is tested against.
-The minor table is built order by order and the scan aborts on the first
-witness, so the common negative case is cheap.
+
+Every verdict reads one minor table per matrix.  The table is built order by
+order, and one scan finds its least sign (negative, zero, indeterminate in
+the float zero band, or positive), stopping at the first negative minor, or
+at the first zero one when only strict positivity is asked.  ``classify``
+decides all three kinds from a single scan and then scans only the powers
+for the oscillatory exponent; ``gk_spectrum`` reads its compound matrices
+from the table that certifies total positivity.
 """
 
 from __future__ import annotations
@@ -13,10 +19,10 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import InputError, SingularityError, StrictnessWarning
-from .linalg import Matrix, det, minor_levels
+from .errors import InputError, StrictnessWarning
+from .linalg import Matrix, _require_invertible, minor_levels
 from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy, minor_scale, sign_of
 
 
@@ -60,46 +66,74 @@ def sign_variation(
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+class _Least(enum.IntEnum):
+    """Least sign over a minor table, ordered so that min() combines them."""
+
+    NEGATIVE = 0
+    ZERO = 1
+    INDETERMINATE = 2  # a nonzero float minor inside the zero band
+    POSITIVE = 3
+
+
 def _scan_minors(
-    m: Matrix, policy: TolerancePolicy, mode: str
-) -> bool:
-    """mode='positive': all minors > 0; mode='nonnegative': none < 0."""
+    m: Matrix,
+    policy: TolerancePolicy,
+    strict: bool,
+    on_level: Callable[[int, dict], None] | None = None,
+) -> _Least:
+    """Least sign over every minor of a square matrix, one table per call.
+
+    Stops at the first negative minor, and, when only strict positivity is
+    asked (``strict``), also at the first minor decided to be zero.  A float
+    minor inside the zero band is indeterminate: it does not stop the scan,
+    since a later negative or zero minor still decides the answer.
+    ``on_level(k, table)`` receives each order-k table once all its minors
+    have been scanned without stopping.
+    """
     scale = m.entry_scale()
-    indeterminate = False
+    least = _Least.POSITIVE
     for k, table in minor_levels(m):
         level_scale = minor_scale(scale, k)
         for value in table.values():
             s = sign_of(value, policy, level_scale)
             if s < 0:
-                return False
-            if mode == "positive" and s == 0:
-                if not m.is_exact and value != 0.0:
-                    indeterminate = True
+                return _Least.NEGATIVE
+            if s == 0:
+                if m.is_exact or value == 0.0:
+                    if strict:
+                        return _Least.ZERO
+                    least = _Least.ZERO
                 else:
-                    return False
-    if indeterminate:
+                    least = min(least, _Least.INDETERMINATE)
+        if on_level is not None:
+            on_level(k, table)
+    return least
+
+
+def _is_positive(least: _Least) -> bool:
+    """Strict positivity from a scan; indeterminate warns and resolves to False."""
+    if least is _Least.INDETERMINATE:
         warnings.warn(
             "a minor fell inside the zero band; strict positivity is "
             "indeterminate at this tolerance and resolves to False",
             StrictnessWarning,
             stacklevel=3,
         )
-        return False
-    return True
+    return least is _Least.POSITIVE
 
 
 def is_totally_nonnegative(m: Matrix, policy: TolerancePolicy | None = None) -> bool:
     """True when no minor of any order is negative."""
     if not m.is_square:
         raise InputError("total nonnegativity is defined for square matrices")
-    return _scan_minors(m, policy or DEFAULT_POLICY, "nonnegative")
+    return _scan_minors(m, policy or DEFAULT_POLICY, strict=False) > _Least.NEGATIVE
 
 
 def is_totally_positive(m: Matrix, policy: TolerancePolicy | None = None) -> bool:
     """True when every minor of every order is strictly positive."""
     if not m.is_square:
         raise InputError("total positivity is defined for square matrices")
-    return _scan_minors(m, policy or DEFAULT_POLICY, "positive")
+    return _is_positive(_scan_minors(m, policy or DEFAULT_POLICY, strict=True))
 
 
 def variation_diminishes_on(
@@ -123,9 +157,8 @@ def is_variation_diminishing(m: Matrix, policy: TolerancePolicy | None = None) -
     if not m.is_square:
         raise InputError("variation tests are defined for square matrices")
     p = policy or DEFAULT_POLICY
+    _require_invertible(m, p, "variation-diminishing test")
     scale = m.entry_scale()
-    if sign_of(det(m, p), p, minor_scale(scale, m.rows)) == 0:
-        raise SingularityError("variation-diminishing test requires invertibility")
     for k, table in minor_levels(m):
         has_pos = False
         has_neg = False
@@ -151,29 +184,34 @@ def is_oscillatory(
     """
     if not m.is_square:
         raise InputError("oscillatory classification is defined for square matrices")
-    p = policy or DEFAULT_POLICY
-    cap = m_max if m_max is not None else max(m.rows - 1, 1)
-    if cap < 1:
+    if m_max is not None and m_max < 1:
         raise InputError("m_max must be at least 1")
-    if not is_totally_nonnegative(m, p):
-        return None
-    power = m
-    for exponent in range(1, cap + 1):
-        if is_totally_positive(power, p):
-            return exponent
-        power = power @ m
-    return None
+    return classify(m, m_max, policy).oscillatory_m
 
 
 def classify(
     m: Matrix, m_max: int | None = None, policy: TolerancePolicy | None = None
 ) -> TPClass:
-    """Three-way classification with the oscillatory exponent attached."""
+    """Three-way classification with the oscillatory exponent attached.
+
+    One scan of ``m`` decides the kind.  A totally nonnegative ``m`` is
+    already known not to be totally positive, so the exponent search scans
+    only its powers, from the square up to ``m_max``.
+    """
+    if not m.is_square:
+        raise InputError("total positivity is defined for square matrices")
     p = policy or DEFAULT_POLICY
-    if is_totally_positive(m, p):
+    least = _scan_minors(m, p, strict=False)
+    if _is_positive(least):
         return TPClass(TPKind.TOTALLY_POSITIVE, 1)
-    if is_totally_nonnegative(m, p):
-        return TPClass(
-            TPKind.TOTALLY_NONNEGATIVE_ONLY, is_oscillatory(m, m_max, p)
-        )
-    return TPClass(TPKind.NEITHER, None)
+    if least is _Least.NEGATIVE:
+        return TPClass(TPKind.NEITHER, None)
+    cap = m_max if m_max is not None else max(m.rows - 1, 1)
+    if cap < 1:
+        raise InputError("m_max must be at least 1")
+    power = m
+    for exponent in range(2, cap + 1):
+        power = power @ m
+        if _is_positive(_scan_minors(power, p, strict=True)):
+            return TPClass(TPKind.TOTALLY_NONNEGATIVE_ONLY, exponent)
+    return TPClass(TPKind.TOTALLY_NONNEGATIVE_ONLY, None)

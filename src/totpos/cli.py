@@ -21,7 +21,6 @@ from .classify import classify
 from .curves import (
     CirclePoint,
     MomentCurve,
-    OsculatingFlagCurve,
     convex_curve_check,
     dihedral_partition,
     is_positive_curve_sampled,
@@ -273,7 +272,7 @@ def _cmd_quadruple(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve_check(args: argparse.Namespace) -> int:
-    curve = OsculatingFlagCurve(MomentCurve(args.degree))
+    curve = MomentCurve(args.degree)
     points = _parse_points(args.points) if args.points else None
     report = is_positive_curve_sampled(
         curve,

@@ -130,6 +130,10 @@ class MomentCurve:
     def n(self) -> int:
         return self.degree + 1
 
+    def flag_at(self, point: CirclePoint) -> Flag:
+        """The osculating flag at ``point``, which makes the curve a flag curve."""
+        return osculating_flag(self, point)
+
 
 def osculating_flag(curve: MomentCurve, point: CirclePoint) -> Flag:
     """Flag of scaled derivatives of the moment curve at a point.
@@ -150,18 +154,6 @@ def osculating_flag(curve: MomentCurve, point: CirclePoint) -> Flag:
         for i in range(n)
     ]
     return flag_from_matrix(Matrix(rows))
-
-
-class OsculatingFlagCurve:
-    """Flag curve view of a moment curve."""
-
-    def __init__(self, curve: MomentCurve):
-        self.curve = curve
-        self.degree = curve.degree
-        self.n = curve.n
-
-    def flag_at(self, point: CirclePoint) -> Flag:
-        return osculating_flag(self.curve, point)
 
 
 class TableFlagCurve:

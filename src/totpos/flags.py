@@ -24,7 +24,6 @@ from typing import Literal
 import numpy as np
 
 from .bilinear import c0_matrix, tilde
-from .classify import is_totally_positive
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -301,19 +300,19 @@ def stable_flags(
     p = policy or DEFAULT_POLICY
     n = g.rows
     if sigma_mode == "identity":
-        if not is_totally_positive(g, p):
-            raise DomainError("identity mode requires a totally positive matrix")
         composite = g
+        requirement = "identity mode requires a totally positive matrix"
     elif sigma_mode == "tilde":
-        twisted = g @ tilde(g, p)
-        if not is_totally_positive(twisted, p):
-            raise DomainError(
-                "tilde mode requires the matrix times its twist to be totally positive"
-            )
-        composite = twisted
+        composite = g @ tilde(g, p)
+        requirement = (
+            "tilde mode requires the matrix times its twist to be totally positive"
+        )
     else:
         raise InputError(f"unknown sigma mode {sigma_mode!r}")
-    spectrum = gk_spectrum(composite, options, p, assume_tp=True)
+    try:
+        spectrum = gk_spectrum(composite, options, p)
+    except DomainError:
+        raise DomainError(requirement) from None
     if composite.is_exact:
         v = refine_eigenbasis(composite, spectrum.eigenvalues, spectrum.eigenvectors)
     else:

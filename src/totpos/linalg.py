@@ -31,6 +31,8 @@ from .scalars import (
     TolerancePolicy,
     as_fraction,
     is_exact_scalar,
+    minor_scale,
+    sign_of,
 )
 
 IndexSet = tuple[int, ...]
@@ -345,6 +347,24 @@ def det(m: Matrix, policy: TolerancePolicy | None = None) -> Scalar:
     if len(pivots) < m.rows:
         return Fraction(0)
     return Fraction(sign * a[-1][-1], math.prod(row_den) * math.prod(col_den))
+
+
+def _require_invertible(m: Matrix, policy: TolerancePolicy, what: str) -> None:
+    """Raise SingularityError unless det(m) has a decided nonzero sign.
+
+    On the float backend the message names the determinant and the zero-band
+    threshold it fell inside; the threshold is inf once the entry scale to
+    the n-th power leaves the float range.
+    """
+    d = det(m, policy)
+    scale = minor_scale(m.entry_scale(), m.rows)
+    if sign_of(d, policy, scale) != 0:
+        return
+    detail = "" if m.is_exact else (
+        f": det = {d!r} lies inside the zero band "
+        f"(threshold {policy.zero_threshold(scale):.3e})"
+    )
+    raise SingularityError(f"{what} requires invertibility{detail}")
 
 
 def minor(

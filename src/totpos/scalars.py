@@ -11,6 +11,7 @@ need a boolean collapse the indeterminate band pessimistically and emit a
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,15 +96,31 @@ def strict_sign_of(
     return 1 if x > 0 else -1
 
 
+# Python's default limit on the digits of an int parsed from a string, which
+# already caps mantissas; the same bound on decimal exponents keeps a short
+# token such as "1e100000000" from building an integer of 10**8 digits.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\Z")
+
+
 def parse_scalar(text: str, exact: bool = True) -> Scalar:
     """Parse ``int``, ``p/q`` or decimal notation.
 
     The exact backend maps decimals to the rational they denote, so "0.25"
-    becomes 1/4 with no binary rounding.
+    becomes 1/4 with no binary rounding.  Decimal exponents beyond 4300 in
+    magnitude are rejected before any integer is built.
     """
     s = text.strip()
     if not s:
         raise InputError("empty scalar")
+    exponent = _EXPONENT.search(s)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise InputError(
+                f"scalar {text!r} has a decimal exponent beyond "
+                f"{_MAX_EXPONENT} in magnitude"
+            )
     try:
         value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

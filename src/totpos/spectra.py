@@ -20,14 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import is_totally_positive
+from .classify import _is_positive, _scan_minors
 from .errors import (
     ConvergenceError,
     DomainError,
     InputError,
     SingularityError,
 )
-from .linalg import Matrix, det, ksubsets, minor_levels, nullspace, solve
+from .linalg import Matrix, det, ksubsets, nullspace, solve
 from .scalars import DEFAULT_POLICY, TolerancePolicy
 
 
@@ -194,17 +194,26 @@ def perron(
     return root, tuple(float(v) for v in vec)
 
 
-def _compound_arrays(m: Matrix) -> list[np.ndarray]:
-    """Float arrays of every compound order 1..n, built from one minor pass."""
+def _compound_arrays(m: Matrix, policy: TolerancePolicy) -> list[np.ndarray]:
+    """Float arrays of every compound order 1..n of a totally positive matrix.
+
+    The minor table that certifies total positivity is the one the arrays
+    are read from; raises DomainError when the certificate fails.
+    """
     n = m.rows
     out: list[np.ndarray] = []
-    for k, table in minor_levels(m):
+
+    def keep(k: int, table: dict) -> None:
         subsets = ksubsets(n, k)
-        arr = np.array(
-            [[float(table[(r, c)]) for c in subsets] for r in subsets],
-            dtype=np.float64,
+        out.append(
+            np.array(
+                [[float(table[(r, c)]) for c in subsets] for r in subsets],
+                dtype=np.float64,
+            )
         )
-        out.append(arr)
+
+    if not _is_positive(_scan_minors(m, policy, strict=True, on_level=keep)):
+        raise DomainError("matrix is not totally positive")
     return out
 
 
@@ -223,24 +232,21 @@ def gk_spectrum(
     m: Matrix,
     options: SpectralOptions | None = None,
     policy: TolerancePolicy | None = None,
-    assume_tp: bool = False,
 ) -> Spectrum:
     """Full eigen-decomposition of a totally positive matrix.
 
     Eigenvalues come from ratios of consecutive compound Perron roots;
     eigenvectors come from shifted inverse iteration refined per eigenpair.
-    Raises DomainError when the input is not totally positive and
-    ConvergenceError when two eigenvalues are too close to separate at the
-    configured gap tolerance.
+    One minor table both certifies total positivity and supplies the
+    compounds.  Raises DomainError when the input is not totally positive
+    and ConvergenceError when two eigenvalues are too close to separate at
+    the configured gap tolerance.
     """
     if not m.is_square:
         raise InputError("spectral analysis requires a square matrix")
     opts = options or DEFAULT_SPECTRAL
-    pol = policy or DEFAULT_POLICY
-    if not assume_tp and not is_totally_positive(m, pol):
-        raise DomainError("matrix is not totally positive")
     n = m.rows
-    compounds = _compound_arrays(m)
+    compounds = _compound_arrays(m, policy or DEFAULT_POLICY)
     roots: list[float] = []
     for arr in compounds:
         root, _ = _power_perron(arr, opts)
@@ -323,7 +329,6 @@ def verify_gk(
     m: Matrix,
     options: SpectralOptions | None = None,
     policy: TolerancePolicy | None = None,
-    assume_tp: bool = False,
     product_rel_tol: float = 1e-7,
     det_rel_tol: float = 1e-9,
 ) -> GKReport:
@@ -331,10 +336,12 @@ def verify_gk(
 
     The compound cross-check compares each compound Perron root against the
     product of refined Rayleigh quotients of the returned eigenvectors, two
-    genuinely different computations of the same quantity.
+    genuinely different computations of the same quantity.  Raises
+    DomainError, as :func:`gk_spectrum` does, when the input is not totally
+    positive.
     """
     opts = options or DEFAULT_SPECTRAL
-    spectrum = gk_spectrum(m, opts, policy, assume_tp=assume_tp)
+    spectrum = gk_spectrum(m, opts, policy)
     failures: list[str] = []
     c = spectrum.eigenvalues
     descending = all(x > 0 for x in c) and all(

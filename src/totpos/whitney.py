@@ -22,14 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .errors import (
-    ConditioningError,
-    DomainError,
-    InputError,
-    SingularityError,
-)
-from .linalg import Matrix, det, reversal_permutation
-from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy, minor_scale, sign_of
+from .errors import ConditioningError, DomainError, InputError
+from .linalg import Matrix, _require_invertible, reversal_permutation
+from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy
 
 WordKind = Literal["standard", "reversed"]
 Side = Literal["lower", "upper"]
@@ -437,6 +432,5 @@ def monoid_generate_check(m: Matrix, policy: TolerancePolicy | None = None) -> b
     if not m.is_square:
         raise InputError("monoid membership requires a square matrix")
     p = policy or DEFAULT_POLICY
-    if sign_of(det(m, p), p, minor_scale(m.entry_scale(), m.rows)) == 0:
-        raise SingularityError("monoid membership test requires invertibility")
+    _require_invertible(m, p, "monoid membership test")
     return is_totally_nonnegative(m, p)

@@ -23,7 +23,6 @@ from totpos.classify import is_totally_positive, sign_variation
 from totpos.curves import (
     CirclePoint,
     MomentCurve,
-    OsculatingFlagCurve,
     convex_curve_check,
     dihedral_partition,
     is_positive_curve_sampled,
@@ -185,7 +184,7 @@ def test_criterion_07_stable_flags(capsys):
             if not identity_component_check(g, pair):
                 failures.append(f"n={n} trial={trial}: component check")
             if n <= 4:
-                spec = gk_spectrum(g, assume_tp=True)
+                spec = gk_spectrum(g)
                 cols = [spec.eigenvectors.col_tuple(j) for j in range(n)]
                 winners = []
                 for perm in itertools.permutations(range(n)):
@@ -223,7 +222,7 @@ def test_criterion_09_positive_curves(capsys):
     failures = []
     for degree in (2, 3):
         report = is_positive_curve_sampled(
-            OsculatingFlagCurve(MomentCurve(degree)), samples=8
+            MomentCurve(degree), samples=8
         )
         if report.total != 70 or not report.ok:
             failures.append(
@@ -233,7 +232,7 @@ def test_criterion_09_positive_curves(capsys):
     rejected = 0
     attempts = 0
     for degree in (2, 3):
-        curve = OsculatingFlagCurve(MomentCurve(degree))
+        curve = MomentCurve(degree)
         n = degree + 1
         for shift in range(5):
             pts = [CirclePoint.at(F(v - 2 * shift, 2)) for v in (-3, -1, 1, 3)]

@@ -1,11 +1,15 @@
 """Positivity classes, sign variation, and the variation-diminishing test."""
 
 import random
+import sys
+import warnings
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
+from totpos import linalg
+from totpos.bilinear import A_to_form, canonical_basis, form_to_A, tilde
 from totpos.classify import (
     TPKind,
     classify,
@@ -16,10 +20,17 @@ from totpos.classify import (
     sign_variation,
     variation_diminishes_on,
 )
-from totpos.errors import SingularityError, StrictnessWarning
-from totpos.linalg import Matrix, ksubsets, reversal_permutation, submatrix
+from totpos.errors import (
+    ConvergenceError,
+    DomainError,
+    SingularityError,
+    StrictnessWarning,
+)
+from totpos.flags import stable_flags
+from totpos.linalg import Matrix, ksubsets, minor, reversal_permutation, submatrix
 from totpos.sampling import random_tn_matrix, random_tp_matrix, random_vector
-from totpos.scalars import TolerancePolicy
+from totpos.scalars import TolerancePolicy, minor_scale, sign_of
+from totpos.spectra import gk_spectrum
 from totpos.whitney import monoid_generate_check
 
 VANDERMONDE = Matrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
@@ -159,9 +170,10 @@ def test_float_zero_band_saturates_past_float_range():
     with pytest.warns(StrictnessWarning):
         assert not is_totally_positive(m)
     assert is_totally_nonnegative(m)
-    with pytest.raises(SingularityError):
+    band = r"requires invertibility: det = 0\.0 lies inside the zero band \(threshold inf\)"
+    with pytest.raises(SingularityError, match="variation-diminishing test " + band):
         is_variation_diminishing(m)
-    with pytest.raises(SingularityError):
+    with pytest.raises(SingularityError, match="monoid membership test " + band):
         monoid_generate_check(m)
     big_diagonal = Matrix.diagonal([1e100, 1.0, 1.0, 1.0])
     assert classify(big_diagonal).kind is TPKind.TOTALLY_NONNEGATIVE_ONLY
@@ -188,3 +200,120 @@ def test_products_stay_in_class():
         assert is_totally_positive(tp)
         tn = random_tn_matrix(n, rng) @ random_tn_matrix(n, rng)
         assert is_totally_nonnegative(tn)
+
+
+def _oracle_kind(m):
+    # independent oracle: every minor through its own elimination, signs
+    # judged with the same zero band as the scan
+    policy = TolerancePolicy()
+    scale = m.entry_scale()
+    signs = {
+        sign_of(minor(m, rs, cs), policy, minor_scale(scale, k))
+        for k in range(1, m.rows + 1)
+        for rs in ksubsets(m.rows, k)
+        for cs in ksubsets(m.rows, k)
+    }
+    if -1 in signs:
+        return TPKind.NEITHER
+    return TPKind.TOTALLY_POSITIVE if signs == {1} else TPKind.TOTALLY_NONNEGATIVE_ONLY
+
+
+def _oracle_exponent(m, kind):
+    if kind is TPKind.TOTALLY_POSITIVE:
+        return 1
+    if kind is TPKind.NEITHER:
+        return None
+    power = m
+    for exponent in range(2, max(m.rows - 1, 1) + 1):
+        power = power @ m
+        if _oracle_kind(power) is TPKind.TOTALLY_POSITIVE:
+            return exponent
+    return None
+
+
+def _differential_inputs():
+    rng = random.Random(2024)
+    for n in range(1, 6):
+        for _ in range(4):
+            yield random_tp_matrix(n, rng)
+            yield random_tn_matrix(n, rng)
+            tp = random_tp_matrix(n, rng)
+            i, j = rng.randrange(n), rng.randrange(n)
+            nudge = F(rng.choice((-1, 1)) * rng.randint(1, 10), 20)
+            yield Matrix(
+                [
+                    [x * (1 + nudge) if (r, c) == (i, j) else x for c, x in enumerate(row)]
+                    for r, row in enumerate(tp.to_lists())
+                ]
+            )
+            yield Matrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+
+
+def test_scan_matches_exhaustive_minor_oracle():
+    kinds = set()
+    for exact in _differential_inputs():
+        for m in (exact, exact.to_float()):
+            kind = _oracle_kind(m)
+            kinds.add((kind, m.is_exact))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StrictnessWarning)
+                result = classify(m)
+                assert (result.kind, result.oscillatory_m) == (
+                    kind,
+                    _oracle_exponent(m, kind),
+                ), m.to_lists()
+                if kind is TPKind.TOTALLY_POSITIVE:
+                    try:
+                        gk_spectrum(m)
+                    except ConvergenceError:
+                        pass
+                else:
+                    with pytest.raises(DomainError, match="not totally positive"):
+                        gk_spectrum(m)
+    # every verdict occurs on both backends
+    assert len(kinds) == 6
+
+
+def _count_tables(monkeypatch):
+    # patch every namespace that imported the generator, as the bench tracer does
+    original = linalg.minor_levels
+    seen = []
+
+    def counting(m, *args, **kwargs):
+        seen.append(m)
+        return original(m, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("totpos") and getattr(module, "minor_levels", None) is original:
+            monkeypatch.setattr(module, "minor_levels", counting)
+    return seen
+
+
+def test_one_minor_table_per_certified_matrix(monkeypatch):
+    seen = _count_tables(monkeypatch)
+    rng = random.Random(5)
+    g = random_tp_matrix(4, rng)
+    assert classify(g).kind is TPKind.TOTALLY_POSITIVE
+    assert seen == [g]
+    seen.clear()
+    assert classify(TRIDIAG).oscillatory_m == 2
+    assert seen == [TRIDIAG, TRIDIAG @ TRIDIAG]
+    seen.clear()
+    assert classify(Matrix([[1, 2], [3, 4]])).kind is TPKind.NEITHER
+    assert len(seen) == 1
+    seen.clear()
+    gk_spectrum(g)
+    assert seen == [g]
+    seen.clear()
+    form = A_to_form(random_tp_matrix(3, rng))
+    canonical_basis(form)
+    # one table for the form's positivity, one for the comparison matrix
+    # that both certifies the positivity law and supplies the compounds
+    assert len(seen) == 2 and seen[0] == form_to_A(form)
+    assert seen[1] != seen[0] and is_totally_positive(seen[1])
+    seen.clear()
+    stable_flags(g)
+    assert seen == [g]
+    seen.clear()
+    stable_flags(g, sigma_mode="tilde")
+    assert seen == [g @ tilde(g)]

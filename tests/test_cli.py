@@ -170,6 +170,15 @@ def test_float_overflow_is_input_error(tmp_path, capsys):
     assert "outside the float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_huge_decimal_exponent_is_input_error(tmp_path, capsys, backend):
+    path = tmp_path / "huge.txt"
+    path.write_text("1e100000000 1\n1 -3.5E-4301\n")
+    assert main(["classify", str(path), "--backend", backend]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "decimal exponent beyond 4300" in err
+
+
 @pytest.mark.parametrize("tol", ["0", "-1"])
 def test_nonpositive_tolerance_rejected_once(vandermonde, tol, capsys):
     assert main(["classify", vandermonde, "--backend", "float", "--tol", tol]) == 2

@@ -10,7 +10,6 @@ import sympy
 from totpos.curves import (
     CirclePoint,
     MomentCurve,
-    OsculatingFlagCurve,
     TableFlagCurve,
     convex_curve_check,
     dihedral_partition,
@@ -116,7 +115,7 @@ def test_osculating_flags_of_distinct_points_are_opposed():
 
 
 def test_quadruple_positive_on_moment_curve():
-    c = OsculatingFlagCurve(MomentCurve(3))
+    c = MomentCurve(3)
     pts = [CirclePoint.at(F(v, 2)) for v in (-3, -1, 1, 3)]
     q = dihedral_partition(*pts)
     flags = [c.flag_at(p) for p in pts]
@@ -124,7 +123,7 @@ def test_quadruple_positive_on_moment_curve():
 
 
 def test_quadruple_rejects_wrong_pairing():
-    c = OsculatingFlagCurve(MomentCurve(2))
+    c = MomentCurve(2)
     pts = [CirclePoint.at(F(v)) for v in (0, 1, 2, 3)]
     q = dihedral_partition(*pts)
     flags = [c.flag_at(p) for p in pts]
@@ -135,7 +134,7 @@ def test_quadruple_rejects_wrong_pairing():
 
 
 def test_quadruple_rejects_sign_flip():
-    c = OsculatingFlagCurve(MomentCurve(3))
+    c = MomentCurve(3)
     pts = [CirclePoint.at(F(v, 2)) for v in (-3, -1, 1, 3)]
     q = dihedral_partition(*pts)
     flags = [c.flag_at(p) for p in pts]
@@ -147,7 +146,7 @@ def test_quadruple_rejects_sign_flip():
 
 
 def test_quadruple_input_validation():
-    c = OsculatingFlagCurve(MomentCurve(2))
+    c = MomentCurve(2)
     pts = [CirclePoint.at(F(v)) for v in (0, 1, 2, 3)]
     q = dihedral_partition(*pts)
     flags = [c.flag_at(p) for p in pts]
@@ -161,7 +160,7 @@ def test_quadruple_input_validation():
 def test_positive_curve_exhaustive():
     for degree in (2, 3):
         report = is_positive_curve_sampled(
-            OsculatingFlagCurve(MomentCurve(degree)), samples=6
+            MomentCurve(degree), samples=6
         )
         assert report.total == math.comb(6, 4)
         assert report.ok
@@ -174,13 +173,13 @@ def test_positive_curve_includes_infinity():
         CirclePoint.infinity()
     ]
     report = is_positive_curve_sampled(
-        OsculatingFlagCurve(MomentCurve(2)), points=pts
+        MomentCurve(2), points=pts
     )
     assert report.total == 5 and report.ok
 
 
 def test_positive_curve_random_mode_is_seeded():
-    curve = OsculatingFlagCurve(MomentCurve(2))
+    curve = MomentCurve(2)
     r1 = is_positive_curve_sampled(curve, samples=7, mode="random", seed=3, trials=12)
     r2 = is_positive_curve_sampled(curve, samples=7, mode="random", seed=3, trials=12)
     assert r1 == r2
@@ -188,7 +187,7 @@ def test_positive_curve_random_mode_is_seeded():
 
 
 def test_table_flag_curve():
-    base = OsculatingFlagCurve(MomentCurve(2))
+    base = MomentCurve(2)
     pts = [CirclePoint.at(F(v)) for v in (0, 1, 2, 3)]
     table = TableFlagCurve([(p, base.flag_at(p)) for p in pts])
     assert table.n == 3 and table.degree == 2
@@ -202,7 +201,7 @@ def test_table_flag_curve():
 
 
 def test_corrupted_table_curve_fails():
-    base = OsculatingFlagCurve(MomentCurve(2))
+    base = MomentCurve(2)
     pts = [CirclePoint.at(F(v)) for v in (0, 1, 2, 3)]
     d = Matrix.diagonal([F(-1), F(1), F(1)])
     entries = []
@@ -272,7 +271,7 @@ def test_convex_check_validation():
 
 
 def test_curve_sample_validation():
-    curve = OsculatingFlagCurve(MomentCurve(2))
+    curve = MomentCurve(2)
     with pytest.raises(InputError):
         is_positive_curve_sampled(curve, samples=3)
     with pytest.raises(InputError):
@@ -285,7 +284,7 @@ def test_curve_sample_validation():
 
 def test_quadruple_verdict_is_conjugation_invariant():
     rng = random.Random(43)
-    curve = OsculatingFlagCurve(MomentCurve(2))
+    curve = MomentCurve(2)
     pts = [CirclePoint.at(F(v, 2)) for v in (-3, -1, 1, 3)]
     quad = dihedral_partition(*pts)
     flags = [curve.flag_at(p) for p in pts]
@@ -297,7 +296,7 @@ def test_quadruple_verdict_is_conjugation_invariant():
 
 
 def test_other_compatible_numbering_agrees():
-    curve = OsculatingFlagCurve(MomentCurve(3))
+    curve = MomentCurve(3)
     pts = [CirclePoint.at(F(v)) for v in (-2, 0, 1, 5)]
     flags = [curve.flag_at(p) for p in pts]
     direct = is_positive_quadruple(flags, dihedral_partition(*pts))

@@ -242,7 +242,7 @@ def test_uniqueness_survives_larger_sizes():
     rng = random.Random(57)
     for n in (4, 5):
         g = random_tp_matrix(n, rng)
-        spec = gk_spectrum(g, assume_tp=True)
+        spec = gk_spectrum(g)
         cols = [spec.eigenvectors.col_tuple(j) for j in range(n)]
         winners = [
             perm

@@ -37,6 +37,15 @@ def test_parse_scalar_float():
     assert parse_scalar("1e400") == 10**400
 
 
+def test_parse_scalar_bounds_decimal_exponent():
+    assert parse_scalar("1e4300") == 10**4300
+    assert parse_scalar("1E-0004300") == F(1, 10**4300)
+    for text in ("1e4301", "2.5E-4301", "1e4_301", "1e100000000"):
+        for exact in (True, False):
+            with pytest.raises(InputError, match="decimal exponent beyond 4300"):
+                parse_scalar(text, exact=exact)
+
+
 def test_minor_scale_saturates():
     assert minor_scale(0.5, 3) == 1.0
     assert minor_scale(2.0, 3) == 8.0
