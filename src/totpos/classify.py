@@ -1,17 +1,23 @@
-"""Positivity classification via exhaustive minors of every order.
+"""Positivity classification: the least sign over all minors of every order.
 
 A square matrix is totally positive when every minor of every order is
-strictly positive, and totally nonnegative when none is negative.  Checking
-all of them is exponential in n but exact, which is the point: these
-functions are the ground truth the rest of the library is tested against.
+strictly positive, and totally nonnegative when none is negative.  Every
+verdict here is the least minor sign of one matrix: negative, zero,
+indeterminate (a float minor inside the zero band) or positive.
 
-Every verdict reads one minor table per matrix.  The table is built order by
-order, and one scan finds its least sign (negative, zero, indeterminate in
-the float zero band, or positive), stopping at the first negative minor, or
-at the first zero one when only strict positivity is asked.  ``classify``
-decides all three kinds from a single scan and then scans only the powers
-for the oscillatory exponent; ``gk_spectrum`` reads its compound matrices
-from the table that certifies total positivity.
+On exact input the sign comes from the bidiagonal factorization in O(n^3):
+a negative entry or leading principal minor means negative; otherwise an
+invertible M = L * diag(d) * U is totally nonnegative exactly when its
+unitriangular factors are products of nonnegative generators (Cryer 1976;
+Gasca and Pena 1992), and totally positive exactly when all those
+parameters are positive (Whitney).  A vanishing leading principal minor, or
+a factor the peel cannot certify, leaves the answer to the exhaustive minor
+table, exponential in n, which also decides every float verdict.  That
+scan builds the table order by order and stops at the first negative minor,
+or at the first zero one when only strict positivity is asked;
+``gk_spectrum`` reads its compound matrices from the table that certifies
+total positivity.  ``classify`` decides all three kinds from one sign and
+then asks only about the powers for the oscillatory exponent.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Callable, Sequence
 from .errors import InputError, StrictnessWarning
 from .linalg import Matrix, _require_invertible, minor_levels
 from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy, minor_scale, sign_of
+from .whitney import _ldu, membership_uni
 
 
 class TPKind(enum.Enum):
@@ -110,6 +117,31 @@ def _scan_minors(
     return least
 
 
+def _factored_least(m: Matrix) -> _Least | None:
+    """Least minor sign of an exact square matrix from its LDU factors.
+
+    None when the factorization cannot certify it: a leading principal
+    minor vanishes, or a peel rejects its unitriangular factor.
+    """
+    if any(x < 0 for i in range(m.rows) for x in m.row_tuple(i)):
+        return _Least.NEGATIVE
+    pivots, lower, upper = _ldu(m, DEFAULT_POLICY, positive=True)
+    if lower is None:
+        # earlier pivots are positive, so a negative one is a negative minor
+        return _Least.NEGATIVE if pivots[-1] < 0 else None
+    low = membership_uni(lower, "lower")
+    up = membership_uni(upper, "upper") if low is not None else None
+    if up is None:
+        return None
+    return _Least.POSITIVE if low.strict and up.strict else _Least.ZERO
+
+
+def _least_sign(m: Matrix, policy: TolerancePolicy, strict: bool) -> _Least:
+    """Least minor sign: from the factorization when it decides, else a scan."""
+    least = _factored_least(m) if m.is_exact else None
+    return _scan_minors(m, policy, strict) if least is None else least
+
+
 def _is_positive(least: _Least) -> bool:
     """Strict positivity from a scan; indeterminate warns and resolves to False."""
     if least is _Least.INDETERMINATE:
@@ -126,14 +158,14 @@ def is_totally_nonnegative(m: Matrix, policy: TolerancePolicy | None = None) -> 
     """True when no minor of any order is negative."""
     if not m.is_square:
         raise InputError("total nonnegativity is defined for square matrices")
-    return _scan_minors(m, policy or DEFAULT_POLICY, strict=False) > _Least.NEGATIVE
+    return _least_sign(m, policy or DEFAULT_POLICY, strict=False) > _Least.NEGATIVE
 
 
 def is_totally_positive(m: Matrix, policy: TolerancePolicy | None = None) -> bool:
     """True when every minor of every order is strictly positive."""
     if not m.is_square:
         raise InputError("total positivity is defined for square matrices")
-    return _is_positive(_scan_minors(m, policy or DEFAULT_POLICY, strict=True))
+    return _is_positive(_least_sign(m, policy or DEFAULT_POLICY, strict=True))
 
 
 def variation_diminishes_on(
@@ -194,14 +226,14 @@ def classify(
 ) -> TPClass:
     """Three-way classification with the oscillatory exponent attached.
 
-    One scan of ``m`` decides the kind.  A totally nonnegative ``m`` is
-    already known not to be totally positive, so the exponent search scans
-    only its powers, from the square up to ``m_max``.
+    One least minor sign of ``m`` decides the kind.  A totally nonnegative
+    ``m`` is already known not to be totally positive, so the exponent
+    search asks only about its powers, from the square up to ``m_max``.
     """
     if not m.is_square:
         raise InputError("total positivity is defined for square matrices")
     p = policy or DEFAULT_POLICY
-    least = _scan_minors(m, p, strict=False)
+    least = _least_sign(m, p, strict=False)
     if _is_positive(least):
         return TPClass(TPKind.TOTALLY_POSITIVE, 1)
     if least is _Least.NEGATIVE:
@@ -211,7 +243,13 @@ def classify(
         raise InputError("m_max must be at least 1")
     power = m
     for exponent in range(2, cap + 1):
-        power = power @ m
-        if _is_positive(_scan_minors(power, p, strict=True)):
+        try:
+            power = power @ m
+        except InputError:
+            # a float power past the float range has an infinitely wide zero
+            # band, as do all later ones: none can be certified positive
+            _is_positive(_Least.INDETERMINATE)
+            break
+        if _is_positive(_least_sign(power, p, strict=True)):
             return TPClass(TPKind.TOTALLY_NONNEGATIVE_ONLY, exponent)
     return TPClass(TPKind.TOTALLY_NONNEGATIVE_ONLY, None)

@@ -56,7 +56,12 @@ class Matrix:
                     raise InputError(f"entry {x!r} is not a supported scalar")
         exact = all(is_exact_scalar(x) for row in data for x in row)
         if not exact:
-            data = tuple(tuple(float(x) for x in row) for row in data)
+            try:
+                data = tuple(tuple(float(x) for x in row) for row in data)
+            except OverflowError:
+                raise InputError("an entry lies outside the float range") from None
+            if not all(math.isfinite(x) for row in data for x in row):
+                raise InputError("float entries must be finite, not NaN or infinite")
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_entries", data)
@@ -93,8 +98,15 @@ class Matrix:
         return [list(row) for row in self._entries]
 
     def entry_scale(self) -> float:
-        """Max |entry|, used as the scale argument of tolerance tests."""
-        return max(abs(float(x)) for row in self._entries for x in row)
+        """Max |entry|, used as the scale argument of tolerance tests.
+
+        An exact entry past the float range saturates it to inf; exact sign
+        decisions never read the scale.
+        """
+        try:
+            return max(abs(float(x)) for row in self._entries for x in row)
+        except OverflowError:
+            return math.inf
 
     # -- constructors ----------------------------------------------------
 

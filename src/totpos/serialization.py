@@ -13,6 +13,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -58,6 +59,11 @@ def parse_matrix_json(data: Any, exact: bool = True) -> Matrix:
             elif isinstance(cell, int):
                 parsed.append(Fraction(cell) if exact else float(cell))
             elif isinstance(cell, float):
+                # json.loads reads 1e400 as inf and accepts NaN/Infinity
+                if not math.isfinite(cell):
+                    raise InputError(
+                        f"JSON matrix entries must be finite numbers, got {cell!r}"
+                    )
                 parsed.append(Fraction(cell) if exact else cell)
             else:
                 raise InputError(f"unsupported matrix entry {cell!r}")

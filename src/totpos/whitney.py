@@ -9,21 +9,23 @@ Every totally positive matrix factors uniquely as
 where the word is a fixed reduced sequence of row indices of length
 n(n-1)/2.  Two words are supported: the standard word 1,2,...,n-1,
 1,...,n-2, ..., 1 and its reversed companion n-1,...,1, n-1,...,2, ...,
-n-1.  Synthesis multiplies generators; factorization runs a Gauss
-decomposition into L * diag * U followed by a greedy peel of each
-unitriangular factor, stripping one generator at a time from the right
-(standard word) or the left (reversed word).  The peel rules below are
-exact on the image of the parameter map and detect non-membership by a
-failed final identity check.
+n-1.  Synthesis applies each generator as one column operation;
+factorization runs a Gauss decomposition into L * diag * U followed by a
+greedy peel of each unitriangular factor, stripping one generator at a time
+from the right (standard word) or the left (reversed word).  The peel rules
+below are exact on the image of the parameter map and detect non-membership
+by a failed final identity check.  Exact input is factored over Fraction,
+so exact matrices give exact parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Literal, Sequence
 
 from .errors import ConditioningError, DomainError, InputError
-from .linalg import Matrix, _require_invertible, reversal_permutation
+from .linalg import Matrix, _require_invertible
 from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy
 
 WordKind = Literal["standard", "reversed"]
@@ -97,6 +99,8 @@ def _validate_params(
 ) -> tuple[Scalar, ...]:
     out = tuple(values)
     for v in out:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
+            raise InputError(f"{label} parameter {v!r} is not a supported scalar")
         if strict and not v > 0:
             raise InputError(f"{label} parameters must be strictly positive, got {v}")
         if not strict and v < 0:
@@ -166,11 +170,32 @@ class UniParams:
 
 
 def synthesize_uni(p: UniParams) -> Matrix:
-    gen = gen_x if p.side == "lower" else gen_y
-    result = Matrix.identity(p.n)
+    """Product of the word's generators, each applied as a column operation.
+
+    Right multiplication by gen_x(i, c) adds c times column i+1 to column i,
+    and by gen_y(i, c) adds c times column i to column i+1, so the product
+    costs O(n^3) rather than the O(n^5) of multiplying full generators.
+    Entry types are those of that product: a float parameter turns every
+    entry into a float, and a row that holds a Fraction turns wholly
+    Fraction at the next generator.
+    """
+    n = p.n
+    rows: list[list[Scalar]] = [[int(r == j) for j in range(n)] for r in range(n)]
+    ints, mixed, done = 0, 1, 2  # per row: all int, some Fraction, none to promote
+    state = [ints] * n
     for i, c in zip(p.word, p.c):
-        result = result @ gen(i, c, p.n)
-    return result
+        dst, src = (i - 1, i) if p.side == "lower" else (i, i - 1)
+        if isinstance(c, float):
+            rows = [[float(x) for x in row] for row in rows]
+            state = [done] * n
+        for r, row in enumerate(rows):
+            if state[r] == mixed:
+                row[:] = map(Fraction, row)
+                state[r] = done
+            row[dst] += c * row[src]
+            if state[r] == ints and isinstance(row[dst], Fraction):
+                state[r] = mixed
+    return Matrix(rows)
 
 
 def synthesize(p: TPParameters) -> Matrix:
@@ -193,29 +218,33 @@ def _is_zero(x: Scalar, exact: bool, policy: TolerancePolicy, scale: float) -> b
     return policy.is_zero(float(x), scale)
 
 
-def gauss_ldu(
-    m: Matrix, policy: TolerancePolicy | None = None
-) -> tuple[Matrix, tuple[Scalar, ...], Matrix] | None:
-    """Pivot-free M = L * diag(d) * U with L, U unitriangular.
+def _work_rows(m: Matrix) -> list[list[Scalar]]:
+    """Mutable copy of the rows; exact entries become Fractions, so / is exact."""
+    if m.is_exact:
+        return [[Fraction(x) for x in m.row_tuple(i)] for i in range(m.rows)]
+    return [list(m.row_tuple(i)) for i in range(m.rows)]
 
-    Exists iff every leading principal minor is nonzero; returns None
-    otherwise.  No row exchanges: the decomposition must respect the
-    triangular structure, so a vanishing pivot is a genuine obstruction.
+
+def _ldu(
+    m: Matrix, policy: TolerancePolicy, positive: bool = False
+) -> tuple[list[Scalar], Matrix | None, Matrix | None]:
+    """Pivot-free elimination M = L * diag(d) * U, one pivot at a time.
+
+    Returns (d, L, U).  Stops at the first pivot in the zero band, or with
+    ``positive`` at the first negative one too; d then ends with that pivot
+    and L and U are None.  The k-th leading principal minor is d_1 ... d_k.
     """
-    if not m.is_square:
-        raise InputError("decomposition requires a square matrix")
-    p = policy or DEFAULT_POLICY
     n = m.rows
     exact = m.is_exact
-    scale = max(m.entry_scale(), 1.0)
-    a = [list(m.row_tuple(i)) for i in range(n)]
+    scale = 1.0 if exact else max(m.entry_scale(), 1.0)
+    a = _work_rows(m)
     lower = [[1 if i == j else (0 if exact else 0.0) for j in range(n)] for i in range(n)]
     diag: list[Scalar] = []
     for k in range(n):
         pivot = a[k][k]
-        if _is_zero(pivot, exact, p, scale):
-            return None
         diag.append(pivot)
+        if _is_zero(pivot, exact, policy, scale) or (positive and pivot < 0):
+            return diag, None, None
         for i in range(k + 1, n):
             f = a[i][k] / pivot
             lower[i][k] = f
@@ -229,7 +258,25 @@ def gauss_ldu(
         ]
         for i in range(n)
     ]
-    return Matrix(lower), tuple(diag), Matrix(upper)
+    return diag, Matrix(lower), Matrix(upper)
+
+
+def gauss_ldu(
+    m: Matrix, policy: TolerancePolicy | None = None
+) -> tuple[Matrix, tuple[Scalar, ...], Matrix] | None:
+    """Pivot-free M = L * diag(d) * U with L, U unitriangular.
+
+    Exists iff every leading principal minor is nonzero; returns None
+    otherwise.  No row exchanges: the decomposition must respect the
+    triangular structure, so a vanishing pivot is a genuine obstruction.
+    Exact input gives Fraction pivots and factors.
+    """
+    if not m.is_square:
+        raise InputError("decomposition requires a square matrix")
+    diag, lower, upper = _ldu(m, policy or DEFAULT_POLICY)
+    if lower is None:
+        return None
+    return lower, tuple(diag), upper
 
 
 # -- peels ------------------------------------------------------------------
@@ -256,7 +303,7 @@ def _peel_ratio(
     """num/den with domain-aware zero handling; None marks non-membership."""
     if _is_zero(den, exact, policy, scale):
         if _is_zero(num, exact, policy, scale):
-            return 0 if exact else 0.0
+            return Fraction(0) if exact else 0.0
         if not exact:
             raise ConditioningError(
                 "peel pivot fell inside the zero band while the stripped "
@@ -282,8 +329,8 @@ def _peel_lower_standard(
     n = m.rows
     letters = _standard_blocks(n)
     exact = m.is_exact
-    scale = max(m.entry_scale(), 1.0)
-    a = [list(m.row_tuple(i)) for i in range(n)]
+    scale = 1.0 if exact else max(m.entry_scale(), 1.0)
+    a = _work_rows(m)
     out: list[Scalar] = [0 if exact else 0.0] * len(letters)
     for s in range(len(letters) - 1, -1, -1):
         i, j = letters[s]
@@ -313,8 +360,8 @@ def _peel_lower_reversed(
     n = m.rows
     letters = _reversed_blocks(n)
     exact = m.is_exact
-    scale = max(m.entry_scale(), 1.0)
-    a = [list(m.row_tuple(i)) for i in range(n)]
+    scale = 1.0 if exact else max(m.entry_scale(), 1.0)
+    a = _work_rows(m)
     out: list[Scalar] = [0 if exact else 0.0] * len(letters)
     for s in range(len(letters)):
         i, j = letters[s]
@@ -365,10 +412,10 @@ def membership_uni(
         target = m
         kind = word
     else:
-        # conjugating by the reversal permutation swaps the two sides and
-        # the two words while preserving parameter order
-        rho = reversal_permutation(n)
-        target = rho @ m @ rho
+        # conjugating by the reversal permutation (reversing the rows and
+        # the columns) swaps the two sides and the two words while
+        # preserving parameter order
+        target = Matrix([row[::-1] for row in reversed(m.to_lists())])
         kind = "reversed" if word == "standard" else "standard"
     if kind == "standard":
         cs = _peel_lower_standard(target, p)
@@ -393,8 +440,10 @@ def factorize(
 
     Raises DomainError when the input is provably not totally positive (the
     Gauss decomposition or a peel fails, or a recovered parameter is not
-    positive).  The caller may run :func:`totpos.classify.is_totally_positive`
-    first for a certificate; this routine only needs the structure it uses.
+    positive).  Exact input is factored over Fraction, so its parameters are
+    Fractions.  On exact input, :func:`totpos.classify.is_totally_positive`
+    reads its verdict from this same elimination and the same peels, and
+    falls back to the minor table only where they cannot decide.
     """
     if not m.is_square:
         raise InputError("factorization requires a square matrix")

@@ -1,5 +1,6 @@
 """Positivity classes, sign variation, and the variation-diminishing test."""
 
+import math
 import random
 import sys
 import warnings
@@ -7,11 +8,16 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totpos import linalg
 from totpos.bilinear import A_to_form, canonical_basis, form_to_A, tilde
 from totpos.classify import (
     TPKind,
+    _factored_least,
+    _Least,
+    _scan_minors,
     classify,
     is_oscillatory,
     is_totally_nonnegative,
@@ -177,6 +183,10 @@ def test_float_zero_band_saturates_past_float_range():
         monoid_generate_check(m)
     big_diagonal = Matrix.diagonal([1e100, 1.0, 1.0, 1.0])
     assert classify(big_diagonal).kind is TPKind.TOTALLY_NONNEGATIVE_ONLY
+    # the square of this one leaves the float range, which a matrix refuses
+    with pytest.warns(StrictnessWarning):
+        result = classify(Matrix.diagonal([1e200, 1.0, 1.0]))
+    assert (result.kind, result.oscillatory_m) == (TPKind.TOTALLY_NONNEGATIVE_ONLY, None)
 
 
 def test_float_tp_clearly_positive():
@@ -274,6 +284,87 @@ def test_scan_matches_exhaustive_minor_oracle():
     assert len(kinds) == 6
 
 
+def _scan_class(m):
+    # oracle: kind and exponent from the exhaustive minor table alone
+    policy = TolerancePolicy()
+    least = _scan_minors(m, policy, strict=False)
+    if least is _Least.POSITIVE:
+        return TPKind.TOTALLY_POSITIVE, 1
+    if least is _Least.NEGATIVE:
+        return TPKind.NEITHER, None
+    power = m
+    for exponent in range(2, max(m.rows - 1, 1) + 1):
+        power = power @ m
+        if _scan_minors(power, policy, strict=True) is _Least.POSITIVE:
+            return TPKind.TOTALLY_NONNEGATIVE_ONLY, exponent
+    return TPKind.TOTALLY_NONNEGATIVE_ONLY, None
+
+
+def _integer_multiple(m):
+    # a positive multiple has the same minor signs and the same exponent
+    scale = math.lcm(*(F(x).denominator for row in m.to_lists() for x in row))
+    return Matrix([[int(x * scale) for x in row] for row in m.to_lists()])
+
+
+def _factorization_inputs():
+    rng = random.Random(6006)
+    for n in range(1, 7):
+        for _ in range(3 if n == 6 else 6):
+            tn = random_tn_matrix(n, rng)
+            singular = tn.to_lists()
+            singular[-1] = singular[0]
+            tp = random_tp_matrix(n, rng).to_lists()
+            i, j = rng.randrange(n), rng.randrange(n)
+            tp[i][j] *= 1 + F(rng.choice((-1, 1)) * rng.randint(1, 10), 20)
+            yield from (random_tp_matrix(n, rng), tn, Matrix(tp), Matrix(singular))
+            yield Matrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+            yield Matrix([[rng.randint(-1, 6) for _ in range(n)] for _ in range(n)])
+
+
+def test_factorization_verdict_matches_scan():
+    decided = set()
+    for fractional in _factorization_inputs():
+        for m in (fractional, _integer_multiple(fractional)):
+            want = _scan_class(m)
+            result = classify(m)
+            assert (result.kind, result.oscillatory_m) == want, m.to_lists()
+            assert is_totally_positive(m) == (want[0] is TPKind.TOTALLY_POSITIVE)
+            assert is_totally_nonnegative(m) == (want[0] is not TPKind.NEITHER)
+            least = _factored_least(m)
+            if least is not None:
+                assert least is _scan_minors(m, TolerancePolicy(), strict=False)
+                decided.add((least, all(isinstance(x, int) for row in m.to_lists() for x in row)))
+    # the factorization itself decides all three signs, on int and Fraction
+    # entries alike
+    assert decided == {
+        (s, ints) for s in (_Least.NEGATIVE, _Least.ZERO, _Least.POSITIVE) for ints in (True, False)
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-1, 4),
+                    st.fractions(min_value=0, max_value=3, max_denominator=4),
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_factored_verdict_agrees_with_scan(rows):
+    m = Matrix(rows)
+    least = _factored_least(m)
+    assert least is None or least is _scan_minors(m, TolerancePolicy(), strict=False)
+    assert (classify(m).kind, classify(m).oscillatory_m) == _scan_class(m)
+
+
 def _count_tables(monkeypatch):
     # patch every namespace that imported the generator, as the bench tracer does
     original = linalg.minor_levels
@@ -293,24 +384,36 @@ def test_one_minor_table_per_certified_matrix(monkeypatch):
     seen = _count_tables(monkeypatch)
     rng = random.Random(5)
     g = random_tp_matrix(4, rng)
+    # exact verdicts on invertible input come from the factorization
     assert classify(g).kind is TPKind.TOTALLY_POSITIVE
-    assert seen == [g]
-    seen.clear()
     assert classify(TRIDIAG).oscillatory_m == 2
-    assert seen == [TRIDIAG, TRIDIAG @ TRIDIAG]
-    seen.clear()
     assert classify(Matrix([[1, 2], [3, 4]])).kind is TPKind.NEITHER
-    assert len(seen) == 1
+    assert is_totally_positive(g) and not is_totally_positive(TRIDIAG)
+    assert is_totally_nonnegative(TRIDIAG) and monoid_generate_check(g)
+    assert seen == []
+    # a vanishing leading principal minor leaves the answer to one table
+    ones = Matrix([[1, 1], [1, 1]])
+    assert classify(ones).kind is TPKind.TOTALLY_NONNEGATIVE_ONLY
+    assert seen == [ones]
+    seen.clear()
+    # float verdicts read one table per matrix
+    vf, tf = VANDERMONDE.to_float(), TRIDIAG.to_float()
+    assert classify(vf).kind is TPKind.TOTALLY_POSITIVE
+    assert seen == [vf]
+    seen.clear()
+    assert classify(tf).oscillatory_m == 2
+    assert seen == [tf, tf @ tf]
     seen.clear()
     gk_spectrum(g)
     assert seen == [g]
     seen.clear()
     form = A_to_form(random_tp_matrix(3, rng))
     canonical_basis(form)
-    # one table for the form's positivity, one for the comparison matrix
-    # that both certifies the positivity law and supplies the compounds
-    assert len(seen) == 2 and seen[0] == form_to_A(form)
-    assert seen[1] != seen[0] and is_totally_positive(seen[1])
+    # the form's positivity comes from the factorization; one table for the
+    # comparison matrix, which both certifies the positivity law and
+    # supplies the compounds
+    assert len(seen) == 1 and seen[0] != form_to_A(form)
+    assert is_totally_positive(seen[0])
     seen.clear()
     stable_flags(g)
     assert seen == [g]

@@ -171,6 +171,26 @@ def test_float_overflow_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
+def test_non_finite_json_entry_is_input_error(tmp_path, capsys, backend):
+    path = tmp_path / "huge.json"
+    path.write_text("[[1e400, 1], [1, 1]]\n")
+    assert main(["classify", str(path), "--backend", backend]) == 2
+    assert capsys.readouterr().err == (
+        "error: JSON matrix entries must be finite numbers, got inf\n"
+    )
+
+
+def test_exact_entry_past_float_range_classifies(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1e400 1\n1 1\n")
+    assert main(["classify", str(path)]) == 0
+    assert "kind: TotallyPositive" in capsys.readouterr().out
+    path.write_text("1e400 1\n1e400 1\n")  # singular: the minor scan decides
+    assert main(["classify", str(path)]) == 0
+    assert "kind: TotallyNonNegativeOnly" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
 def test_huge_decimal_exponent_is_input_error(tmp_path, capsys, backend):
     path = tmp_path / "huge.txt"
     path.write_text("1e100000000 1\n1 -3.5E-4301\n")

@@ -57,6 +57,13 @@ def test_matrix_exactness_and_coercion():
     mixed = Matrix([[1, 0.5]])
     assert not mixed.is_exact
     assert isinstance(mixed[0, 0], float)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="finite"):
+            Matrix([[1.0, bad]])
+    with pytest.raises(InputError, match="outside the float range"):
+        Matrix([[10**400, 0.5]])
+    # an exact entry past the float range saturates the tolerance scale
+    assert Matrix([[10**400, 1]]).entry_scale() == math.inf
 
 
 def test_matrix_equality_and_hash():

@@ -46,6 +46,10 @@ def test_json_matrix_forms():
         parse_matrix_json([[True]])
     with pytest.raises(InputError):
         parse_matrix_json("nope")
+    for text in ("[[1e400, 1], [1, 1]]", "[[NaN, 1], [1, 1]]", "[[1, -Infinity], [1, 1]]"):
+        for exact in (True, False):
+            with pytest.raises(InputError, match="finite numbers"):
+                parse_matrix(text, exact=exact)
 
 
 def test_parse_matrix_autodetect():

@@ -120,6 +120,73 @@ def test_factorize_synthesize_matrix_roundtrip():
         assert synthesize(factorize(m, word="reversed")) == m
 
 
+def _generator_product(n, word, side, params):
+    # oracle: the product of the full generator matrices
+    gen = gen_x if side == "lower" else gen_y
+    result = Matrix.identity(n)
+    for i, c in zip(word, params):
+        result = result @ gen(i, c, n)
+    return result
+
+
+def test_synthesis_matches_generator_product():
+    rng = random.Random(77)
+
+    def draw(strict):
+        kind = rng.randrange(4)
+        low = 1 if strict else 0
+        if kind == 0:
+            return rng.randint(low, 4)
+        if kind == 1:
+            return F(rng.randint(low, 9), rng.randint(1, 4))
+        if kind == 2:
+            return F(rng.randint(max(low, 1), 3))
+        return rng.randint(1, 2)
+
+    for n in range(1, 7):
+        for word in ("standard", "reversed"):
+            wd = word_for(n, word)
+            for strict in (True, False):
+                for params in (
+                    [draw(strict) for _ in wd],
+                    [rng.randint(int(strict), 3) for _ in wd],  # ints only
+                    [F(rng.randint(int(strict), 5), 2) for _ in wd],  # Fractions only
+                ):
+                    t = [draw(True) for _ in range(n)]
+                    p = TPParameters(n, wd, tuple(params), tuple(t), tuple(params[::-1]), strict)
+                    lower = _generator_product(n, wd, "lower", p.a)
+                    upper = _generator_product(n, wd, "upper", p.b)
+                    want = lower @ Matrix.diagonal(t) @ upper
+                    # entry types matter as well as values, so compare reprs
+                    assert repr(synthesize(p).to_lists()) == repr(want.to_lists())
+                    for side, cs, oracle in (("lower", p.a, lower), ("upper", p.b, upper)):
+                        got = synthesize_uni(UniParams(n, wd, side, cs, strict))
+                        assert repr(got.to_lists()) == repr(oracle.to_lists())
+    # a float parameter turns the whole product into floats, values unchanged
+    p = UniParams(3, standard_word(3), "lower", (F(1, 3), 0.5, 2), True)
+    assert repr(synthesize_uni(p).to_lists()) == repr(
+        _generator_product(3, p.word, "lower", p.c).to_lists()
+    )
+    with pytest.raises(InputError, match="not a supported scalar"):
+        UniParams(2, (1,), "lower", (True,), True)
+
+
+def test_exact_input_gives_fraction_results():
+    # / on int entries would give floats here, e.g. t = (2, 0.5)
+    q = factorize(Matrix([[2, 1], [1, 1]]))
+    assert (q.a, q.t, q.b) == ((F(1, 2),), (F(2), F(1, 2)), (F(1, 2),))
+    p = membership_uni(Matrix([[1, 0], [3, 1]]), "lower")
+    assert p is not None and p.c == (F(3),)
+    lower, diag, upper = gauss_ldu(Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    assert diag == (F(2), F(3, 2), F(4, 3))
+    values = [*q.a, *q.t, *q.b, *p.c, *diag]
+    values += [x for m in (lower, upper) for row in m.to_lists() for x in row]
+    assert not any(isinstance(x, float) for x in values)
+    assert all(isinstance(x, F) for x in [*q.a, *q.t, *q.b, *p.c, *diag])
+    relaxed = membership_uni(gen_x(2, 5, 3), "lower")
+    assert relaxed is not None and all(isinstance(c, F) for c in relaxed.c)
+
+
 def test_gauss_ldu():
     rng = random.Random(6)
     for _ in range(10):
@@ -251,6 +318,40 @@ def test_synthesis_always_tp(values):
         strict=True,
     )
     assert is_totally_positive(synthesize(p))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from(("standard", "reversed")),
+            st.lists(
+                st.one_of(
+                    st.integers(1, 9), st.fractions(min_value=F(1, 8), max_value=F(8))
+                ),
+                min_size=n * n,
+                max_size=n * n,
+            ),
+        )
+    )
+)
+def test_factorize_inverts_synthesize(case):
+    word, values = case
+    n = next(k for k in range(1, 6) if k * k == len(values))
+    count = n * (n - 1) // 2
+    p = TPParameters(
+        n=n,
+        word=word_for(n, word),
+        a=tuple(values[:count]),
+        t=tuple(values[count : count + n]),
+        b=tuple(values[count + n :]),
+        strict=True,
+    )
+    m = synthesize(p)
+    q = factorize(m, word=word)
+    assert (q.a, q.t, q.b) == (p.a, p.t, p.b)
+    assert all(isinstance(x, F) for x in q.a + q.t + q.b)
+    assert synthesize(q) == m
 
 
 def test_one_parameter_subgroup_law():
