@@ -98,17 +98,8 @@ def form_family_positive(
     verdicts must always agree.
     """
     n = form.n
-    g = form.gram
     p = policy or DEFAULT_POLICY
-    signed = Matrix(
-        [
-            [
-                (-(g[star(r, n) - 1, s - 1]) if r % 2 else g[star(r, n) - 1, s - 1])
-                for s in range(1, n + 1)
-            ]
-            for r in range(1, n + 1)
-        ]
-    )
+    signed = form_to_A(form).transpose()
     scale = signed.entry_scale()
     for k in range(1, n + 1):
         for rset in ksubsets(n, k):

@@ -8,13 +8,14 @@ indeterminate (a float minor inside the zero band) or positive.
 On exact input the sign comes from the bidiagonal factorization in O(n^3):
 a negative entry or leading principal minor means negative; otherwise an
 invertible M = L * diag(d) * U is totally nonnegative exactly when its
-unitriangular factors are products of nonnegative generators (Cryer 1976;
-Gasca and Pena 1992), and totally positive exactly when all those
-parameters are positive (Whitney).  A vanishing leading principal minor, or
-a factor the peel cannot certify, leaves the answer to the exhaustive minor
-table, exponential in n, which also decides every float verdict.  That
-scan builds the table order by order and stops at the first negative minor,
-or at the first zero one when only strict positivity is asked;
+unitriangular factors are products of nonnegative generators over the fixed
+reduced word (Cryer 1976; Lusztig 1994; Gasca and Pena 1992), and totally
+positive exactly when all those parameters are positive (Whitney); a factor
+the peel rejects therefore means a negative minor.  A vanishing leading
+principal minor leaves the answer to the exhaustive minor table,
+exponential in n, which also decides every float verdict.  That scan
+builds the table order by order and stops at the first negative minor, or
+at the first zero one when only strict positivity is asked;
 ``gk_spectrum`` reads its compound matrices from the table that certifies
 total positivity.  ``classify`` decides all three kinds from one sign and
 then asks only about the powers for the oscillatory exponent.
@@ -120,8 +121,9 @@ def _scan_minors(
 def _factored_least(m: Matrix) -> _Least | None:
     """Least minor sign of an exact square matrix from its LDU factors.
 
-    None when the factorization cannot certify it: a leading principal
-    minor vanishes, or a peel rejects its unitriangular factor.
+    None when a leading principal minor vanishes.  With every pivot
+    positive the matrix is invertible, so a peel that rejects a factor
+    proves a negative minor (Cryer; Lusztig).
     """
     if any(x < 0 for i in range(m.rows) for x in m.row_tuple(i)):
         return _Least.NEGATIVE
@@ -132,7 +134,7 @@ def _factored_least(m: Matrix) -> _Least | None:
     low = membership_uni(lower, "lower")
     up = membership_uni(upper, "upper") if low is not None else None
     if up is None:
-        return None
+        return _Least.NEGATIVE
     return _Least.POSITIVE if low.strict and up.strict else _Least.ZERO
 
 

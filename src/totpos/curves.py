@@ -7,8 +7,11 @@ split into two pairs of crossing chords, and a quadruple of flags sitting
 over such points is positive when some change of basis sends the first
 reference flag to the standard flag, the second to the reversed flag, and
 the two side flags into the open positive cell and its primed companion.
-Positive diagonal rescalings never change those memberships, so the search
-over bases reduces to finitely many sign classes.
+Such bases differ by diagonal matrices, and positive rescalings never
+change those memberships.  A flag in the open cell has a lower
+unitriangular representative with every entry below the diagonal positive,
+so the signs of that representative's first column fix the one sign class
+worth testing.
 
 The model positive curve is the osculating flag curve of the moment curve
 t -> (1, t, t^2, ..., t^m); its flags come from the scaled derivative
@@ -28,9 +31,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError, InputError
-from .flags import Flag, adapted_basis, flag_from_matrix, in_B_pos, in_B_pos_prime, opposed
+from .flags import Flag, adapted_basis, flag_from_matrix, in_B_pos, in_B_pos_prime
 from .linalg import Matrix, inverse, reversal_permutation
 from .scalars import Scalar, as_fraction
+from .whitney import gauss_ldu
 
 
 @dataclass(frozen=True, order=False)
@@ -195,9 +199,12 @@ def is_positive_quadruple(
     Flags 1 and 3 are the reference pair (they must be opposed); flags 2
     and 4 are tested for landing in the open positive cell and its primed
     companion after the change of basis adapted to the reference pair.
-    All sign classes of the residual diagonal freedom are searched; the
-    verdict does not depend on which compatible numbering was chosen, and
-    an incompatible numbering simply fails.
+    That basis is fixed up to a diagonal matrix.  A sign matrix s turns the
+    second flag's lower unitriangular representative L into s L s, so the
+    signs of L's first column are the only class that can put it in the
+    open cell (a zero there rules every class out), and s and -s give the
+    same flags.  The verdict does not depend on which compatible numbering
+    was chosen, and an incompatible numbering simply fails.
     """
     if len(flags) != 4:
         raise InputError("a quadruple test needs exactly four flags")
@@ -209,21 +216,20 @@ def is_positive_quadruple(
         raise InputError("quadruple tests require exact flag representatives")
     if len(set(quadruple.points)) != 4:
         raise InputError("quadruple points must be distinct")
-    if not opposed(f1, f3):
-        raise DomainError("reference flags (positions 1 and 3) must be opposed")
-    w = adapted_basis(f1, f3)
+    try:
+        w = adapted_basis(f1, f3)
+    except DomainError:
+        raise DomainError("reference flags (positions 1 and 3) must be opposed") from None
     h = inverse(w)
     r2 = h @ f2.rep
-    r4 = h @ f4.rep
-    for signs in itertools.product((1, -1), repeat=n):
-        s = Matrix.diagonal(list(signs))
-        cert2 = in_B_pos(flag_from_matrix(s @ r2))
-        if cert2 is None:
-            continue
-        cert4 = in_B_pos_prime(flag_from_matrix(s @ r4))
-        if cert4 is not None:
-            return True
-    return False
+    ldu = gauss_ldu(r2)
+    if ldu is None or 0 in ldu[0].col_tuple(0):
+        return False
+    s = Matrix.diagonal([1 if x > 0 else -1 for x in ldu[0].col_tuple(0)])
+    return (
+        in_B_pos(flag_from_matrix(s @ r2)) is not None
+        and in_B_pos_prime(flag_from_matrix(s @ h @ f4.rep)) is not None
+    )
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .linalg import (
     reversal_permutation,
 )
 from .scalars import DEFAULT_POLICY, TolerancePolicy, as_fraction
-from .spectra import SpectralOptions, gk_spectrum, refine_eigenbasis
+from .spectra import SpectralOptions, _rationalize_columns, gk_spectrum, refine_eigenbasis
 from .whitney import UniParams, gauss_ldu, membership_uni
 
 SigmaMode = Literal["identity", "tilde"]
@@ -166,37 +166,31 @@ def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
     Requires opposed flags with exact representatives; each column is
     scaled so its bottommost nonzero entry is 1.  The change of basis to
     this frame sends f1 to the standard flag and f2 to the reversed one.
+
+    With A, B the representatives and w0 the reversal, the flags are
+    opposed exactly when w0 A^-1 B = L D U has a pivot-free Gauss
+    decomposition; then A w0 L w0 is A times an upper unitriangular
+    matrix, and its k-th column, A w0 times column n-k+1 of L, lies in
+    the span of the first n-k+1 columns of B U^-1.
     """
     if f1.n != f2.n:
         raise InputError("flags must live in the same dimension")
     if not (f1.rep.is_exact and f2.rep.is_exact):
         raise InputError("adapted bases require exact representatives")
-    n = f1.n
-    columns: list[list[Fraction]] = []
-    for k in range(1, n + 1):
-        span_cols = [list(f1.rep.col_tuple(j)) for j in range(k)] + [
-            list(f2.rep.col_tuple(j)) for j in range(n - k + 1)
-        ]
-        kernel = nullspace(Matrix.from_columns(span_cols))
-        if len(kernel) != 1:
-            raise DomainError(
-                "flags are not opposed; the adapted basis does not exist"
-            )
-        coeffs = kernel[0][:k]
-        w = [
-            sum(c * f1.rep[i, j] for j, c in enumerate(coeffs))
-            for i in range(n)
-        ]
-        piv = next((i for i in range(n - 1, -1, -1) if w[i] != 0), None)
-        if piv is None:
-            raise ConsistencyError("adapted basis vector vanished")
-        inv = 1 / w[piv]
-        columns.append([x * inv for x in w])
-    basis = Matrix.from_columns(columns)
+    # w0 @ X reverses the rows of X, and X @ w0 its columns
+    ldu = gauss_ldu(Matrix(inverse(f1.rep).to_lists()[::-1]) @ f2.rep)
+    if ldu is None:
+        raise DomainError("flags are not opposed; the adapted basis does not exist")
+    frame = f1.rep @ Matrix([row[::-1] for row in ldu[0].to_lists()[::-1]])
     # opposedness makes the n chosen lines independent
-    if len(nullspace(basis)) != 0:
+    if len(nullspace(frame)) != 0:
         raise ConsistencyError("adapted basis is singular")
-    return basis
+    columns = []
+    for j in range(frame.cols):
+        col = frame.col_tuple(j)
+        bottom = Fraction(next(x for x in reversed(col) if x != 0))
+        columns.append([x / bottom for x in col])
+    return Matrix.from_columns(columns)
 
 
 @dataclass(frozen=True)
@@ -222,18 +216,6 @@ class StableFlagPair:
     stability_residual: float
     margin: float
     sigma_mode: SigmaMode
-
-
-def _rationalize_columns(v: Matrix, max_denominator: int = 10**12) -> Matrix:
-    return Matrix(
-        [
-            [
-                Fraction(float(v[i, j])).limit_denominator(max_denominator)
-                for j in range(v.cols)
-            ]
-            for i in range(v.rows)
-        ]
-    )
 
 
 def _flag_distance(a: Flag, b: Flag) -> float:

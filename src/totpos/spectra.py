@@ -389,6 +389,13 @@ def verify_gk(
     )
 
 
+def _rationalize_columns(v: Matrix) -> Matrix:
+    """Each float entry as the nearest rational with denominator <= 10^12."""
+    return Matrix(
+        [[Fraction(float(x)).limit_denominator(10**12) for x in row] for row in v.to_lists()]
+    )
+
+
 def refine_eigenbasis(
     m: Matrix,
     eigenvalues: tuple[float, ...],
@@ -412,12 +419,10 @@ def refine_eigenbasis(
     n = m.rows
     if len(eigenvalues) != n or vectors.rows != n or vectors.cols != n:
         raise InputError("eigenbasis shape does not match the matrix")
+    start = _rationalize_columns(vectors)
     columns: list[list[Fraction]] = []
     for j in range(n):
-        col = [
-            Fraction(float(vectors[i, j])).limit_denominator(10**12)
-            for i in range(n)
-        ]
+        col = list(start.col_tuple(j))
         shifted = m - Matrix.diagonal([Fraction(eigenvalues[j])] * n)
         try:
             raw = list(solve(shifted, col))

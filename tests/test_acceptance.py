@@ -29,7 +29,6 @@ from totpos.curves import (
     is_positive_quadruple,
 )
 from totpos.flags import (
-    _rationalize_columns,
     flag_from_matrix,
     identity_component_check,
     in_B_pos,
@@ -44,7 +43,7 @@ from totpos.sampling import (
     random_tp_parameters,
     random_uni_params,
 )
-from totpos.spectra import gk_spectrum, verify_gk
+from totpos.spectra import _rationalize_columns, gk_spectrum, verify_gk
 from totpos.whitney import factorize, gen_x, synthesize, synthesize_uni
 
 

@@ -37,7 +37,7 @@ from totpos.linalg import Matrix, ksubsets, minor, reversal_permutation, submatr
 from totpos.sampling import random_tn_matrix, random_tp_matrix, random_vector
 from totpos.scalars import TolerancePolicy, minor_scale, sign_of
 from totpos.spectra import gk_spectrum
-from totpos.whitney import monoid_generate_check
+from totpos.whitney import gen_x, gen_y, monoid_generate_check
 
 VANDERMONDE = Matrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
 TRIDIAG = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
@@ -319,6 +319,18 @@ def _factorization_inputs():
             yield from (random_tp_matrix(n, rng), tn, Matrix(tp), Matrix(singular))
             yield Matrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
             yield Matrix([[rng.randint(-1, 6) for _ in range(n)] for _ in range(n)])
+    # invertible TN products off the reduced word: repeated letters, zero
+    # parameters and diagonal scalings; the peel must accept both factors
+    for n in range(2, 6):
+        for _ in range(10):
+            m = Matrix.identity(n)
+            for _ in range(rng.randint(0, 3 * n * n)):
+                a = rng.choice((0, 0, F(rng.randint(1, 9), rng.randint(1, 4))))
+                gen = rng.choice((gen_x, gen_y))
+                m = m @ gen(rng.randint(1, n - 1), a, n)
+                if rng.randrange(10) == 0:
+                    m = m @ Matrix.diagonal([F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)])
+            yield m
 
 
 def test_factorization_verdict_matches_scan():
@@ -388,6 +400,8 @@ def test_one_minor_table_per_certified_matrix(monkeypatch):
     assert classify(g).kind is TPKind.TOTALLY_POSITIVE
     assert classify(TRIDIAG).oscillatory_m == 2
     assert classify(Matrix([[1, 2], [3, 4]])).kind is TPKind.NEITHER
+    # positive pivots, but the peel rejects L: a negative minor
+    assert classify(Matrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]])).kind is TPKind.NEITHER
     assert is_totally_positive(g) and not is_totally_positive(TRIDIAG)
     assert is_totally_nonnegative(TRIDIAG) and monoid_generate_check(g)
     assert seen == []

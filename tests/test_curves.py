@@ -1,5 +1,6 @@
 """Circle points, flag quadruples, positive curves, and convexity."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -19,10 +20,24 @@ from totpos.curves import (
     osculating_flag,
     sturm_distinct_real_roots,
 )
-from totpos.errors import DomainError, InputError
-from totpos.flags import flag_from_matrix, standard_flag
-from totpos.linalg import Matrix, reversal_permutation
-from totpos.sampling import random_invertible
+from totpos.errors import ConsistencyError, DomainError, InputError
+from totpos.flags import (
+    adapted_basis,
+    flag_from_matrix,
+    in_B_pos,
+    in_B_pos_prime,
+    opposed,
+    reversed_flag,
+    standard_flag,
+)
+from totpos.linalg import Matrix, inverse, nullspace, reversal_permutation
+from totpos.sampling import (
+    random_flag,
+    random_invertible,
+    random_positive_cell_flag,
+    random_uni_params,
+)
+from totpos.whitney import synthesize_uni
 
 
 def test_circle_point_basics():
@@ -316,3 +331,112 @@ def test_hyperplane_count_is_scale_invariant():
         for lam in (F(3), F(-1, 7)):
             scaled = [lam * x for x in h]
             assert hyperplane_intersection_count(curve, scaled) == base
+
+
+def _adapted_basis_oracle(f1, f2):
+    # one kernel per k: w_k spans F1_k intersect F2_{n-k+1}
+    n = f1.n
+    columns = []
+    for k in range(1, n + 1):
+        span_cols = [list(f1.rep.col_tuple(j)) for j in range(k)] + [
+            list(f2.rep.col_tuple(j)) for j in range(n - k + 1)
+        ]
+        kernel = nullspace(Matrix.from_columns(span_cols))
+        if len(kernel) != 1:
+            raise DomainError("flags are not opposed")
+        w = [
+            sum(c * f1.rep[i, j] for j, c in enumerate(kernel[0][:k]))
+            for i in range(n)
+        ]
+        if all(x == 0 for x in w):
+            raise ConsistencyError("adapted basis vector vanished")
+        bottom = next(x for x in reversed(w) if x != 0)
+        columns.append([x / bottom for x in w])
+    basis = Matrix.from_columns(columns)
+    if nullspace(basis):
+        raise ConsistencyError("adapted basis is singular")
+    return basis
+
+
+def _quadruple_oracle(flags):
+    # every one of the 2^n diagonal sign classes
+    f1, f2, f3, f4 = flags
+    if not opposed(f1, f3):
+        raise DomainError("reference flags (positions 1 and 3) must be opposed")
+    h = inverse(_adapted_basis_oracle(f1, f3))
+    for signs in itertools.product((1, -1), repeat=f1.n):
+        s = Matrix.diagonal(list(signs))
+        if in_B_pos(flag_from_matrix(s @ h @ f2.rep)) is not None and (
+            in_B_pos_prime(flag_from_matrix(s @ h @ f4.rep)) is not None
+        ):
+            return True
+    return False
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc)
+
+
+def _primed_cell_flag(n, rng):
+    return flag_from_matrix(inverse(synthesize_uni(random_uni_params(n, rng))))
+
+
+def _differential_pairs(n, rng):
+    for _ in range(4):
+        yield random_flag(n, rng), random_flag(n, rng)
+        yield random_positive_cell_flag(n, rng), _primed_cell_flag(n, rng)
+        f = random_flag(n, rng)
+        yield f, f
+    yield standard_flag(n), standard_flag(n)
+    yield reversed_flag(n), reversed_flag(n)
+    # flags in every relative position, moved by one base change
+    g = random_invertible(n, rng)
+    perms = list(itertools.permutations(range(n)))
+    for perm in rng.sample(perms, min(len(perms), 6)):
+        p = Matrix([[1 if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+        yield flag_from_matrix(g), flag_from_matrix(g @ p)
+
+
+def _differential_quadruples(n, rng):
+    curve = MomentCurve(n - 1)
+    pts = [CirclePoint.at(F(v, 2)) for v in (-3, -1, 1, 3)]
+    flags = [curve.flag_at(p) for p in pts]
+    h = random_invertible(n, rng)
+    flip = Matrix.diagonal([F(rng.choice((1, -1))) for _ in range(n)])
+    bump = Matrix.identity(n).to_lists()
+    bump[rng.randrange(n)][rng.randrange(n)] += F(rng.randint(1, 5), 3)
+    yield flags
+    yield [flag_from_matrix(h @ f.rep) for f in flags]
+    yield [flags[0], flags[2], flags[1], flags[3]]
+    yield [flags[0], flag_from_matrix(flip @ flags[1].rep), flags[2], flags[3]]
+    yield [flags[0], flags[1], flags[2], flag_from_matrix(Matrix(bump) @ flags[3].rep)]
+    yield [flags[0], flags[1], flags[0], flags[3]]
+    for _ in range(3):
+        cell = [standard_flag(n), random_positive_cell_flag(n, rng)]
+        cell += [reversed_flag(n), _primed_cell_flag(n, rng)]
+        yield [flag_from_matrix(h @ flip @ f.rep) for f in cell]
+        yield [random_flag(n, rng) for _ in range(4)]
+
+
+def test_flag_pairs_match_kernel_and_sign_search_oracles():
+    rng = random.Random(2024)
+    quad = dihedral_partition(*(CirclePoint.at(F(v)) for v in (0, 1, 2, 3)))
+    outcomes = set()
+    for n in range(2, 6):
+        for f1, f2 in _differential_pairs(n, rng):
+            want = _outcome(_adapted_basis_oracle, f1, f2)
+            got = _outcome(adapted_basis, f1, f2)
+            if want is ConsistencyError:
+                # each intersection is a line but the flags are not opposed
+                assert not opposed(f1, f2)
+                want = DomainError
+            assert got == want, (f1.rep.to_lists(), f2.rep.to_lists())
+            outcomes.add(want if isinstance(want, type) else "basis")
+        for flags in _differential_quadruples(n, rng):
+            want = _outcome(_quadruple_oracle, flags)
+            assert _outcome(is_positive_quadruple, flags, quad) == want
+            outcomes.add(want)
+    assert outcomes == {"basis", DomainError, True, False}

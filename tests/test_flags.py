@@ -149,6 +149,9 @@ def test_adapted_basis_properties():
 def test_adapted_basis_requires_opposed():
     with pytest.raises(DomainError):
         adapted_basis(standard_flag(3), standard_flag(3))
+    # each pairwise intersection is a line, yet the flags are not opposed
+    with pytest.raises(DomainError):
+        adapted_basis(standard_flag(2), standard_flag(2))
 
 
 def test_stable_flags_structure():
@@ -192,7 +195,7 @@ def test_stable_flag_is_fixed_by_the_map():
 
 def test_only_descending_order_lands_in_positive_cell():
     # permuting eigenvector columns leaves the positive cell immediately
-    from totpos.flags import _rationalize_columns
+    from totpos.spectra import _rationalize_columns
     from totpos.spectra import gk_spectrum
 
     rng = random.Random(53)
@@ -236,7 +239,7 @@ def test_stable_flags_rejects_non_tp():
 
 
 def test_uniqueness_survives_larger_sizes():
-    from totpos.flags import _rationalize_columns
+    from totpos.spectra import _rationalize_columns
     from totpos.spectra import gk_spectrum
 
     rng = random.Random(57)
