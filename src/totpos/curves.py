@@ -31,10 +31,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError, InputError
-from .flags import Flag, adapted_basis, flag_from_matrix, in_B_pos, in_B_pos_prime
+from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix
 from .linalg import Matrix, inverse, reversal_permutation
-from .scalars import Scalar, as_fraction
-from .whitney import gauss_ldu
+from .scalars import DEFAULT_POLICY, Scalar, as_fraction
+from .whitney import gauss_ldu, membership_uni
 
 
 @dataclass(frozen=True, order=False)
@@ -221,14 +221,19 @@ def is_positive_quadruple(
     except DomainError:
         raise DomainError("reference flags (positions 1 and 3) must be opposed") from None
     h = inverse(w)
-    r2 = h @ f2.rep
-    ldu = gauss_ldu(r2)
+    ldu = gauss_ldu(h @ f2.rep)
     if ldu is None or 0 in ldu[0].col_tuple(0):
         return False
-    s = Matrix.diagonal([1 if x > 0 else -1 for x in ldu[0].col_tuple(0)])
+    signs = [1 if x > 0 else -1 for x in ldu[0].col_tuple(0)]
+    # s L s is the lower unitriangular factor of s h A2, so it is peeled as is
+    lower = Matrix(
+        [[si * sj * x for sj, x in zip(signs, row)] for si, row in zip(signs, ldu[0].to_lists())]
+    )
+    params = membership_uni(lower, "lower")
     return (
-        in_B_pos(flag_from_matrix(s @ r2)) is not None
-        and in_B_pos_prime(flag_from_matrix(s @ h @ f4.rep)) is not None
+        params is not None
+        and params.strict
+        and _cell_params(Matrix.diagonal(signs) @ h @ f4.rep, True, DEFAULT_POLICY) is not None
     )
 
 

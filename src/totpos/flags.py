@@ -32,6 +32,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    _solve_exact,
     inverse,
     nullspace,
     rank,
@@ -123,12 +124,22 @@ def opposed(f1: Flag, f2: Flag, policy: TolerancePolicy | None = None) -> bool:
     return True
 
 
-def _gauss_lower_rep(f: Flag, policy: TolerancePolicy) -> Matrix | None:
-    """Unique lower-unitriangular representative, when one exists."""
-    ldu = gauss_ldu(f.rep, policy)
+def _cell_params(g: Matrix, primed: bool, policy: TolerancePolicy) -> UniParams | None:
+    """Strict parameters of the lower LDU factor of g, or of its inverse
+    for the primed cell; None when there are none.
+
+    g may be any invertible representative of the flag: the canonical one
+    is g times an upper triangular matrix, so the two share their lower
+    unitriangular factor, and either both have an LDU or neither does.
+    """
+    ldu = gauss_ldu(g, policy)
     if ldu is None:
         return None
-    return ldu[0]
+    lower = inverse(ldu[0]) if primed else ldu[0]
+    params = membership_uni(lower, "lower", "standard", policy)
+    if params is None or not params.strict:
+        return None
+    return params
 
 
 def in_B_pos(f: Flag, policy: TolerancePolicy | None = None) -> UniParams | None:
@@ -138,26 +149,12 @@ def in_B_pos(f: Flag, policy: TolerancePolicy | None = None) -> UniParams | None
     unitriangular representative, or None when the flag is outside the
     open cell (including its boundary).
     """
-    p = policy or DEFAULT_POLICY
-    lower = _gauss_lower_rep(f, p)
-    if lower is None:
-        return None
-    params = membership_uni(lower, "lower", "standard", p)
-    if params is None or not params.strict:
-        return None
-    return params
+    return _cell_params(f.rep, False, policy or DEFAULT_POLICY)
 
 
 def in_B_pos_prime(f: Flag, policy: TolerancePolicy | None = None) -> UniParams | None:
     """Certificate for the primed cell: the representative's inverse factors."""
-    p = policy or DEFAULT_POLICY
-    lower = _gauss_lower_rep(f, p)
-    if lower is None:
-        return None
-    params = membership_uni(inverse(lower), "lower", "standard", p)
-    if params is None or not params.strict:
-        return None
-    return params
+    return _cell_params(f.rep, True, policy or DEFAULT_POLICY)
 
 
 def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
@@ -178,7 +175,7 @@ def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
     if not (f1.rep.is_exact and f2.rep.is_exact):
         raise InputError("adapted bases require exact representatives")
     # w0 @ X reverses the rows of X, and X @ w0 its columns
-    ldu = gauss_ldu(Matrix(inverse(f1.rep).to_lists()[::-1]) @ f2.rep)
+    ldu = gauss_ldu(Matrix(_solve_exact(f1.rep, f2.rep.to_lists())[::-1]))
     if ldu is None:
         raise DomainError("flags are not opposed; the adapted basis does not exist")
     frame = f1.rep @ Matrix([row[::-1] for row in ldu[0].to_lists()[::-1]])

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, SingularityError
 from .scalars import (
@@ -177,9 +177,6 @@ class Matrix:
         if len(vector) != self.cols:
             raise InputError("vector length must equal the column count")
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._entries)
-
-    def map_entries(self, fn: Callable[[Scalar], Scalar]) -> "Matrix":
-        return Matrix([[fn(x) for x in row] for row in self._entries])
 
     def to_float(self) -> "Matrix":
         return Matrix([[float(x) for x in row] for row in self._entries])
@@ -466,14 +463,7 @@ def inverse(m: Matrix, policy: TolerancePolicy | None = None) -> Matrix:
         raise InputError("inverse requires a square matrix")
     n = m.rows
     if m.is_exact:
-        rows = zip(m.to_lists(), Matrix.identity(n).to_lists())
-        a, pivots, _, _, col_den = _bareiss([x + e for x, e in rows], reduce=True)
-        if pivots != list(range(n)):
-            raise SingularityError("matrix is singular")
-        # identity columns have denominator 1, so their scale is 1
-        return Matrix(
-            [[Fraction(x * c, a[i][i]) for x in a[i][n:]] for i, c in enumerate(col_den[:n])]
-        )
+        return Matrix(_solve_exact(m, Matrix.identity(n).to_lists()))
     p = policy or DEFAULT_POLICY
     scale = max(m.entry_scale(), 1.0)
     a = [
@@ -500,20 +490,33 @@ def transpose_inverse(m: Matrix, policy: TolerancePolicy | None = None) -> Matri
     return inverse(m, policy).transpose()
 
 
-def solve(m: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    """Exact solve of a square system; raises SingularityError if singular."""
-    if not m.is_square:
-        raise InputError("solve requires a square matrix")
+def _solve_exact(
+    m: Matrix, rhs: Sequence[Sequence[Scalar]]
+) -> list[list[Fraction]]:
+    """Rows of X with m X = rhs, from one reduced elimination of [m | rhs].
+
+    ``rhs`` is given by rows; raises SingularityError if m is singular.
+    """
     n = m.rows
-    if len(rhs) != n:
-        raise InputError("right-hand side length mismatch")
     a, pivots, _, _, col_den = _bareiss(
-        [[*row, as_fraction(b)] for row, b in zip(m.to_exact().to_lists(), rhs)],
+        [[*row, *map(as_fraction, b)] for row, b in zip(m.to_exact().to_lists(), rhs)],
         reduce=True,
     )
     if pivots != list(range(n)):
         raise SingularityError("matrix is singular")
-    return tuple(Fraction(a[i][n] * col_den[i], a[i][i] * col_den[n]) for i in range(n))
+    return [
+        [Fraction(x * col_den[i], a[i][i] * d) for x, d in zip(a[i][n:], col_den[n:])]
+        for i in range(n)
+    ]
+
+
+def solve(m: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """Exact solve of a square system; raises SingularityError if singular."""
+    if not m.is_square:
+        raise InputError("solve requires a square matrix")
+    if len(rhs) != m.rows:
+        raise InputError("right-hand side length mismatch")
+    return tuple(row[0] for row in _solve_exact(m, [[b] for b in rhs]))
 
 
 def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputError, StrictnessWarning
+from .errors import InputError
 
 Scalar = Union[int, Fraction, float]
 
@@ -66,32 +65,6 @@ def sign_of(x: Scalar, policy: TolerancePolicy | None = None, scale: float = 1.0
         return (x > 0) - (x < 0)
     p = policy or DEFAULT_POLICY
     if p.is_zero(float(x), scale):
-        return 0
-    return 1 if x > 0 else -1
-
-
-def strict_sign_of(
-    x: Scalar,
-    policy: TolerancePolicy | None = None,
-    scale: float = 1.0,
-    context: str = "value",
-) -> int:
-    """Like :func:`sign_of` but warns when a float lands in the zero band.
-
-    The indeterminate band still maps to 0; the warning lets callers notice
-    that a strict positivity verdict was decided by tolerance, not by data.
-    """
-    if is_exact_scalar(x):
-        return (x > 0) - (x < 0)
-    p = policy or DEFAULT_POLICY
-    if p.is_zero(float(x), scale):
-        if x != 0.0:
-            warnings.warn(
-                f"{context} = {x!r} lies inside the zero band "
-                f"(threshold {p.zero_threshold(scale):.3e}); treating as zero",
-                StrictnessWarning,
-                stacklevel=2,
-            )
         return 0
     return 1 if x > 0 else -1
 

@@ -7,7 +7,8 @@ the original matrix is the ratio of the Perron roots of the order-k and
 order-(k-1) compounds.  This module computes those roots by power iteration
 with a Rayleigh-quotient stopping rule, polishes every eigenpair by
 Rayleigh-quotient iteration in extended precision using a local Gaussian
-solver, and cross-checks the results against the compound identities.
+solver, and cross-checks the compound identities against Rayleigh quotients
+taken exactly over the input.
 
 numpy supplies float array arithmetic only; no eigenvalue routine from any
 library is called outside the test suite.
@@ -15,6 +16,7 @@ library is called outside the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,16 +53,13 @@ class Spectrum:
 
     ``eigenvectors`` holds unit-norm columns, sign-fixed so the first
     coordinate away from zero is positive; column r matches eigenvalue r.
-    ``perron_roots[k-1]`` is the Perron root of the order-k compound and
-    ``rayleigh`` carries the refined Rayleigh quotient of each eigenvector,
-    an estimate of the same eigenvalue through an independent route.
+    ``perron_roots[k-1]`` is the Perron root of the order-k compound.
     """
 
     eigenvalues: tuple[float, ...]
     eigenvectors: Matrix
     residuals: tuple[float, ...]
     perron_roots: tuple[float, ...]
-    rayleigh: tuple[float, ...]
 
 
 class _SingularSystem(Exception):
@@ -269,7 +268,6 @@ def gk_spectrum(
     anorm = float(np.sqrt(np.sum(a64 * a64)))
     columns: list[np.ndarray] = []
     residuals: list[float] = []
-    quotients: list[float] = []
     # deterministic start vector with generic overlap against every
     # eigendirection (an all-ones start can be exactly orthogonal to
     # eigenvectors of symmetric inputs)
@@ -295,14 +293,12 @@ def gk_spectrum(
             )
         columns.append(v64)
         residuals.append(res)
-        quotients.append(float(theta))
     vectors = Matrix.from_columns([list(map(float, col)) for col in columns])
     return Spectrum(
         eigenvalues=tuple(values),
         eigenvectors=vectors,
         residuals=tuple(residuals),
         perron_roots=tuple(roots),
-        rayleigh=tuple(quotients),
     )
 
 
@@ -335,10 +331,11 @@ def verify_gk(
     """Check the spectral law on one matrix and report every sub-verdict.
 
     The compound cross-check compares each compound Perron root against the
-    product of refined Rayleigh quotients of the returned eigenvectors, two
-    genuinely different computations of the same quantity.  Raises
-    DomainError, as :func:`gk_spectrum` does, when the input is not totally
-    positive.
+    product of Rayleigh quotients x^T M x / x^T x, taken exactly over the
+    exact matrix, with x from one exact inverse-iteration step shifted by
+    each eigenvalue: two genuinely different computations of the same
+    quantity.  Raises DomainError, as :func:`gk_spectrum` does, when the
+    input is not totally positive.
     """
     opts = options or DEFAULT_SPECTRAL
     spectrum = gk_spectrum(m, opts, policy)
@@ -357,10 +354,18 @@ def verify_gk(
     )
     if not residuals_ok:
         failures.append("an eigenpair residual exceeds its tolerance")
+    exact = m.to_exact()
+    n = m.rows
+    start = [10 + (3 * i * i + i) % 7 for i in range(n)]
     compound_ok = True
     prod = 1.0
-    for k in range(m.rows):
-        prod *= spectrum.rayleigh[k]
+    for k in range(n):
+        x = _inverse_step(exact, c[k], start) or start
+        # the quotient ignores the scale of x, so x may as well be integral
+        lcm = math.lcm(*(p.denominator for p in x))
+        x = [p.numerator * (lcm // p.denominator) for p in x]
+        quotient = Fraction(sum(p * q for p, q in zip(x, exact.apply(x))), sum(p * p for p in x))
+        prod *= float(quotient)
         if abs(spectrum.perron_roots[k] - prod) > product_rel_tol * abs(
             spectrum.perron_roots[k]
         ):
@@ -396,6 +401,23 @@ def _rationalize_columns(v: Matrix) -> Matrix:
     )
 
 
+def _inverse_step(
+    m: Matrix, value: float, start: list[Fraction] | list[int]
+) -> list[Fraction] | None:
+    """One exact inverse-iteration step: solve (m - value I) x = start.
+
+    A singular shifted matrix means the shift is an exact eigenvalue, whose
+    eigenvector is then the kernel of the shifted matrix, computable without
+    error; None when that kernel is not a single line.
+    """
+    shifted = m - Matrix.diagonal([Fraction(value)] * m.rows)
+    try:
+        return list(solve(shifted, start))
+    except SingularityError:
+        kernel = nullspace(shifted)
+        return list(kernel[0]) if len(kernel) == 1 else None
+
+
 def refine_eigenbasis(
     m: Matrix,
     eigenvalues: tuple[float, ...],
@@ -409,8 +431,8 @@ def refine_eigenbasis(
     float eigenvalue.  The shift sits many orders of magnitude closer to
     its own eigenvalue than to any neighbor, so one exact solve sharpens
     the eigendirection far below the float64 error the column starts
-    with.  A singular shifted matrix means a shift hit an eigenvalue
-    exactly; that column is kept as rationalized.
+    with.  When a shift is an exact eigenvalue the column is its kernel
+    line, or is kept as rationalized if the kernel is not a line.
     """
     if not m.is_square:
         raise InputError("eigenbasis refinement requires a square matrix")
@@ -423,17 +445,10 @@ def refine_eigenbasis(
     columns: list[list[Fraction]] = []
     for j in range(n):
         col = list(start.col_tuple(j))
-        shifted = m - Matrix.diagonal([Fraction(eigenvalues[j])] * n)
-        try:
-            raw = list(solve(shifted, col))
-        except SingularityError:
-            # the shift IS an exact eigenvalue, so its eigenvector is the
-            # kernel of the shifted matrix, computable without error
-            kernel = nullspace(shifted)
-            if len(kernel) != 1:
-                columns.append(col)
-                continue
-            raw = list(kernel[0])
+        raw = _inverse_step(m, eigenvalues[j], col)
+        if raw is None:
+            columns.append(col)
+            continue
         pivot = max(raw, key=abs)
         columns.append(
             [(x / pivot).limit_denominator(max_denominator) for x in raw]

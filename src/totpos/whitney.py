@@ -11,11 +11,13 @@ n(n-1)/2.  Two words are supported: the standard word 1,2,...,n-1,
 1,...,n-2, ..., 1 and its reversed companion n-1,...,1, n-1,...,2, ...,
 n-1.  Synthesis applies each generator as one column operation;
 factorization runs a Gauss decomposition into L * diag * U followed by a
-greedy peel of each unitriangular factor, stripping one generator at a time
-from the right (standard word) or the left (reversed word).  The peel rules
-below are exact on the image of the parameter map and detect non-membership
-by a failed final identity check.  Exact input is factored over Fraction,
-so exact matrices give exact parameters.
+greedy peel of each unitriangular factor.  One peel serves both words: it
+strips one generator at a time from the right by a column operation, and
+the reversed word is the standard rule applied to the anti-transpose
+w0 X^T w0, which maps each generator x_i to x_{n-i} and reverses products.
+The peel rule is exact on the image of the parameter map and detects
+non-membership by a failed final identity check.  Exact input is factored
+over Fraction, so exact matrices give exact parameters.
 """
 
 from __future__ import annotations
@@ -32,48 +34,30 @@ WordKind = Literal["standard", "reversed"]
 Side = Literal["lower", "upper"]
 
 
-def standard_word(n: int) -> tuple[int, ...]:
-    """1, 2, ..., n-1, 1, ..., n-2, ..., 1; length n(n-1)/2."""
+def _blocks(n: int, kind: WordKind) -> tuple[tuple[int, int], ...]:
+    """(letter, block) pairs of a word; block j holds 1..n-j in the standard
+    word and n-1..j in the reversed one.  Words and peels both read it."""
     if n < 1:
         raise InputError("word size needs n >= 1")
-    out: list[int] = []
-    for top in range(n - 1, 0, -1):
-        out.extend(range(1, top + 1))
-    return tuple(out)
+    if kind == "standard":
+        return tuple([(i, j) for j in range(1, n) for i in range(1, n - j + 1)])
+    if kind == "reversed":
+        return tuple([(i, j) for j in range(1, n) for i in range(n - 1, j - 1, -1)])
+    raise InputError(f"unknown word kind {kind!r}")
+
+
+def word_for(n: int, kind: WordKind) -> tuple[int, ...]:
+    return tuple([i for i, _ in _blocks(n, kind)])
+
+
+def standard_word(n: int) -> tuple[int, ...]:
+    """1, 2, ..., n-1, 1, ..., n-2, ..., 1; length n(n-1)/2."""
+    return word_for(n, "standard")
 
 
 def reversed_word(n: int) -> tuple[int, ...]:
     """n-1, ..., 1, n-1, ..., 2, ..., n-1; length n(n-1)/2."""
-    if n < 1:
-        raise InputError("word size needs n >= 1")
-    out: list[int] = []
-    for low in range(1, n):
-        out.extend(range(n - 1, low - 1, -1))
-    return tuple(out)
-
-
-def word_for(n: int, kind: WordKind) -> tuple[int, ...]:
-    if kind == "standard":
-        return standard_word(n)
-    if kind == "reversed":
-        return reversed_word(n)
-    raise InputError(f"unknown word kind {kind!r}")
-
-
-def _standard_blocks(n: int) -> tuple[tuple[int, int], ...]:
-    """(letter, block) pairs for the standard word; block j holds 1..n-j."""
-    out: list[tuple[int, int]] = []
-    for j in range(1, n):
-        out.extend((i, j) for i in range(1, n - j + 1))
-    return tuple(out)
-
-
-def _reversed_blocks(n: int) -> tuple[tuple[int, int], ...]:
-    """(letter, block) pairs for the reversed word; block j holds n-1..j."""
-    out: list[tuple[int, int]] = []
-    for j in range(1, n):
-        out.extend((i, j) for i in range(n - 1, j - 1, -1))
-    return tuple(out)
+    return word_for(n, "reversed")
 
 
 def gen_x(i: int, a: Scalar, n: int) -> Matrix:
@@ -313,65 +297,44 @@ def _peel_ratio(
     return num / den
 
 
-def _peel_lower_standard(
-    m: Matrix, policy: TolerancePolicy
-) -> tuple[Scalar, ...] | None:
-    """Strip lower generators right-to-left along the standard word.
+def _peel(m: Matrix, kind: WordKind, policy: TolerancePolicy) -> tuple[Scalar, ...] | None:
+    """Strip the word's lower generators from the right, one column at a time.
 
-    When the rightmost remaining generator has letter i and lives in block
-    j, writing the product as X * gen_x(i, c) forces the identity
-    Q[i+j, i] = c * Q[i+j, i+1]: column i of the block-(< j) prefix cannot
-    reach row i+j, while column i+1 can.  The ratio at that fixed position
-    recovers c even when other parameters vanish (0/0 resolves to 0); the
-    generator is then removed by a column operation, and a final identity
+    Standard word: when the rightmost remaining generator has letter i and
+    lives in block j, writing the product as X * gen_x(i, c) forces the
+    identity Q[i+j, i] = c * Q[i+j, i+1]: column i of the block-(< j) prefix
+    cannot reach row i+j, while column i+1 can.  The ratio at that fixed
+    position recovers c even when other parameters vanish (0/0 resolves to
+    0), and the column operation col(i) -= c * col(i+1) removes the
+    generator.
+
+    Reversed word: the anti-transpose X -> w0 X^T w0 sends gen_x(i, c) to
+    gen_x(n-i, c) and reverses products, so the same rule runs on the
+    anti-transposed matrix Q', stripping the reversed word's generators from
+    left to right: Q'[n-j+1, n-i] = c * Q'[n-j+1, n-i+1].  A final identity
     check rejects matrices outside the image of the parameter map.
     """
     n = m.rows
-    letters = _standard_blocks(n)
+    blocks = _blocks(n, kind)
     exact = m.is_exact
     scale = 1.0 if exact else max(m.entry_scale(), 1.0)
     a = _work_rows(m)
-    out: list[Scalar] = [0 if exact else 0.0] * len(letters)
-    for s in range(len(letters) - 1, -1, -1):
-        i, j = letters[s]
-        r = i + j - 1  # 0-based row i+j
-        c = _peel_ratio(a[r][i - 1], a[r][i], exact, policy, scale)
+    if kind == "standard":
+        order = range(len(blocks) - 1, -1, -1)
+    else:
+        a = [[a[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)]
+        order = range(len(blocks))
+    out: list[Scalar] = [0 if exact else 0.0] * len(blocks)
+    for s in order:
+        i, j = blocks[s]
+        r, col = (i + j - 1, i) if kind == "standard" else (n - j, n - i)  # 0-based row
+        c = _peel_ratio(a[r][col - 1], a[r][col], exact, policy, scale)
         if c is None:
             return None
         out[s] = c
         if c != 0:
-            for row in range(n):
-                a[row][i - 1] -= c * a[row][i]
-    if not _check_identity(a, exact, policy, scale):
-        return None
-    return tuple(out)
-
-
-def _peel_lower_reversed(
-    m: Matrix, policy: TolerancePolicy
-) -> tuple[Scalar, ...] | None:
-    """Strip lower generators left-to-right along the reversed word.
-
-    Mirror of the standard peel: the leftmost remaining generator with
-    letter i in block j satisfies Q[i+1, j] = c * Q[i, j] once the earlier
-    blocks have been stripped, because rows i and i+1 are zero to the left
-    of column j by then.  Row operations remove each generator in turn.
-    """
-    n = m.rows
-    letters = _reversed_blocks(n)
-    exact = m.is_exact
-    scale = 1.0 if exact else max(m.entry_scale(), 1.0)
-    a = _work_rows(m)
-    out: list[Scalar] = [0 if exact else 0.0] * len(letters)
-    for s in range(len(letters)):
-        i, j = letters[s]
-        c = _peel_ratio(a[i][j - 1], a[i - 1][j - 1], exact, policy, scale)
-        if c is None:
-            return None
-        out[s] = c
-        if c != 0:
-            for col in range(n):
-                a[i][col] -= c * a[i - 1][col]
+            for row in a:
+                row[col - 1] -= c * row[col]
     if not _check_identity(a, exact, policy, scale):
         return None
     return tuple(out)
@@ -406,6 +369,8 @@ def membership_uni(
         raise InputError("membership requires a square matrix")
     if not _is_unitriangular(m, side):
         raise DomainError(f"matrix is not {side} unitriangular")
+    if word not in ("standard", "reversed"):
+        raise InputError(f"unknown word kind {word!r}")
     p = policy or DEFAULT_POLICY
     n = m.rows
     if side == "lower":
@@ -417,12 +382,7 @@ def membership_uni(
         # preserving parameter order
         target = Matrix([row[::-1] for row in reversed(m.to_lists())])
         kind = "reversed" if word == "standard" else "standard"
-    if kind == "standard":
-        cs = _peel_lower_standard(target, p)
-    elif kind == "reversed":
-        cs = _peel_lower_reversed(target, p)
-    else:
-        raise InputError(f"unknown word kind {word!r}")
+    cs = _peel(target, kind, p)
     if cs is None:
         return None
     if any(c < 0 for c in cs):

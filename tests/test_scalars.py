@@ -1,12 +1,11 @@
 """Scalar parsing, formatting, and tolerance policy behavior."""
 
 import math
-import warnings
 from fractions import Fraction as F
 
 import pytest
 
-from totpos.errors import InputError, StrictnessWarning
+from totpos.errors import InputError
 from totpos.scalars import (
     TolerancePolicy,
     as_fraction,
@@ -15,7 +14,6 @@ from totpos.scalars import (
     minor_scale,
     parse_scalar,
     sign_of,
-    strict_sign_of,
 )
 
 
@@ -91,12 +89,3 @@ def test_sign_of_float_flattens_band():
     assert sign_of(1e-12, p) == 0
     assert sign_of(1e-3, p) == 1
     assert sign_of(-1e-3, p) == -1
-
-
-def test_strict_sign_warns_in_band():
-    p = TolerancePolicy()
-    with pytest.warns(StrictnessWarning):
-        assert strict_sign_of(1e-12, p) == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert strict_sign_of(F(0), p) == 0  # exact zero never warns

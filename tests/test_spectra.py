@@ -128,6 +128,14 @@ def test_verify_gk_passes_on_tp():
         assert report.failures == ()
 
 
+def test_verify_gk_cross_check_holds_at_a_wide_spread():
+    # lambda_1 / lambda_8 is large enough here that float Rayleigh quotients
+    # of the float copy missed the compound Perron roots by more than 1e-7
+    m = random_tp_matrix(8, random.Random("spectral/tp/8/0"))
+    report = verify_gk(m)
+    assert report.passed, report.failures
+
+
 def test_verify_gk_float_input():
     report = verify_gk(VANDERMONDE.to_float())
     assert report.passed

@@ -15,6 +15,7 @@ from totpos.errors import (
     SingularityError,
 )
 from totpos.linalg import Matrix, det
+from totpos.scalars import DEFAULT_POLICY
 from totpos.sampling import (
     random_tn_matrix,
     random_tp_matrix,
@@ -24,6 +25,10 @@ from totpos.sampling import (
 from totpos.whitney import (
     TPParameters,
     UniParams,
+    _check_identity,
+    _peel,
+    _peel_ratio,
+    _work_rows,
     factorize,
     gauss_ldu,
     gen_x,
@@ -248,6 +253,107 @@ def test_membership_upper_side():
     q = membership_uni(m, "upper")
     assert q is not None
     assert synthesize_uni(q) == m
+
+
+def _oracle_peel_standard(m, policy):
+    # oracle: the standard-word peel with its own block table
+    n = m.rows
+    letters = [(i, j) for j in range(1, n) for i in range(1, n - j + 1)]
+    exact = m.is_exact
+    scale = 1.0 if exact else max(m.entry_scale(), 1.0)
+    a = _work_rows(m)
+    out = [0 if exact else 0.0] * len(letters)
+    for s in range(len(letters) - 1, -1, -1):
+        i, j = letters[s]
+        r = i + j - 1
+        c = _peel_ratio(a[r][i - 1], a[r][i], exact, policy, scale)
+        if c is None:
+            return None
+        out[s] = c
+        if c != 0:
+            for row in range(n):
+                a[row][i - 1] -= c * a[row][i]
+    return tuple(out) if _check_identity(a, exact, policy, scale) else None
+
+
+def _oracle_peel_reversed(m, policy):
+    # oracle: the reversed-word peel by row operations, left to right
+    n = m.rows
+    letters = [(i, j) for j in range(1, n) for i in range(n - 1, j - 1, -1)]
+    exact = m.is_exact
+    scale = 1.0 if exact else max(m.entry_scale(), 1.0)
+    a = _work_rows(m)
+    out = [0 if exact else 0.0] * len(letters)
+    for s in range(len(letters)):
+        i, j = letters[s]
+        c = _peel_ratio(a[i][j - 1], a[i - 1][j - 1], exact, policy, scale)
+        if c is None:
+            return None
+        out[s] = c
+        if c != 0:
+            for col in range(n):
+                a[i][col] -= c * a[i - 1][col]
+    return tuple(out) if _check_identity(a, exact, policy, scale) else None
+
+
+_ORACLE_PEELS = {"standard": _oracle_peel_standard, "reversed": _oracle_peel_reversed}
+
+
+def _oracle_membership(m, side, word):
+    if side == "lower":
+        target, kind = m, word
+    else:
+        target = Matrix([row[::-1] for row in reversed(m.to_lists())])
+        kind = "reversed" if word == "standard" else "standard"
+    cs = _ORACLE_PEELS[kind](target, DEFAULT_POLICY)
+    if cs is None or any(c < 0 for c in cs):
+        return None
+    return UniParams(m.rows, word_for(m.rows, word), side, cs, all(c > 0 for c in cs))
+
+
+def _outcome(fn, *args):
+    # (result, exception type); entry types matter, so results go through repr
+    try:
+        return repr(fn(*args)), None
+    except Exception as exc:  # the oracle and the peel must raise alike
+        return None, type(exc)
+
+
+def test_one_peel_matches_both_oracle_peels():
+    rng = random.Random(606)
+
+    def perturbed(m, side):
+        # one off-diagonal entry of the factor's triangle moves or vanishes
+        rows = m.to_lists()
+        n = m.rows
+        below = side == "lower"
+        cells = [(i, j) for i in range(n) for j in range(n) if (i > j if below else i < j)]
+        i, j = rng.choice(cells)
+        rows[i][j] += rng.choice((F(-1, 3), F(1, 7), F(1, 10**9), -rows[i][j]))
+        return Matrix(rows)
+
+    compared = 0
+    for n in range(1, 7):
+        for side in ("lower", "upper"):
+            for word in ("standard", "reversed"):
+                for trial in range(12):
+                    strict = trial % 3 == 0
+                    p = random_uni_params(n, rng, side=side, strict=strict, word=word)
+                    m = synthesize_uni(p)
+                    inputs = [m]
+                    if n > 1:
+                        inputs.append(perturbed(m, side))
+                    for x in inputs + [y.to_float() for y in inputs]:
+                        assert _outcome(membership_uni, x, side, word) == _outcome(
+                            _oracle_membership, x, side, word
+                        )
+                        if side == "lower":
+                            for kind in ("standard", "reversed"):
+                                assert _outcome(_peel, x, kind, DEFAULT_POLICY) == _outcome(
+                                    _ORACLE_PEELS[kind], x, DEFAULT_POLICY
+                                )
+                        compared += 1
+    assert compared > 500
 
 
 def test_relaxed_membership_roundtrips_matrix():
