@@ -91,7 +91,7 @@ from .scalars import (
     parse_scalar,
     sign_of,
 )
-from .spectra import GKReport, SpectralOptions, Spectrum, gk_spectrum, perron, verify_gk
+from .spectra import GKReport, Spectrum, gk_spectrum, perron, verify_gk
 from .whitney import (
     TPParameters,
     UniParams,

@@ -22,7 +22,11 @@ from .classify import is_totally_positive
 from .errors import ConsistencyError, DomainError, InputError
 from .linalg import Matrix, det, ksubsets, submatrix, transpose_inverse
 from .scalars import DEFAULT_POLICY, TolerancePolicy, minor_scale
-from .spectra import SpectralOptions, gk_spectrum, refine_eigenbasis
+from .spectra import gk_spectrum, refine_eigenbasis
+
+# Off-anti-diagonal Gram entries of the canonical basis, relative to the
+# largest anti-diagonal entry.
+_OFF_ANTI_DIAGONAL_TOL = 1e-9
 
 
 def star(r: int, n: int) -> int:
@@ -162,10 +166,7 @@ class CanonicalBasisResult:
 
 
 def canonical_basis(
-    form: BilinearForm,
-    options: SpectralOptions | None = None,
-    policy: TolerancePolicy | None = None,
-    off_anti_diagonal_rel_tol: float = 1e-9,
+    form: BilinearForm, policy: TolerancePolicy | None = None
 ) -> CanonicalBasisResult:
     """Anti-diagonalizing basis of a totally positive bilinear form.
 
@@ -186,7 +187,7 @@ def canonical_basis(
     sign = 1 if n % 2 else -1
     comparison = (c @ c_check).scale(sign)
     try:
-        spectrum = gk_spectrum(comparison, options, p)
+        spectrum = gk_spectrum(comparison, p)
     except DomainError:
         raise ConsistencyError(
             "the canonical comparison matrix failed its positivity law"
@@ -210,7 +211,7 @@ def canonical_basis(
         for s in range(n):
             if s == n - 1 - r:
                 continue
-            if abs(float(gram_new[r, s])) > off_anti_diagonal_rel_tol * anti_scale:
+            if abs(float(gram_new[r, s])) > _OFF_ANTI_DIAGONAL_TOL * anti_scale:
                 raise ConsistencyError(
                     f"off-anti-diagonal Gram entry ({r + 1}, {s + 1}) = "
                     f"{gram_new[r, s]!r} exceeds tolerance"

@@ -296,8 +296,10 @@ def is_positive_curve_sampled(
     if mode == "exhaustive":
         subsets = list(itertools.combinations(range(len(pts)), 4))
     else:
-        rng = random.Random(seed)
         count = trials if trials is not None else 100
+        if count < 1:
+            raise InputError("need at least one trial")
+        rng = random.Random(seed)
         subsets = [
             tuple(sorted(rng.sample(range(len(pts)), 4))) for _ in range(count)
         ]

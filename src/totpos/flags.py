@@ -12,7 +12,9 @@ unitriangular matrices; its primed companion consists of flags of inverses
 of such matrices.  A totally positive matrix fixes exactly one flag from
 each cell, spanned by its eigenbasis in decreasing respectively increasing
 eigenvalue order, and the induced action on the tangent spaces at those
-fixed flags dilates at one and contracts at the other.
+fixed flags dilates at one and contracts at the other, read in the
+eigenbasis itself: it is the frame adapted to the pair.  The stability
+and torus tolerances are module constants, not per-call settings.
 """
 
 from __future__ import annotations
@@ -39,10 +41,15 @@ from .linalg import (
     reversal_permutation,
 )
 from .scalars import DEFAULT_POLICY, TolerancePolicy, as_fraction
-from .spectra import SpectralOptions, _rationalize_columns, gk_spectrum, refine_eigenbasis
+from .spectra import _rationalize_columns, gk_spectrum, refine_eigenbasis
 from .whitney import UniParams, gauss_ldu, membership_uni
 
 SigmaMode = Literal["identity", "tilde"]
+
+# How far a stable flag's representative may move under the action, and the
+# off-diagonal bound, relative to the diagonal, of a map on the positive torus.
+_STABILITY_TOL = 1e-6
+_COMPONENT_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -182,6 +189,11 @@ def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
     # opposedness makes the n chosen lines independent
     if len(nullspace(frame)) != 0:
         raise ConsistencyError("adapted basis is singular")
+    return _bottom_normalized(frame)
+
+
+def _bottom_normalized(frame: Matrix) -> Matrix:
+    """Columns of an exact frame scaled to a bottommost nonzero entry of 1."""
     columns = []
     for j in range(frame.cols):
         col = frame.col_tuple(j)
@@ -260,9 +272,7 @@ def _transport_blocks(
 def stable_flags(
     g: Matrix,
     sigma_mode: SigmaMode = "identity",
-    options: SpectralOptions | None = None,
     policy: TolerancePolicy | None = None,
-    stability_tol: float = 1e-6,
 ) -> StableFlagPair:
     """Fixed flags of the twisted conjugation action of a positive map.
 
@@ -278,6 +288,8 @@ def stable_flags(
         raise InputError("stable flags require a square matrix")
     p = policy or DEFAULT_POLICY
     n = g.rows
+    if n < 2:
+        raise InputError(f"stable flags need n >= 2, got a {n}x{n} matrix")
     if sigma_mode == "identity":
         composite = g
         requirement = "identity mode requires a totally positive matrix"
@@ -289,7 +301,7 @@ def stable_flags(
     else:
         raise InputError(f"unknown sigma mode {sigma_mode!r}")
     try:
-        spectrum = gk_spectrum(composite, options, p)
+        spectrum = gk_spectrum(composite, p)
     except DomainError:
         raise DomainError(requirement) from None
     if composite.is_exact:
@@ -306,8 +318,6 @@ def stable_flags(
     params_prime = in_B_pos_prime(flag_prime, p)
     if params_prime is None:
         raise ConsistencyError("repelling flag missed the primed positive cell")
-    if not opposed(flag, flag_prime, p):
-        raise ConsistencyError("stable flags are not opposed")
 
     def alpha_image(f: Flag) -> Flag:
         rep = f.rep if sigma_mode == "identity" else tilde(f.rep, p)
@@ -317,12 +327,14 @@ def stable_flags(
         _flag_distance(alpha_image(flag), flag),
         _flag_distance(alpha_image(flag_prime), flag_prime),
     )
-    if residual > stability_tol:
+    if residual > _STABILITY_TOL:
         raise ConsistencyError(
             f"computed flags move under the action by {residual:.3e}, "
-            f"beyond the stability tolerance {stability_tol:.3e}"
+            f"beyond the stability tolerance {_STABILITY_TOL:.3e}"
         )
-    w = adapted_basis(flag, flag_prime)
+    # column k of v spans F_k meet F'_{n-k+1}, so v frames the pair, which is
+    # opposed: flag_from_matrix has already rejected a dependent v
+    w = _bottom_normalized(v)
     w_inv = inverse(w)
     g_w = w_inv @ g @ w
     k_mat = None
@@ -352,7 +364,6 @@ def identity_component_check(
     g: Matrix,
     pair: StableFlagPair,
     policy: TolerancePolicy | None = None,
-    rel_tol: float = 1e-8,
 ) -> bool:
     """True when the map is diagonal with positive entries in the frame
     adapted to its stable pair, i.e. lies on the positive torus through the
@@ -368,6 +379,6 @@ def identity_component_check(
         return False
     for i in range(n):
         for j in range(n):
-            if i != j and abs(float(d[i, j])) > rel_tol * scale:
+            if i != j and abs(float(d[i, j])) > _COMPONENT_REL_TOL * scale:
                 return False
     return all(x > 0 for x in diag)

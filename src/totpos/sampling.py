@@ -18,13 +18,13 @@ from .linalg import Matrix, det
 from .whitney import TPParameters, UniParams, synthesize, synthesize_uni, word_for
 
 
-def positive_fraction(rng: random.Random, num_bound: int = 12, den_bound: int = 4) -> Fraction:
-    return Fraction(rng.randint(1, num_bound), rng.randint(1, den_bound))
+def positive_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 12), rng.randint(1, 4))
 
 
-def relaxed_fraction(rng: random.Random, zero_rate: int = 4) -> Fraction:
-    """A nonnegative parameter; zero with probability 1/zero_rate."""
-    if rng.randrange(zero_rate) == 0:
+def relaxed_fraction(rng: random.Random) -> Fraction:
+    """A nonnegative parameter; zero with probability 1/4."""
+    if rng.randrange(4) == 0:
         return Fraction(0)
     return positive_fraction(rng)
 
@@ -75,24 +75,24 @@ def random_tn_matrix(n: int, rng: random.Random) -> Matrix:
     return synthesize(random_tp_parameters(n, rng, strict=False))
 
 
-def random_vector(n: int, rng: random.Random, bound: int = 9) -> list[Fraction]:
-    return [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+def random_vector(n: int, rng: random.Random) -> list[Fraction]:
+    return [Fraction(rng.randint(-9, 9)) for _ in range(n)]
 
 
-def random_nonzero_vector(n: int, rng: random.Random, bound: int = 9) -> list[Fraction]:
-    v = random_vector(n, rng, bound)
+def random_nonzero_vector(n: int, rng: random.Random) -> list[Fraction]:
+    v = random_vector(n, rng)
     while all(x == 0 for x in v):
-        v = random_vector(n, rng, bound)
+        v = random_vector(n, rng)
     return v
 
 
-def random_invertible(n: int, rng: random.Random, bound: int = 5) -> Matrix:
+def random_invertible(n: int, rng: random.Random) -> Matrix:
     """Exact integer matrix with nonzero determinant, by redraw."""
     if n < 1:
         raise InputError("need n >= 1")
     while True:
         m = Matrix(
-            [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
+            [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
         )
         if det(m) != 0:
             return m

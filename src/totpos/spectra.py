@@ -10,6 +10,9 @@ Rayleigh-quotient iteration in extended precision using a local Gaussian
 solver, and cross-checks the compound identities against Rayleigh quotients
 taken exactly over the input.
 
+The iteration caps and tolerances are module constants, the same for
+every call: the spectral law is checked at one fixed tolerance.
+
 numpy supplies float array arithmetic only; no eigenvalue routine from any
 library is called outside the test suite.
 """
@@ -33,18 +36,15 @@ from .linalg import Matrix, det, ksubsets, nullspace, solve
 from .scalars import DEFAULT_POLICY, TolerancePolicy
 
 
-@dataclass(frozen=True)
-class SpectralOptions:
-    """Iteration caps and tolerances for the spectral routines."""
-
-    power_cap: int = 10000
-    refine_cap: int = 100
-    power_tol: float = 1e-13
-    residual_tol: float = 1e-8
-    gap_tol: float = 1e-8
-
-
-DEFAULT_SPECTRAL = SpectralOptions()
+# Read when a routine runs, not bound as defaults, so a test may patch one.
+_POWER_CAP = 10000
+_REFINE_CAP = 100
+_POWER_TOL = 1e-13
+_RESIDUAL_TOL = 1e-8
+_GAP_TOL = 1e-8
+_PRODUCT_REL_TOL = 1e-7
+_DET_REL_TOL = 1e-9
+_MAX_DENOMINATOR = 10**30
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,6 @@ def _rayleigh_refine(
     a: np.ndarray,
     theta,
     x: np.ndarray,
-    cap: int,
     fixed_shift_iters: int = 1,
 ) -> tuple[float, np.ndarray, float]:
     """Inverse iteration warm-up, then Rayleigh-quotient iteration.
@@ -115,7 +114,7 @@ def _rayleigh_refine(
     theta = dtype.type(theta)
     shift = theta
     best = (float(theta), x, _residual(a, theta, x))
-    for it in range(cap):
+    for it in range(_REFINE_CAP):
         try:
             y = _solve_dense(a - shift * eye, x)
         except _SingularSystem:
@@ -140,7 +139,7 @@ def _rayleigh_refine(
     return best
 
 
-def _power_perron(a: np.ndarray, options: SpectralOptions) -> tuple[float, np.ndarray]:
+def _power_perron(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of an entrywise positive matrix."""
     n = a.shape[0]
     if n == 1:
@@ -149,31 +148,29 @@ def _power_perron(a: np.ndarray, options: SpectralOptions) -> tuple[float, np.nd
     x = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
     converged = False
-    for _ in range(options.power_cap):
+    for _ in range(_POWER_CAP):
         y = a @ x
         norm = float(np.sqrt(y @ y))
         if norm == 0.0 or not np.isfinite(norm):
             raise ConvergenceError("power iteration degenerated")
         y /= norm
         lam_new = float(y @ (a @ y))
-        if abs(lam_new - lam) <= options.power_tol * max(abs(lam_new), 1.0):
+        if abs(lam_new - lam) <= _POWER_TOL * max(abs(lam_new), 1.0):
             x, lam = y, lam_new
             converged = True
             break
         x, lam = y, lam_new
     if not converged and _residual(a, lam, x) > 1e-6 * (scale + abs(lam)):
         raise ConvergenceError(
-            f"power iteration did not converge within {options.power_cap} steps"
+            f"power iteration did not converge within {_POWER_CAP} steps"
         )
     theta, vec, _ = _rayleigh_refine(
-        a.astype(np.longdouble), lam, x.astype(np.longdouble), options.refine_cap
+        a.astype(np.longdouble), lam, x.astype(np.longdouble)
     )
     return float(theta), vec.astype(np.float64)
 
 
-def perron(
-    m: Matrix, options: SpectralOptions | None = None
-) -> tuple[float, tuple[float, ...]]:
+def perron(m: Matrix) -> tuple[float, tuple[float, ...]]:
     """Perron root and eigenvector of an entrywise positive matrix.
 
     The eigenvector is normalized to unit coordinate sum, so its entries
@@ -185,9 +182,8 @@ def perron(
         for x in m.row_tuple(i):
             if not x > 0:
                 raise DomainError("Perron root requires strictly positive entries")
-    opts = options or DEFAULT_SPECTRAL
     a = np.array(m.to_float().to_lists(), dtype=np.float64)
-    root, vec = _power_perron(a, opts)
+    root, vec = _power_perron(a)
     vec = np.abs(vec)
     vec = vec / vec.sum()
     return root, tuple(float(v) for v in vec)
@@ -227,11 +223,7 @@ def _normalize_column(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def gk_spectrum(
-    m: Matrix,
-    options: SpectralOptions | None = None,
-    policy: TolerancePolicy | None = None,
-) -> Spectrum:
+def gk_spectrum(m: Matrix, policy: TolerancePolicy | None = None) -> Spectrum:
     """Full eigen-decomposition of a totally positive matrix.
 
     Eigenvalues come from ratios of consecutive compound Perron roots;
@@ -239,16 +231,15 @@ def gk_spectrum(
     One minor table both certifies total positivity and supplies the
     compounds.  Raises DomainError when the input is not totally positive
     and ConvergenceError when two eigenvalues are too close to separate at
-    the configured gap tolerance.
+    the gap tolerance.
     """
     if not m.is_square:
         raise InputError("spectral analysis requires a square matrix")
-    opts = options or DEFAULT_SPECTRAL
     n = m.rows
     compounds = _compound_arrays(m, policy or DEFAULT_POLICY)
     roots: list[float] = []
     for arr in compounds:
-        root, _ = _power_perron(arr, opts)
+        root, _ = _power_perron(arr)
         roots.append(root)
     values: list[float] = []
     prev = 1.0
@@ -256,10 +247,10 @@ def gk_spectrum(
         values.append(roots[k] / prev)
         prev = roots[k]
     for k in range(n - 1):
-        if not values[k + 1] < values[k] * (1 - opts.gap_tol):
+        if not values[k + 1] < values[k] * (1 - _GAP_TOL):
             raise ConvergenceError(
                 f"eigenvalues {k + 1} and {k + 2} are closer than the gap "
-                f"tolerance {opts.gap_tol}; cannot certify distinctness"
+                f"tolerance {_GAP_TOL}; cannot certify distinctness"
             )
     if values[-1] <= 0:
         raise ConvergenceError("computed eigenvalues are not all positive")
@@ -278,7 +269,7 @@ def gk_spectrum(
     drift_floor = 32.0 * float(np.finfo(np.float64).eps) * anorm
     for k, c in enumerate(values):
         theta, vec, _ = _rayleigh_refine(
-            ald, c, start.copy(), opts.refine_cap, fixed_shift_iters=2
+            ald, c, start.copy(), fixed_shift_iters=2
         )
         if abs(theta - c) > 1e-6 * abs(c) + drift_floor:
             raise ConvergenceError(
@@ -287,7 +278,7 @@ def gk_spectrum(
             )
         v64 = _normalize_column(vec.astype(np.float64))
         res = _residual(a64, c, v64)
-        if res > opts.residual_tol * (anorm + abs(c)):
+        if res > _RESIDUAL_TOL * (anorm + abs(c)):
             raise ConvergenceError(
                 f"residual {res:.3e} for eigenvalue {k + 1} exceeds tolerance"
             )
@@ -321,13 +312,7 @@ class GKReport:
         return not self.failures
 
 
-def verify_gk(
-    m: Matrix,
-    options: SpectralOptions | None = None,
-    policy: TolerancePolicy | None = None,
-    product_rel_tol: float = 1e-7,
-    det_rel_tol: float = 1e-9,
-) -> GKReport:
+def verify_gk(m: Matrix, policy: TolerancePolicy | None = None) -> GKReport:
     """Check the spectral law on one matrix and report every sub-verdict.
 
     The compound cross-check compares each compound Perron root against the
@@ -337,8 +322,7 @@ def verify_gk(
     quantity.  Raises DomainError, as :func:`gk_spectrum` does, when the
     input is not totally positive.
     """
-    opts = options or DEFAULT_SPECTRAL
-    spectrum = gk_spectrum(m, opts, policy)
+    spectrum = gk_spectrum(m, policy)
     failures: list[str] = []
     c = spectrum.eigenvalues
     descending = all(x > 0 for x in c) and all(
@@ -348,7 +332,7 @@ def verify_gk(
         failures.append("eigenvalues are not positive and strictly decreasing")
     a = np.array(m.to_float().to_lists(), dtype=np.float64)
     anorm = float(np.sqrt(np.sum(a * a)))
-    residual_bound = [opts.residual_tol * (anorm + abs(x)) for x in c]
+    residual_bound = [_RESIDUAL_TOL * (anorm + abs(x)) for x in c]
     residuals_ok = all(
         r <= b for r, b in zip(spectrum.residuals, residual_bound)
     )
@@ -366,7 +350,7 @@ def verify_gk(
         x = [p.numerator * (lcm // p.denominator) for p in x]
         quotient = Fraction(sum(p * q for p, q in zip(x, exact.apply(x))), sum(p * p for p in x))
         prod *= float(quotient)
-        if abs(spectrum.perron_roots[k] - prod) > product_rel_tol * abs(
+        if abs(spectrum.perron_roots[k] - prod) > _PRODUCT_REL_TOL * abs(
             spectrum.perron_roots[k]
         ):
             compound_ok = False
@@ -378,7 +362,7 @@ def verify_gk(
     full_product = 1.0
     for x in c:
         full_product *= x
-    det_ok = abs(full_product - d) <= det_rel_tol * max(abs(d), 1e-300)
+    det_ok = abs(full_product - d) <= _DET_REL_TOL * max(abs(d), 1e-300)
     if not det_ok:
         failures.append("eigenvalue product disagrees with the determinant")
     return GKReport(
@@ -419,10 +403,7 @@ def _inverse_step(
 
 
 def refine_eigenbasis(
-    m: Matrix,
-    eigenvalues: tuple[float, ...],
-    vectors: Matrix,
-    max_denominator: int = 10**30,
+    m: Matrix, eigenvalues: tuple[float, ...], vectors: Matrix
 ) -> Matrix:
     """Exact rational eigenbasis from a float one, one solve per column.
 
@@ -451,6 +432,6 @@ def refine_eigenbasis(
             continue
         pivot = max(raw, key=abs)
         columns.append(
-            [(x / pivot).limit_denominator(max_denominator) for x in raw]
+            [(x / pivot).limit_denominator(_MAX_DENOMINATOR) for x in raw]
         )
     return Matrix.from_columns(columns)

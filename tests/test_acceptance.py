@@ -12,6 +12,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from totpos import bilinear, spectra
+from totpos import flags as flag_module
 from totpos.bilinear import (
     BilinearForm,
     canonical_basis,
@@ -88,12 +90,14 @@ def test_criterion_02_variation_diminishing_direction(capsys):
 
 
 def test_criterion_03_eigenvalue_ladder(capsys):
+    assert spectra._PRODUCT_REL_TOL == 1e-7
+    assert spectra._DET_REL_TOL == 1e-9
     failures = []
     rng = random.Random(1003)
     for n in (2, 3, 4, 5, 6):
         for trial in range(100):
             m = random_tp_matrix(n, rng)
-            report = verify_gk(m, product_rel_tol=1e-7, det_rel_tol=1e-9)
+            report = verify_gk(m)
             if not report.passed:
                 failures.append(
                     f"n={n} trial={trial}: {'; '.join(report.failures)}"
@@ -102,12 +106,13 @@ def test_criterion_03_eigenvalue_ladder(capsys):
 
 
 def test_criterion_04_canonical_form(capsys):
+    assert bilinear._OFF_ANTI_DIAGONAL_TOL == 1e-9
     failures = []
     rng = random.Random(1004)
     for n in (2, 3, 4, 5):
         for trial in range(100):
             form = random_positive_form(n, rng)
-            result = canonical_basis(form, off_anti_diagonal_rel_tol=1e-9)
+            result = canonical_basis(form)
             c = result.eigenvalues
             chain = result.chain
             if any(a >= b for a, b in zip(chain, chain[1:])):
@@ -162,12 +167,14 @@ def test_criterion_06_cells_are_opposed(capsys):
 
 
 def test_criterion_07_stable_flags(capsys):
+    assert flag_module._STABILITY_TOL == 1e-6
+    assert flag_module._COMPONENT_REL_TOL == 1e-8
     failures = []
     rng = random.Random(1007)
     for n in (2, 3, 4, 5):
         for trial in range(100):
             g = random_tp_matrix(n, rng)
-            pair = stable_flags(g, sigma_mode="identity", stability_tol=1e-6)
+            pair = stable_flags(g, sigma_mode="identity")
             if in_B_pos(pair.flag) is None:
                 failures.append(f"n={n} trial={trial}: flag not in cell")
             if in_B_pos_prime(pair.flag_prime) is None:
@@ -200,12 +207,13 @@ def test_criterion_07_stable_flags(capsys):
 
 
 def test_criterion_08_stable_flags_tilde_mode(capsys):
+    assert flag_module._STABILITY_TOL == 1e-6
     failures = []
     rng = random.Random(1008)
     for trial in range(50):
         n = 2 + trial % 3  # n cycles over {2, 3, 4}
         g = random_tp_matrix(n, rng)  # then g . tilde(g) is TP
-        pair = stable_flags(g, sigma_mode="tilde", stability_tol=1e-6)
+        pair = stable_flags(g, sigma_mode="tilde")
         if pair.stability_residual > 1e-6:
             failures.append(f"trial={trial}: not alpha-stable")
         if not all(v > 1 + 1e-6 for v in pair.dilation_moduli):

@@ -205,3 +205,15 @@ def test_nonpositive_tolerance_rejected_once(vandermonde, tol, capsys):
     assert capsys.readouterr().err == (
         "error: tolerance policy requires positive eps_abs and eps_rel\n"
     )
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("sigma", ["identity", "tilde"])
+def test_stable_flags_one_by_one_is_input_error(tmp_path, capsys, backend, sigma):
+    path = tmp_path / "one.txt"
+    path.write_text("5\n")
+    args = ["stable-flags", str(path), "--sigma", sigma, "--backend", backend]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1x1" in err
+    assert "Traceback" not in err

@@ -295,6 +295,9 @@ def test_curve_sample_validation():
         is_positive_curve_sampled(
             curve, points=[CirclePoint.at(F(0))] * 4
         )
+    for trials in (0, -3):
+        with pytest.raises(InputError, match="at least one trial"):
+            is_positive_curve_sampled(curve, mode="random", trials=trials)
 
 
 def test_quadruple_verdict_is_conjugation_invariant():

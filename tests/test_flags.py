@@ -7,10 +7,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from totpos.bilinear import tilde
+from totpos.bilinear import c0_matrix, tilde
 from totpos.errors import DomainError, InputError, SingularityError
 from totpos.flags import (
     Flag,
+    _transport_blocks,
     adapted_basis,
     flag_from_matrix,
     identity_component_check,
@@ -229,6 +230,27 @@ def test_stable_flags_tilde_mode():
         # the fixed flag of g . tilde is stable under the twisted action
         image = flag_from_matrix(g @ tilde(pair.flag.rep))
         assert image.approx_equal(pair.flag)
+
+
+@pytest.mark.parametrize("sigma_mode", ["identity", "tilde"])
+def test_stable_frame_matches_adapted_basis_oracle(sigma_mode):
+    # the moduli are read in the eigenbasis frame; the frame adapted to the
+    # returned pair must give the same tuples
+    rng = random.Random(58)
+    for n in (2, 3, 4, 5):
+        g = random_tp_matrix(n, rng)
+        for m in (g, g.to_float()) if n == 2 else (g,):
+            pair = stable_flags(m, sigma_mode=sigma_mode)
+            w = adapted_basis(pair.flag, pair.flag_prime)
+            w_inv = inverse(w)
+            k_mat = None
+            if sigma_mode == "tilde":
+                k_mat = w_inv @ c0_matrix(n) @ w_inv.transpose()
+            assert _transport_blocks(w_inv @ m @ w, sigma_mode, k_mat) == (
+                pair.dilation_moduli,
+                pair.contraction_moduli,
+                pair.finite_order_moduli,
+            )
 
 
 def test_stable_flags_rejects_non_tp():

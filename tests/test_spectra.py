@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from totpos.errors import ConvergenceError, DomainError
 from totpos.linalg import Matrix, det
 from totpos.sampling import random_tp_matrix
-from totpos.spectra import SpectralOptions, gk_spectrum, perron, verify_gk
+from totpos import spectra
+from totpos.spectra import gk_spectrum, perron, verify_gk
 
 VANDERMONDE = Matrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
 
@@ -109,11 +111,10 @@ def test_gk_rejects_non_tp():
 
 
 def test_gk_gap_guard():
-    # an artificially huge gap requirement must trip the guard
-    rng = random.Random(7)
-    m = random_tp_matrix(3, rng)
-    with pytest.raises(ConvergenceError):
-        gk_spectrum(m, options=SpectralOptions(gap_tol=1.0))
+    # TP, with eigenvalues 1 +- 1e-10: too close to separate
+    m = Matrix([[1, 1], [Fraction(1, 10**20), 1]])
+    with pytest.raises(ConvergenceError, match="closer than the gap tolerance 1e-08"):
+        gk_spectrum(m)
 
 
 def test_verify_gk_passes_on_tp():
@@ -141,10 +142,12 @@ def test_verify_gk_float_input():
     assert report.passed
 
 
-def test_verify_gk_tolerances_are_enforced():
+def test_verify_gk_tolerances_are_enforced(monkeypatch):
     rng = random.Random(8)
     m = random_tp_matrix(3, rng)
-    strict = verify_gk(m, product_rel_tol=0.0, det_rel_tol=0.0)
+    monkeypatch.setattr(spectra, "_PRODUCT_REL_TOL", 0.0)
+    monkeypatch.setattr(spectra, "_DET_REL_TOL", 0.0)
+    strict = verify_gk(m)
     assert not strict.passed
     assert strict.failures
 
