@@ -15,9 +15,13 @@ the peel rejects therefore means a negative minor.  A vanishing leading
 principal minor leaves the answer to the exhaustive minor table,
 exponential in n, which also decides every float verdict.  That scan
 builds the table order by order and stops at the first negative minor, or
-at the first zero one when only strict positivity is asked;
-``gk_spectrum`` reads its compound matrices from the table that certifies
-total positivity.  ``classify`` decides all three kinds from one sign and
+at the first zero one when only strict positivity is asked.  On exact
+input the table runs on integers and holds the exact minors, so
+``gk_spectrum``, which reads its compound matrices from the table that
+certifies total positivity, gets each minor correctly rounded to a float.
+The table holds at most the minors of the full table at n = 12; a larger
+scan, such as any float verdict past n = 12, raises InputError.
+``classify`` decides all three kinds from one sign and
 then asks only about the powers for the oscillatory exponent.
 """
 

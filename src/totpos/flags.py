@@ -360,11 +360,7 @@ def stable_flags(
     )
 
 
-def identity_component_check(
-    g: Matrix,
-    pair: StableFlagPair,
-    policy: TolerancePolicy | None = None,
-) -> bool:
+def identity_component_check(g: Matrix, pair: StableFlagPair) -> bool:
     """True when the map is diagonal with positive entries in the frame
     adapted to its stable pair, i.e. lies on the positive torus through the
     identity rather than a twisted component."""

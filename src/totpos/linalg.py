@@ -14,7 +14,8 @@ bits.  On the float backend, determinant and rank share one partial-pivot
 forward sweep.  Minors of all orders come from a dynamic program that expands
 each order-k minor along its last row using the order k-1 table, which is far
 cheaper than independent eliminations when a caller needs every minor of
-every order.
+every order.  On exact input that table runs on integers, after one clearing
+of the denominators, so its floats are the correctly rounded exact minors.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .scalars import (
 )
 
 IndexSet = tuple[int, ...]
+
+# Most minors one exhaustive table may hold: the full table at n = 12.
+_MINOR_TABLE_CAP = math.comb(24, 12) - 1
 
 
 class Matrix:
@@ -396,45 +400,80 @@ def minor_levels(
     """Yield (k, table of all order-k minors), for k = 1, 2, ....
 
     Each order-k minor is expanded along its last row against the order k-1
-    table.  Square matrices only.  Callers may stop iterating early; nothing
-    beyond the consumed level is computed.
+    table.  Exact input runs on integers: its entries are scaled once by the
+    lcm d of their denominators, and each order-k minor of dM is divided by
+    d**k as its level is yielded.  The tables therefore hold the exact minors
+    (Fractions, or ints when every entry is an int), and ``float()`` of each
+    is the correctly rounded minor.  Float input runs the same recursion in
+    floats.  Square matrices only, and the levels asked for may hold at most
+    ``_MINOR_TABLE_CAP`` minors, the full table at n = 12; a larger request
+    raises InputError.  Callers may stop iterating early; nothing beyond the
+    consumed level is computed.
     """
     if not m.is_square:
         raise InputError("minor tables require a square matrix")
     n = m.rows
     top = n if max_order is None else min(max_order, n)
-    level: dict[tuple[IndexSet, IndexSet], Scalar] = {
-        ((i,), (j,)): m[i - 1, j - 1]
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    }
+    size = sum(math.comb(n, k) ** 2 for k in range(1, top + 1))
+    if size > _MINOR_TABLE_CAP:
+        raise InputError(
+            f"the minor table of orders 1..{top} of a {n}x{n} matrix holds "
+            f"{size:,} minors, past the cap of {_MINOR_TABLE_CAP:,} "
+            "(the full table at n = 12)"
+        )
+    entries = [m.row_tuple(i) for i in range(n)]
+    if m.is_exact:
+        d = math.lcm(*(x.denominator for row in entries for x in row))
+        a = [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+        wrap = any(isinstance(x, Fraction) for row in entries for x in row)
+    else:
+        a, d, wrap = entries, 1, False
     if top >= 1:
-        yield 1, level
+        yield 1, {
+            ((i + 1,), (j + 1,)): x
+            for i, row in enumerate(entries)
+            for j, x in enumerate(row)
+        }
+    # prev[i][j] is the minor of a on the i-th row and j-th column (k-1)-subset
+    prev, at = a, {(i,): i - 1 for i in range(1, n + 1)}
+    # each row followed by its negation: a minus cofactor sign reads at +n;
+    # negation is exact, so float sums equal those that subtract the term
+    signed = [[*row, *(-x for x in row)] for row in a]
+    zero = m.zero
     for k in range(2, top + 1):
-        nxt: dict[tuple[IndexSet, IndexSet], Scalar] = {}
-        for rset in itertools.combinations(range(1, n + 1), k):
-            r_last = rset[-1]
-            r_head = rset[:-1]
-            row = m.row_tuple(r_last - 1)
-            for cset in itertools.combinations(range(1, n + 1), k):
-                acc = m.zero
-                for pos, c in enumerate(cset):
-                    entry = row[c - 1]
-                    if entry == 0:
-                        continue
-                    sub = level[(r_head, cset[:pos] + cset[pos + 1 :])]
-                    term = entry * sub
-                    # cofactor sign for position (k, pos+1)
-                    if (k + pos + 1) % 2 == 0:
-                        acc += term
-                    else:
-                        acc -= term
-                nxt[(rset, cset)] = acc
-        level = nxt
-        yield k, level
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        # per column set, its last-row expansion: (signed column, index of
+        # the column set without it)
+        plan = [
+            [
+                (c - 1 + n * ((k + p + 1) % 2), at[cs[:p] + cs[p + 1 :]])
+                for p, c in enumerate(cs)
+            ]
+            for cs in subsets
+        ]
+        cur = []
+        for rs in subsets:
+            row = signed[rs[-1] - 1]
+            sub = prev[at[rs[:-1]]]
+            values = []
+            for terms in plan:
+                acc = zero
+                for c, j in terms:
+                    e = row[c]
+                    if e:
+                        acc += e * sub[j]
+                values.append(acc)
+            cur.append(values)
+        prev, at = cur, {s: i for i, s in enumerate(subsets)}
+        dk = d**k
+        yield k, {
+            (r, c): Fraction(v, dk) if wrap else v
+            for r, values in zip(subsets, cur)
+            for c, v in zip(subsets, values)
+        }
 
 
-def compound(m: Matrix, k: int, policy: TolerancePolicy | None = None) -> Matrix:
+def compound(m: Matrix, k: int) -> Matrix:
     """Order-k multiplicative compound: minors on lexicographic k-subsets."""
     if not m.is_square:
         raise InputError("compound requires a square matrix")

@@ -2,11 +2,13 @@
 
 Tolerances, iteration caps and sampling bounds are module constants; a
 keyword belongs in a public signature only when callers use more than
-one value of it.
+one value of it, and every parameter of a public function is read.
 """
 
+import ast
 import enum
 import inspect
+import textwrap
 
 import totpos
 from totpos import sampling
@@ -59,3 +61,59 @@ def test_walk_covers_the_public_api():
     names = {name for name, _ in _public_callables()}
     assert {"totpos.verify_gk", "totpos.stable_flags", "totpos.TolerancePolicy"} <= names
     assert "totpos.sampling.positive_fraction" in names
+
+
+def _unread_parameters(func) -> list[str]:
+    """Parameters of a function that its body (nested scopes included) never
+    loads by name; names starting with an underscore are exempt."""
+    source = textwrap.dedent(inspect.getsource(inspect.unwrap(func)))
+    node = ast.parse(source).body[0]
+    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    args = node.args
+    params = [
+        a.arg
+        for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
+        if a is not None
+    ]
+    loaded = {
+        n.id
+        for stmt in node.body
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [p for p in params if not p.startswith("_") and p not in loaded]
+
+
+def _source_functions():
+    """Each public function, and each public class's own ``__init__`` when
+    its source exists (dataclass-generated ones store every field)."""
+    for name, obj in _public_callables():
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif isinstance(obj, type) and inspect.isfunction(vars(obj).get("__init__")):
+            init = obj.__init__
+            try:
+                inspect.getsource(init)
+            except OSError:
+                continue
+            yield f"{name}.__init__", init
+
+
+def test_every_public_parameter_is_read():
+    unread = [
+        f"{name}({param})"
+        for name, func in _source_functions()
+        for param in _unread_parameters(func)
+    ]
+    assert not unread, unread
+
+
+def test_unread_parameter_walk_sees_dead_keywords():
+    def dead(m, policy=None):
+        return m
+
+    def nested(m, policy=None):
+        return lambda: (m, policy)
+
+    assert _unread_parameters(dead) == ["policy"]
+    assert _unread_parameters(nested) == []

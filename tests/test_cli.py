@@ -1,6 +1,7 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -217,3 +218,16 @@ def test_stable_flags_one_by_one_is_input_error(tmp_path, capsys, backend, sigma
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "1x1" in err
     assert "Traceback" not in err
+
+
+def test_minor_table_cap_is_input_error(tmp_path, capsys):
+    # the symmetric Pascal matrix C(i+j, i) is totally positive
+    path = tmp_path / "pascal14.txt"
+    rows = (" ".join(str(math.comb(i + j, i)) for j in range(14)) for i in range(14))
+    path.write_text("\n".join(rows))
+    assert main(["classify", str(path), "--backend", "float"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "past the cap of 2,704,155" in err
+    assert "Traceback" not in err
+    assert main(["classify", str(path)]) == 0  # exact: the factorization decides
+    assert "kind: TotallyPositive" in capsys.readouterr().out

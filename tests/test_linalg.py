@@ -217,6 +217,105 @@ def test_compound_entries_and_cauchy_binet():
             assert c2[i, j] == minor(a, rs, cs)
 
 
+def _laplace_levels(m, max_order=None):
+    """Oracle: the last-row Laplace recursion run directly on the entries,
+    over Fraction for exact input and in floats for float input."""
+    n = m.rows
+    top = n if max_order is None else min(max_order, n)
+    level = {
+        ((i,), (j,)): m[i - 1, j - 1] for i in range(1, n + 1) for j in range(1, n + 1)
+    }
+    if top >= 1:
+        yield 1, level
+    for k in range(2, top + 1):
+        nxt = {}
+        for rset in ksubsets(n, k):
+            row = m.row_tuple(rset[-1] - 1)
+            for cset in ksubsets(n, k):
+                acc = m.zero
+                for pos, c in enumerate(cset):
+                    entry = row[c - 1]
+                    if entry == 0:
+                        continue
+                    term = entry * level[(rset[:-1], cset[:pos] + cset[pos + 1 :])]
+                    if (k + pos + 1) % 2 == 0:
+                        acc += term
+                    else:
+                        acc -= term
+                nxt[(rset, cset)] = acc
+        level = nxt
+        yield k, level
+
+
+def _minor_table_cases():
+    """Exact inputs: distinct large denominators, negatives, zeros, integer
+    entries, integral Fractions, 1x1."""
+    rng = random.Random(808)
+    yield Matrix([[F(-7, 3)]])
+    yield Matrix([[5]])
+    entries = (
+        lambda: F(rng.randint(-(10**15), 10**15), rng.randint(1, 10**12)),
+        lambda: rng.choice([0, 0, rng.randint(-9, 9)]),
+        lambda: F(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 10**20 + 39])),
+        lambda: F(rng.randint(-9, 9)),
+    )
+    for n in (2, 4, 6):
+        for entry in entries:
+            yield Matrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def test_exact_minor_levels_are_the_exact_minors():
+    for m in _minor_table_cases():
+        n = m.rows
+        fractional = any(isinstance(x, F) for row in m.to_lists() for x in row)
+        for top in {None, 1, max(n - 1, 1)}:
+            levels = list(minor_levels(m, top))
+            assert [k for k, _ in levels] == list(range(1, (top or n) + 1))
+            assert levels == list(_laplace_levels(m, top))
+            for k, table in levels:
+                for (r, c), value in table.items():
+                    assert value == det(submatrix(m, r, c))
+                    if k > 1:
+                        assert type(value) is (F if fractional else int)
+
+
+def test_compound_floats_are_correctly_rounded_minors():
+    for m in _minor_table_cases():
+        for k in range(1, m.rows + 1):
+            subsets = ksubsets(m.rows, k)
+            c = compound(m, k)
+            for i, r in enumerate(subsets):
+                for j, s in enumerate(subsets):
+                    assert float(c[i, j]).hex() == float(det(submatrix(m, r, s))).hex()
+
+
+def test_float_minor_levels_match_the_float_recursion_bit_for_bit():
+    rng = random.Random(909)
+    cases = [m.to_float() for m in _minor_table_cases()]
+    wide = [[rng.uniform(-3, 3) * 10.0 ** rng.randint(-40, 40) for _ in range(6)] for _ in range(6)]
+    # minors overflow to inf, and inf - inf gives nan
+    huge = [[1e300 * rng.choice([-1, 0, 1, 2]) for _ in range(4)] for _ in range(4)]
+    cases += [Matrix(wide), Matrix(huge)]
+    for m in cases:
+        for top in (None, 2):
+            pairs = zip(minor_levels(m, top), _laplace_levels(m, top), strict=True)
+            for (k, got), (k2, want) in pairs:
+                assert k == k2 and got.keys() == want.keys()
+                assert [v.hex() for v in got.values()] == [want[key].hex() for key in got]
+
+
+def test_minor_table_size_cap():
+    from totpos.linalg import _MINOR_TABLE_CAP
+
+    assert _MINOR_TABLE_CAP == math.comb(24, 12) - 1
+    assert next(minor_levels(Matrix.identity(12)))[0] == 1
+    big = Matrix.identity(13).to_float()
+    assert next(minor_levels(big, 5))[0] == 1  # 2,255,643 minors
+    for top in (6, None):
+        with pytest.raises(InputError, match="past the cap of 2,704,155"):
+            next(minor_levels(big, top))
+
+
 def test_rank_and_nullspace():
     m = Matrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     assert rank(m) == 2
