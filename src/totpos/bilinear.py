@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import is_totally_positive
+from .classify import _Least, _scan_minors, is_totally_positive
 from .errors import ConsistencyError, DomainError, InputError
-from .linalg import Matrix, det, ksubsets, submatrix, transpose_inverse
-from .scalars import DEFAULT_POLICY, TolerancePolicy, minor_scale
+from .linalg import Matrix, transpose_inverse
+from .scalars import DEFAULT_POLICY, TolerancePolicy
 from .spectra import gk_spectrum, refine_eigenbasis
 
 # Off-anti-diagonal Gram entries of the canonical basis, relative to the
@@ -99,22 +99,13 @@ def form_family_positive(
     For every order k and every pair of increasing index tuples r, s the
     determinant det[ (-1)^{r_m} <e_{r_m *}, e_{s_l}> ]_{m,l} must be
     positive.  Independent of :func:`is_totally_positive_form`; the two
-    verdicts must always agree.
+    verdicts must always agree.  The family is read from the minor table of
+    the signed grid; a float minor inside the zero band resolves to False
+    without a warning.
     """
-    n = form.n
-    p = policy or DEFAULT_POLICY
     signed = form_to_A(form).transpose()
-    scale = signed.entry_scale()
-    for k in range(1, n + 1):
-        for rset in ksubsets(n, k):
-            for sset in ksubsets(n, k):
-                value = det(submatrix(signed, rset, sset), p)
-                if form.gram.is_exact:
-                    if not value > 0:
-                        return False
-                elif not float(value) > p.zero_threshold(minor_scale(scale, k)):
-                    return False
-    return True
+    least = _scan_minors(signed, policy or DEFAULT_POLICY, strict=True)
+    return least is _Least.POSITIVE
 
 
 def c0_matrix(n: int) -> Matrix:

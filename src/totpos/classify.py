@@ -11,18 +11,20 @@ invertible M = L * diag(d) * U is totally nonnegative exactly when its
 unitriangular factors are products of nonnegative generators over the fixed
 reduced word (Cryer 1976; Lusztig 1994; Gasca and Pena 1992), and totally
 positive exactly when all those parameters are positive (Whitney); a factor
-the peel rejects therefore means a negative minor.  A vanishing leading
-principal minor leaves the answer to the exhaustive minor table,
-exponential in n, which also decides every float verdict.  That scan
-builds the table order by order and stops at the first negative minor, or
-at the first zero one when only strict positivity is asked.  On exact
-input the table runs on integers and holds the exact minors, so
-``gk_spectrum``, which reads its compound matrices from the table that
-certifies total positivity, gets each minor correctly rounded to a float.
-The table holds at most the minors of the full table at n = 12; a larger
-scan, such as any float verdict past n = 12, raises InputError.
-``classify`` decides all three kinds from one sign and
-then asks only about the powers for the oscillatory exponent.
+the peel rejects therefore means a negative minor.  So does a vanishing
+leading principal minor of an invertible matrix, since an invertible totally
+nonnegative matrix has all of them positive (Cryer 1976).  Singular input
+with a vanishing leading principal minor is left to the exhaustive minor
+table, exponential in n, which also decides every float verdict.  That scan
+reads each order of the table by one sign rule and stops after the first
+order holding a negative minor, or a zero one when only strict positivity
+is asked.  On exact input the table runs on integers and holds the exact
+minors, so ``gk_spectrum``, which reads its compound matrices from the
+table that certifies total positivity, gets each minor correctly rounded to
+a float.  The table holds at most the minors of the full table at n = 12; a
+larger scan, such as any float verdict past n = 12, raises InputError.
+``classify`` decides all three kinds from one sign and then asks only about
+the powers for the oscillatory exponent.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import InputError, StrictnessWarning
-from .linalg import Matrix, _require_invertible, minor_levels
+from .linalg import Matrix, _require_invertible, det, minor_levels
 from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy, minor_scale, sign_of
 from .whitney import _ldu, membership_uni
 
@@ -87,6 +89,27 @@ class _Least(enum.IntEnum):
     POSITIVE = 3
 
 
+def _minor_kinds(
+    m: Matrix, policy: TolerancePolicy
+) -> Iterator[tuple[int, dict, set[_Least]]]:
+    """Yield (k, order-k minor table, the kinds of its minors), k = 1, 2, ....
+
+    The one sign rule for a minor table: an exact minor takes its exact
+    sign, an exact or float zero is ZERO, and a nonzero float inside the
+    order-k zero band is INDETERMINATE.
+    """
+    scale = m.entry_scale()
+    neg, zero, indet, pos = _Least
+    for k, table in minor_levels(m):
+        # exact minors meet a band of width 0; a NaN float minor, from
+        # overflowing products, reads as negative
+        t = 0 if m.is_exact else policy.zero_threshold(minor_scale(scale, k))
+        yield k, table, {
+            pos if v > t else neg if not v >= -t else zero if v == 0 else indet
+            for v in table.values()
+        }
+
+
 def _scan_minors(
     m: Matrix,
     policy: TolerancePolicy,
@@ -95,28 +118,18 @@ def _scan_minors(
 ) -> _Least:
     """Least sign over every minor of a square matrix, one table per call.
 
-    Stops at the first negative minor, and, when only strict positivity is
-    asked (``strict``), also at the first minor decided to be zero.  A float
-    minor inside the zero band is indeterminate: it does not stop the scan,
-    since a later negative or zero minor still decides the answer.
-    ``on_level(k, table)`` receives each order-k table once all its minors
-    have been scanned without stopping.
+    Stops after the first order holding a negative minor, and, when only
+    strict positivity is asked (``strict``), also after the first holding a
+    zero one.  A float minor inside the zero band is indeterminate: it does
+    not stop the scan, since a later negative or zero minor still decides
+    the answer.  ``on_level(k, table)`` receives each order-k table that
+    did not stop the scan.
     """
-    scale = m.entry_scale()
     least = _Least.POSITIVE
-    for k, table in minor_levels(m):
-        level_scale = minor_scale(scale, k)
-        for value in table.values():
-            s = sign_of(value, policy, level_scale)
-            if s < 0:
-                return _Least.NEGATIVE
-            if s == 0:
-                if m.is_exact or value == 0.0:
-                    if strict:
-                        return _Least.ZERO
-                    least = _Least.ZERO
-                else:
-                    least = min(least, _Least.INDETERMINATE)
+    for k, table, kinds in _minor_kinds(m, policy):
+        least = min(least, *kinds)
+        if least is _Least.NEGATIVE or (strict and least is _Least.ZERO):
+            return least
         if on_level is not None:
             on_level(k, table)
     return least
@@ -125,16 +138,15 @@ def _scan_minors(
 def _factored_least(m: Matrix) -> _Least | None:
     """Least minor sign of an exact square matrix from its LDU factors.
 
-    None when a leading principal minor vanishes.  With every pivot
-    positive the matrix is invertible, so a peel that rejects a factor
-    proves a negative minor (Cryer; Lusztig).
+    None when a leading principal minor and det(m) both vanish.  A negative
+    pivot, a zero pivot of an invertible matrix (Cryer 1976) or a factor
+    the peel rejects proves a negative minor (Cryer; Lusztig).
     """
     if any(x < 0 for i in range(m.rows) for x in m.row_tuple(i)):
         return _Least.NEGATIVE
     pivots, lower, upper = _ldu(m, DEFAULT_POLICY, positive=True)
     if lower is None:
-        # earlier pivots are positive, so a negative one is a negative minor
-        return _Least.NEGATIVE if pivots[-1] < 0 else None
+        return _Least.NEGATIVE if pivots[-1] < 0 or det(m) != 0 else None
     low = membership_uni(lower, "lower")
     up = membership_uni(upper, "upper") if low is not None else None
     if up is None:
@@ -196,20 +208,10 @@ def is_variation_diminishing(m: Matrix, policy: TolerancePolicy | None = None) -
         raise InputError("variation tests are defined for square matrices")
     p = policy or DEFAULT_POLICY
     _require_invertible(m, p, "variation-diminishing test")
-    scale = m.entry_scale()
-    for k, table in minor_levels(m):
-        has_pos = False
-        has_neg = False
-        level_scale = minor_scale(scale, k)
-        for value in table.values():
-            s = sign_of(value, p, level_scale)
-            if s > 0:
-                has_pos = True
-            elif s < 0:
-                has_neg = True
-            if has_pos and has_neg:
-                return False
-    return True
+    return not any(
+        _Least.NEGATIVE in kinds and _Least.POSITIVE in kinds
+        for _, _, kinds in _minor_kinds(m, p)
+    )
 
 
 def is_oscillatory(

@@ -2,7 +2,8 @@
 
 Matrices come from files (or ``-`` for stdin) in grid or JSON form; every
 command echoes a sha256 digest of its raw input so results can be tied
-back to inputs.  ``--json`` switches to machine-readable output, and
+back to inputs.  ``--json`` switches to machine-readable output, and on
+all but ``synth``, ``quadruple``, ``curve-check`` and ``convex-check``,
 ``--backend float --tol EPS`` selects approximate arithmetic with the
 given tolerance.  Exit codes: 0 success, 1 domain or computation failure,
 2 malformed input.
@@ -106,7 +107,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 def _params_from_json(text: str) -> TPParameters:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON parameters: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("parameter JSON must be an object")
@@ -129,6 +130,8 @@ def _params_from_json(text: str) -> TPParameters:
         )
     except KeyError as exc:
         raise InputError(f"parameter JSON missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed parameter JSON: {exc}") from None
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -321,8 +324,10 @@ def _cmd_tilde(args: argparse.Namespace) -> int:
     return _emit(args, out, lines)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, arithmetic: bool = True) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON output")
+    if not arithmetic:
+        return
     sub.add_argument(
         "--backend",
         choices=("exact", "float"),
@@ -368,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--relaxed", action="store_true", help="allow zero parameters")
     p.add_argument("--word", choices=("standard", "reversed"), default="standard")
-    _add_common(p)
+    _add_common(p, arithmetic=False)
     p.set_defaults(func=_cmd_synth)
 
     p = subs.add_parser("spectrum", help="eigenvalue ladder with verification")
@@ -417,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="four comma-separated circle points, e.g. 0,1/2,2,inf",
     )
-    _add_common(p)
+    _add_common(p, arithmetic=False)
     p.set_defaults(func=_cmd_quadruple)
 
     p = subs.add_parser(
@@ -429,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", help="explicit comma-separated circle points")
-    _add_common(p)
+    _add_common(p, arithmetic=False)
     p.set_defaults(func=_cmd_curve_check)
 
     p = subs.add_parser(
@@ -439,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=9)
-    _add_common(p)
+    _add_common(p, arithmetic=False)
     p.set_defaults(func=_cmd_convex_check)
 
     return parser

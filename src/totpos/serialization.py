@@ -77,7 +77,8 @@ def parse_matrix(text: str, exact: bool = True) -> Matrix:
     if stripped.startswith(("[", "{")):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # also ints past Python's digit limit and nesting past recursion
             raise InputError(f"bad JSON matrix: {exc}") from None
         return parse_matrix_json(data, exact=exact)
     return parse_matrix_grid(text, exact=exact)

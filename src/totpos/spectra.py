@@ -13,8 +13,8 @@ taken exactly over the input.
 The iteration caps and tolerances are module constants, the same for
 every call: the spectral law is checked at one fixed tolerance.
 
-numpy supplies float array arithmetic only; no eigenvalue routine from any
-library is called outside the test suite.
+numpy supplies float array arithmetic here; only ``flags`` calls a library
+eigenvalue routine, for the moduli of its small tangent-block operators.
 """
 
 from __future__ import annotations

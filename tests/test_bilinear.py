@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,8 @@ from totpos.bilinear import (
 )
 from totpos.classify import is_totally_positive
 from totpos.errors import DomainError, InputError
-from totpos.linalg import Matrix, det, inverse
+from totpos.linalg import Matrix, det, inverse, ksubsets, submatrix
+from totpos.scalars import TolerancePolicy, minor_scale
 from totpos.sampling import random_positive_form, random_tp_matrix
 from totpos.whitney import gen_x, gen_y
 
@@ -89,6 +91,57 @@ def test_form_family_agrees_with_attached_matrix_test():
                     )
                 )
             assert form_family_positive(form) == is_totally_positive_form(form)
+
+
+def _old_form_family_positive(form, policy):
+    # oracle: every signed determinant of the family through its own
+    # elimination, judged against the order-k zero band
+    n = form.n
+    signed = form_to_A(form).transpose()
+    scale = signed.entry_scale()
+    for k in range(1, n + 1):
+        for rset in ksubsets(n, k):
+            for sset in ksubsets(n, k):
+                value = det(submatrix(signed, rset, sset), policy)
+                if form.gram.is_exact:
+                    if not value > 0:
+                        return False
+                elif not float(value) > policy.zero_threshold(minor_scale(scale, k)):
+                    return False
+    return True
+
+
+def _family_inputs():
+    rng = random.Random(61)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            form = random_positive_form(n, rng)
+            yield form
+            gram = form.gram.to_lists()
+            i, j = rng.randrange(n), rng.randrange(n)
+            gram[i][j] *= F(rng.choice((-1, 1)) * rng.randint(1, 10), 20) + 1
+            yield BilinearForm(Matrix(gram))
+            yield BilinearForm(Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]))
+    # zero band, exact zeros and float-range overflow
+    yield BilinearForm(Matrix([[1.0 + 1e-15, -1.0], [1.0, -1.0]]))
+    yield BilinearForm(Matrix([[1.0, -1.0], [1.0, -1.0]]))
+    yield BilinearForm(Matrix([[1e200, -1e200], [1e200, -1e200]]))
+    yield BilinearForm(Matrix([[1e200, -1.0], [1.0, -1e200]]))
+
+
+def test_form_family_reads_the_minor_table_like_the_determinant_loop():
+    policy = TolerancePolicy()
+    verdicts = set()
+    for form in _family_inputs():
+        grams = [form.gram] + ([form.gram.to_float()] if form.gram.is_exact else [])
+        for gram in grams:
+            f = BilinearForm(gram)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the family never warns
+                got = form_family_positive(f, policy)
+            assert got == _old_form_family_positive(f, policy), gram.to_lists()
+            verdicts.add((got, gram.is_exact))
+    assert verdicts == {(v, e) for v in (True, False) for e in (True, False)}
 
 
 def test_tilde_is_involution():

@@ -16,6 +16,7 @@ from totpos.bilinear import A_to_form, canonical_basis, form_to_A, tilde
 from totpos.classify import (
     TPKind,
     _factored_least,
+    _is_positive,
     _Least,
     _scan_minors,
     classify,
@@ -33,7 +34,8 @@ from totpos.errors import (
     StrictnessWarning,
 )
 from totpos.flags import stable_flags
-from totpos.linalg import Matrix, ksubsets, minor, reversal_permutation, submatrix
+from totpos.errors import InputError
+from totpos.linalg import Matrix, det, ksubsets, minor, reversal_permutation, submatrix
 from totpos.sampling import random_tn_matrix, random_tp_matrix, random_vector
 from totpos.scalars import TolerancePolicy, minor_scale, sign_of
 from totpos.spectra import gk_spectrum
@@ -434,3 +436,147 @@ def test_one_minor_table_per_certified_matrix(monkeypatch):
     seen.clear()
     stable_flags(g, sigma_mode="tilde")
     assert seen == [g @ tilde(g)]
+
+
+def _old_scan_minors(m, policy, strict):
+    # oracle: the per-minor sign loop the one-rule scan replaced; it stops
+    # at the first negative (or, strict, zero) minor in table order
+    scale = m.entry_scale()
+    least = _Least.POSITIVE
+    for k, table in linalg.minor_levels(m):
+        level_scale = minor_scale(scale, k)
+        for value in table.values():
+            s = sign_of(value, policy, level_scale)
+            if s < 0:
+                return _Least.NEGATIVE
+            if s == 0:
+                if m.is_exact or value == 0.0:
+                    if strict:
+                        return _Least.ZERO
+                    least = _Least.ZERO
+                else:
+                    least = min(least, _Least.INDETERMINATE)
+    return least
+
+
+def _old_variation_diminishing(m, policy):
+    # oracle: the per-minor loop looking for both signs inside one order
+    linalg._require_invertible(m, policy, "variation-diminishing test")
+    scale = m.entry_scale()
+    for k, table in linalg.minor_levels(m):
+        has_pos = False
+        has_neg = False
+        level_scale = minor_scale(scale, k)
+        for value in table.values():
+            s = sign_of(value, policy, level_scale)
+            if s > 0:
+                has_pos = True
+            elif s < 0:
+                has_neg = True
+            if has_pos and has_neg:
+                return False
+    return True
+
+
+def _strict_verdict(least):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        positive = _is_positive(least)
+    return positive, [w.category for w in caught]
+
+
+# float inputs at the edges of the sign rule: minors inside the zero band,
+# exact zeros, zero and negative minors of one order, and entry scales
+# whose powers leave the float range (infinite bands, inf and NaN minors)
+_EDGE_INPUTS = [
+    Matrix([[1.0, 1.0], [1.0, 1.0 + 1e-15]]),
+    Matrix([[1.0, 1.0], [1.0, 1.0]]),
+    Matrix([[1.0, 1e-12], [0.0, 1.0]]),
+    Matrix([[1, 0, 2], [1, 0, 1], [0, 0, 1]]),
+    Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+    Matrix([[1, 2, 1], [1, 2, 1], [2, 1, 1]]),
+    Matrix([[1, 1, 1, 1], [1, 2, 4, 8], [1, 3, 9, 27], [1, 4, 16, 1e100]]),
+    Matrix([[1e200, 1e200], [1e200, 1e200]]),
+    Matrix([[1e200, 1.0], [1.0, 1e200]]),
+    Matrix([[1e200, -1.0], [1.0, 1e-200]]),
+    Matrix.diagonal([1e200, 1.0, 1.0]),
+    Matrix([[1.0, 1e-9, 2.0], [-1e-10, 1.0, 1.0], [3.0, 1.0, 1.0]]),
+]
+
+
+def _sign_rule_inputs():
+    rng = random.Random(909)
+    for exact in _differential_inputs():
+        yield exact
+        yield exact.to_float()
+    for n in range(1, 6):
+        for _ in range(8):
+            m = Matrix([[rng.randint(-2, 3) for _ in range(n)] for _ in range(n)])
+            yield m
+            yield m.to_float()
+    yield from _EDGE_INPUTS
+
+
+def test_one_sign_rule_matches_per_minor_loops():
+    policy = TolerancePolicy()
+    seen = set()
+    for m in _sign_rule_inputs():
+        loose = _scan_minors(m, policy, strict=False)
+        assert loose is _old_scan_minors(m, policy, strict=False), m.to_lists()
+        strict, old = _scan_minors(m, policy, strict=True), _old_scan_minors(m, policy, strict=True)
+        # a zero and a negative minor of one order: the old loop returned
+        # whichever came first, the fold returns the least
+        assert strict is old or {strict, old} == {_Least.NEGATIVE, _Least.ZERO}
+        assert _strict_verdict(strict) == _strict_verdict(old)
+        seen |= {(loose, m.is_exact), (strict, m.is_exact)}
+        try:
+            want = _old_variation_diminishing(m, policy)
+        except SingularityError:
+            with pytest.raises(SingularityError):
+                is_variation_diminishing(m, policy)
+        else:
+            assert is_variation_diminishing(m, policy) == want, m.to_lists()
+            seen.add(("diminishing", want))
+    # every kind on the float backend, every exact one, and both answers of
+    # the variation test
+    assert seen >= {(least, False) for least in _Least}
+    assert seen >= {(least, True) for least in _Least if least is not _Least.INDETERMINATE}
+    assert seen >= {("diminishing", True), ("diminishing", False)}
+
+
+def test_invertible_zero_pivot_is_negative_without_a_table():
+    # an invertible totally nonnegative matrix has positive leading
+    # principal minors, so a zero one decides Neither unless det vanishes
+    rng = random.Random(1976)
+    decided = {True: set(), False: set()}
+    for n in range(2, 7):
+        for _ in range(40):
+            rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+            k = rng.randrange(n)
+            for i in range(k + 1):
+                rows[i][k] = 0  # the (k+1)-th leading principal minor vanishes
+            m = Matrix(rows)
+            least = _factored_least(m)
+            want = _scan_minors(m, TolerancePolicy(), strict=False)
+            invertible = det(m) != 0
+            if invertible:
+                assert least is _Least.NEGATIVE is want, rows
+            else:
+                assert least is None or least is want, rows
+            decided[invertible].add(want)
+    assert decided[True] == {_Least.NEGATIVE}
+    # singular zero-pivot input takes every verdict the table can give
+    assert decided[False] == {_Least.NEGATIVE, _Least.ZERO}
+
+
+def test_zero_pivot_past_the_table_cap():
+    pascal = [[math.comb(i + j, i) for j in range(14)] for i in range(14)]
+    reversal = [row[::-1] for row in pascal]  # invertible, zero-free
+    reversal[0][0] = 0
+    m = Matrix(reversal)
+    assert det(m) != 0
+    assert classify(m).kind is TPKind.NEITHER
+    assert not is_totally_nonnegative(m)
+    pascal[0] = [0] * 14  # singular: only the table could decide
+    with pytest.raises(InputError, match="past the cap"):
+        classify(Matrix(pascal))

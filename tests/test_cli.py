@@ -1,9 +1,16 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from totpos.cli import main
 
@@ -231,3 +238,152 @@ def test_minor_table_cap_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert main(["classify", str(path)]) == 0  # exact: the factorization decides
     assert "kind: TotallyPositive" in capsys.readouterr().out
+
+
+def test_zero_pivot_past_the_table_cap(tmp_path, capsys):
+    pascal = [[math.comb(i + j, i) for j in range(14)] for i in range(14)]
+    path = tmp_path / "reversed14.txt"
+    reversal = [row[::-1] for row in pascal]
+    reversal[0][0] = 0  # invertible with a zero pivot: Neither in O(n^3)
+    path.write_text("\n".join(" ".join(map(str, row)) for row in reversal))
+    assert main(["classify", str(path)]) == 0
+    assert "kind: Neither" in capsys.readouterr().out
+    pascal[0] = [0] * 14  # singular with a zero pivot: the table is refused
+    path.write_text("\n".join(" ".join(map(str, row)) for row in pascal))
+    assert main(["classify", str(path)]) == 2
+    assert "past the cap of 2,704,155" in capsys.readouterr().err
+
+
+_NO_ARITHMETIC = {
+    "synth": ["synth", "--n", "3"],
+    "quadruple": ["quadruple", "a", "b", "c", "d", "--points", "0,1,2,3"],
+    "curve-check": ["curve-check", "--degree", "2"],
+    "convex-check": ["convex-check", "--degree", "2"],
+}
+
+
+@pytest.mark.parametrize("option", [["--backend", "float"], ["--tol", "1e-8"]])
+@pytest.mark.parametrize("command", sorted(_NO_ARITHMETIC))
+def test_commands_without_arithmetic_refuse_its_options(command, option, capsys):
+    # these commands read no float backend and no tolerance
+    with pytest.raises(SystemExit) as exc:
+        main([*_NO_ARITHMETIC[command], *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+_TOKENS = st.one_of(
+    st.integers(-5, 9).map(str),
+    st.sampled_from(
+        ["1/2", "-3/4", "0.25", "1e3", "2.5e-3", "1e308", "1e400", "-1e-400",
+         "1e4301", "1e100000000", "1/0", "nan", "inf", "-inf", "abc", "0x10",
+         "1_000", "--", "1.2.3", "#", "9" * 5000]
+    ),
+)
+_CELLS = st.one_of(
+    st.integers(-5, 9),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**5000, 10**400, True, None, "1/3", "x", [], {}]),
+)
+
+
+def _grid_text(rows):
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+def _json_text(rows):
+    # json.dumps writes NaN and Infinity literals, and the digits of huge ints
+    with _int_digits(6000):
+        return json.dumps(rows)
+
+
+@contextlib.contextmanager
+def _int_digits(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+_SQUARE = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_TOKENS, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_RAGGED = st.lists(st.lists(_TOKENS, min_size=1, max_size=4), min_size=1, max_size=4)
+_MATRIX_TEXT = st.one_of(
+    _SQUARE.map(_grid_text),
+    _RAGGED.map(_grid_text),
+    st.lists(st.lists(_CELLS, max_size=4), max_size=4).map(_json_text),
+    st.sampled_from(["", "[", "{}", '{"entries": [[1]]}', "[[1, 2], [3]]", "[" * 5000]),
+    st.text(max_size=40),
+)
+_MATRIX_COMMANDS = [
+    ["classify"], ["factor"], ["spectrum"], ["canonical-form"], ["tilde"],
+    ["flag-pos"], ["stable-flags"], ["stable-flags", "--sigma", "tilde"],
+]
+
+
+def _run_cleanly(argv, as_json):
+    if as_json:
+        argv = [*argv, "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert "error: " in err.getvalue()
+    elif as_json:
+        json.loads(out.getvalue())
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    st.sampled_from(_MATRIX_COMMANDS + [["opposed"], ["quadruple"]]),
+    _MATRIX_TEXT,
+    _MATRIX_TEXT,
+    st.sampled_from(["exact", "float"]),
+    st.booleans(),
+)
+def test_cli_fuzz_exits_cleanly(command, first, second, backend, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate((first, second)):
+            path = Path(tmp) / f"m{i}"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        if command == ["opposed"]:
+            argv = ["opposed", *paths]
+        elif command == ["quadruple"]:
+            argv = ["quadruple", *paths, *paths, "--points", "0,1,2,inf"]
+        else:
+            argv = [*command[:1], paths[0], *command[1:]]
+        if command != ["quadruple"]:
+            argv += ["--backend", backend]
+        _run_cleanly(argv, as_json)
+
+
+_PARAMS_TEXT = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["n", "word", "a", "t", "b", "strict"]),
+        st.one_of(_CELLS, st.lists(_CELLS, max_size=4)),
+    ).map(_json_text),
+    _MATRIX_TEXT,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_PARAMS_TEXT, st.booleans())
+def test_cli_fuzz_synth_params_exit_cleanly(text, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.json"
+        path.write_text(text, encoding="utf-8")
+        _run_cleanly(["synth", "--params", str(path)], as_json)
