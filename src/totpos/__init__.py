@@ -26,6 +26,7 @@ from .classify import (
     is_totally_nonnegative,
     is_totally_positive,
     is_variation_diminishing,
+    monoid_generate_check,
     sign_variation,
     variation_diminishes_on,
 )
@@ -83,9 +84,7 @@ from .linalg import (
     transpose_inverse,
 )
 from .scalars import (
-    DEFAULT_POLICY,
     Scalar,
-    TolerancePolicy,
     as_fraction,
     format_scalar,
     parse_scalar,
@@ -99,7 +98,6 @@ from .whitney import (
     gen_x,
     gen_y,
     membership_uni,
-    monoid_generate_check,
     reversed_word,
     standard_word,
     synthesize,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .classify import _Least, _scan_minors, is_totally_positive
 from .errors import ConsistencyError, DomainError, InputError
 from .linalg import Matrix, transpose_inverse
-from .scalars import DEFAULT_POLICY, TolerancePolicy
 from .spectra import gk_spectrum, refine_eigenbasis
 
 # Off-anti-diagonal Gram entries of the canonical basis, relative to the
@@ -84,16 +83,12 @@ def A_to_form(a: Matrix) -> BilinearForm:
     return BilinearForm(Matrix(rows))
 
 
-def is_totally_positive_form(
-    form: BilinearForm, policy: TolerancePolicy | None = None
-) -> bool:
+def is_totally_positive_form(form: BilinearForm) -> bool:
     """Positivity via total positivity of the comparison matrix."""
-    return is_totally_positive(form_to_A(form), policy)
+    return is_totally_positive(form_to_A(form))
 
 
-def form_family_positive(
-    form: BilinearForm, policy: TolerancePolicy | None = None
-) -> bool:
+def form_family_positive(form: BilinearForm) -> bool:
     """Positivity via the signed determinant family, straight off the Gram.
 
     For every order k and every pair of increasing index tuples r, s the
@@ -104,7 +99,7 @@ def form_family_positive(
     without a warning.
     """
     signed = form_to_A(form).transpose()
-    least = _scan_minors(signed, policy or DEFAULT_POLICY, strict=True)
+    least = _scan_minors(signed, strict=True)
     return least is _Least.POSITIVE
 
 
@@ -124,7 +119,7 @@ def _c0_inverse(n: int) -> Matrix:
     return c0 if n % 2 else -c0
 
 
-def tilde(m: Matrix, policy: TolerancePolicy | None = None) -> Matrix:
+def tilde(m: Matrix) -> Matrix:
     """The involution M -> C0 (M^T)^{-1} C0^{-1}.
 
     An automorphism of the general linear group that maps each lower
@@ -134,7 +129,7 @@ def tilde(m: Matrix, policy: TolerancePolicy | None = None) -> Matrix:
     if not m.is_square:
         raise InputError("the twist involution requires a square matrix")
     n = m.rows
-    return c0_matrix(n) @ transpose_inverse(m, policy) @ _c0_inverse(n)
+    return c0_matrix(n) @ transpose_inverse(m) @ _c0_inverse(n)
 
 
 @dataclass(frozen=True)
@@ -156,9 +151,7 @@ class CanonicalBasisResult:
     chain: tuple[float, ...]
 
 
-def canonical_basis(
-    form: BilinearForm, policy: TolerancePolicy | None = None
-) -> CanonicalBasisResult:
+def canonical_basis(form: BilinearForm) -> CanonicalBasisResult:
     """Anti-diagonalizing basis of a totally positive bilinear form.
 
     Builds the canonical totally positive matrix attached to the form (a
@@ -168,17 +161,16 @@ def canonical_basis(
     when the form is not totally positive, and ConsistencyError when an
     internal identity fails beyond tolerance.
     """
-    p = policy or DEFAULT_POLICY
     n = form.n
-    if not is_totally_positive_form(form, p):
+    if not is_totally_positive_form(form):
         raise DomainError("the form is not totally positive")
     a_op = form_to_A(form).transpose()
-    c = c0_matrix(n) @ transpose_inverse(a_op, p)
-    c_check = transpose_inverse(c, p)
+    c = c0_matrix(n) @ transpose_inverse(a_op)
+    c_check = transpose_inverse(c)
     sign = 1 if n % 2 else -1
     comparison = (c @ c_check).scale(sign)
     try:
-        spectrum = gk_spectrum(comparison, p)
+        spectrum = gk_spectrum(comparison)
     except DomainError:
         raise ConsistencyError(
             "the canonical comparison matrix failed its positivity law"

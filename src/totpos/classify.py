@@ -3,7 +3,9 @@
 A square matrix is totally positive when every minor of every order is
 strictly positive, and totally nonnegative when none is negative.  Every
 verdict here is the least minor sign of one matrix: negative, zero,
-indeterminate (a float minor inside the zero band) or positive.
+indeterminate (a float minor inside the zero band) or positive.  The band
+of an order-k minor is the one zero-band rule of :mod:`totpos.scalars` at
+scale max(entry scale, 1)^k; no verdict takes a tolerance argument.
 
 On exact input the sign comes from the bidiagonal factorization in O(n^3):
 a negative entry or leading principal minor means negative; otherwise an
@@ -36,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import InputError, StrictnessWarning
 from .linalg import Matrix, _require_invertible, det, minor_levels
-from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy, minor_scale, sign_of
+from .scalars import Scalar, magnitude, minor_scale, sign_of, zero_threshold
 from .whitney import _ldu, membership_uni
 
 
@@ -65,18 +67,15 @@ class TPClass:
             raise InputError("matrices outside the nonnegative class have no exponent")
 
 
-def sign_variation(
-    vector: Sequence[Scalar], policy: TolerancePolicy | None = None
-) -> int:
+def sign_variation(vector: Sequence[Scalar]) -> int:
     """Number of strict sign changes after discarding zero entries.
 
-    Float entries inside the policy's zero band count as zeros.
+    Float entries inside the zero band count as zeros.
     """
     if len(vector) == 0:
         raise InputError("sign variation needs a nonempty vector")
-    p = policy or DEFAULT_POLICY
-    scale = max((abs(float(x)) for x in vector), default=1.0)
-    signs = [s for x in vector if (s := sign_of(x, p, max(scale, 1.0))) != 0]
+    scale = max(magnitude(vector), 1.0)
+    signs = [s for x in vector if (s := sign_of(x, scale)) != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -89,9 +88,7 @@ class _Least(enum.IntEnum):
     POSITIVE = 3
 
 
-def _minor_kinds(
-    m: Matrix, policy: TolerancePolicy
-) -> Iterator[tuple[int, dict, set[_Least]]]:
+def _minor_kinds(m: Matrix) -> Iterator[tuple[int, dict, set[_Least]]]:
     """Yield (k, order-k minor table, the kinds of its minors), k = 1, 2, ....
 
     The one sign rule for a minor table: an exact minor takes its exact
@@ -103,7 +100,7 @@ def _minor_kinds(
     for k, table in minor_levels(m):
         # exact minors meet a band of width 0; a NaN float minor, from
         # overflowing products, reads as negative
-        t = 0 if m.is_exact else policy.zero_threshold(minor_scale(scale, k))
+        t = 0 if m.is_exact else zero_threshold(minor_scale(scale, k))
         yield k, table, {
             pos if v > t else neg if not v >= -t else zero if v == 0 else indet
             for v in table.values()
@@ -112,7 +109,6 @@ def _minor_kinds(
 
 def _scan_minors(
     m: Matrix,
-    policy: TolerancePolicy,
     strict: bool,
     on_level: Callable[[int, dict], None] | None = None,
 ) -> _Least:
@@ -126,7 +122,7 @@ def _scan_minors(
     did not stop the scan.
     """
     least = _Least.POSITIVE
-    for k, table, kinds in _minor_kinds(m, policy):
+    for k, table, kinds in _minor_kinds(m):
         least = min(least, *kinds)
         if least is _Least.NEGATIVE or (strict and least is _Least.ZERO):
             return least
@@ -144,7 +140,7 @@ def _factored_least(m: Matrix) -> _Least | None:
     """
     if any(x < 0 for i in range(m.rows) for x in m.row_tuple(i)):
         return _Least.NEGATIVE
-    pivots, lower, upper = _ldu(m, DEFAULT_POLICY, positive=True)
+    pivots, lower, upper = _ldu(m, positive=True)
     if lower is None:
         return _Least.NEGATIVE if pivots[-1] < 0 or det(m) != 0 else None
     low = membership_uni(lower, "lower")
@@ -154,10 +150,10 @@ def _factored_least(m: Matrix) -> _Least | None:
     return _Least.POSITIVE if low.strict and up.strict else _Least.ZERO
 
 
-def _least_sign(m: Matrix, policy: TolerancePolicy, strict: bool) -> _Least:
+def _least_sign(m: Matrix, strict: bool) -> _Least:
     """Least minor sign: from the factorization when it decides, else a scan."""
     least = _factored_least(m) if m.is_exact else None
-    return _scan_minors(m, policy, strict) if least is None else least
+    return _scan_minors(m, strict) if least is None else least
 
 
 def _is_positive(least: _Least) -> bool:
@@ -172,33 +168,43 @@ def _is_positive(least: _Least) -> bool:
     return least is _Least.POSITIVE
 
 
-def is_totally_nonnegative(m: Matrix, policy: TolerancePolicy | None = None) -> bool:
+def is_totally_nonnegative(m: Matrix) -> bool:
     """True when no minor of any order is negative."""
     if not m.is_square:
         raise InputError("total nonnegativity is defined for square matrices")
-    return _least_sign(m, policy or DEFAULT_POLICY, strict=False) > _Least.NEGATIVE
+    return _least_sign(m, strict=False) > _Least.NEGATIVE
 
 
-def is_totally_positive(m: Matrix, policy: TolerancePolicy | None = None) -> bool:
+def is_totally_positive(m: Matrix) -> bool:
     """True when every minor of every order is strictly positive."""
     if not m.is_square:
         raise InputError("total positivity is defined for square matrices")
-    return _is_positive(_least_sign(m, policy or DEFAULT_POLICY, strict=True))
+    return _is_positive(_least_sign(m, strict=True))
 
 
-def variation_diminishes_on(
-    m: Matrix, vector: Sequence[Scalar], policy: TolerancePolicy | None = None
-) -> bool:
+def monoid_generate_check(m: Matrix) -> bool:
+    """True iff the matrix lies in the invertible totally nonnegative monoid.
+
+    Equivalent to membership in the closure of products of nonnegative
+    elementary generators and positive diagonals.  Singular input is a
+    domain error, not a negative answer.
+    """
+    if not m.is_square:
+        raise InputError("monoid membership requires a square matrix")
+    _require_invertible(m, "monoid membership test")
+    return is_totally_nonnegative(m)
+
+
+def variation_diminishes_on(m: Matrix, vector: Sequence[Scalar]) -> bool:
     """Check sign_variation(M v) <= sign_variation(v) for one vector."""
     if not m.is_square:
         raise InputError("variation tests are defined for square matrices")
     if len(vector) != m.cols:
         raise InputError("vector length must match the matrix size")
-    p = policy or DEFAULT_POLICY
-    return sign_variation(m.apply(vector), p) <= sign_variation(vector, p)
+    return sign_variation(m.apply(vector)) <= sign_variation(vector)
 
 
-def is_variation_diminishing(m: Matrix, policy: TolerancePolicy | None = None) -> bool:
+def is_variation_diminishing(m: Matrix) -> bool:
     """Criterion over compounds: no order may contain entries of both signs.
 
     Requires invertibility; equivalent to variation-diminishing action on
@@ -206,17 +212,14 @@ def is_variation_diminishing(m: Matrix, policy: TolerancePolicy | None = None) -
     """
     if not m.is_square:
         raise InputError("variation tests are defined for square matrices")
-    p = policy or DEFAULT_POLICY
-    _require_invertible(m, p, "variation-diminishing test")
+    _require_invertible(m, "variation-diminishing test")
     return not any(
         _Least.NEGATIVE in kinds and _Least.POSITIVE in kinds
-        for _, _, kinds in _minor_kinds(m, p)
+        for _, _, kinds in _minor_kinds(m)
     )
 
 
-def is_oscillatory(
-    m: Matrix, m_max: int | None = None, policy: TolerancePolicy | None = None
-) -> int | None:
+def is_oscillatory(m: Matrix, m_max: int | None = None) -> int | None:
     """Least power making the matrix totally positive, or None.
 
     Only totally nonnegative matrices qualify; the search is capped at
@@ -226,12 +229,10 @@ def is_oscillatory(
         raise InputError("oscillatory classification is defined for square matrices")
     if m_max is not None and m_max < 1:
         raise InputError("m_max must be at least 1")
-    return classify(m, m_max, policy).oscillatory_m
+    return classify(m, m_max).oscillatory_m
 
 
-def classify(
-    m: Matrix, m_max: int | None = None, policy: TolerancePolicy | None = None
-) -> TPClass:
+def classify(m: Matrix, m_max: int | None = None) -> TPClass:
     """Three-way classification with the oscillatory exponent attached.
 
     One least minor sign of ``m`` decides the kind.  A totally nonnegative
@@ -240,8 +241,7 @@ def classify(
     """
     if not m.is_square:
         raise InputError("total positivity is defined for square matrices")
-    p = policy or DEFAULT_POLICY
-    least = _least_sign(m, p, strict=False)
+    least = _least_sign(m, strict=False)
     if _is_positive(least):
         return TPClass(TPKind.TOTALLY_POSITIVE, 1)
     if least is _Least.NEGATIVE:
@@ -258,6 +258,6 @@ def classify(
             # band, as do all later ones: none can be certified positive
             _is_positive(_Least.INDETERMINATE)
             break
-        if _is_positive(_least_sign(power, p, strict=True)):
+        if _is_positive(_least_sign(power, strict=True)):
             return TPClass(TPKind.TOTALLY_NONNEGATIVE_ONLY, exponent)
     return TPClass(TPKind.TOTALLY_NONNEGATIVE_ONLY, None)

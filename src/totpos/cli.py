@@ -4,9 +4,9 @@ Matrices come from files (or ``-`` for stdin) in grid or JSON form; every
 command echoes a sha256 digest of its raw input so results can be tied
 back to inputs.  ``--json`` switches to machine-readable output, and on
 all but ``synth``, ``quadruple``, ``curve-check`` and ``convex-check``,
-``--backend float --tol EPS`` selects approximate arithmetic with the
-given tolerance.  Exit codes: 0 success, 1 domain or computation failure,
-2 malformed input.
+``--backend float`` parses the matrices as floats, whose signs the
+library's one fixed zero band decides.  Exit codes: 0 success, 1 domain or
+computation failure, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import InputError, TotposError
 from .flags import flag_from_matrix, in_B_pos, in_B_pos_prime, opposed, stable_flags
 from .linalg import Matrix
 from .sampling import random_tp_parameters
-from .scalars import TolerancePolicy, parse_scalar
+from .scalars import parse_scalar
 from .serialization import format_matrix_grid, input_digest, parse_matrix, payload
 from .spectra import verify_gk
 from .whitney import TPParameters, factorize, synthesize
@@ -44,13 +44,6 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-
-
-def _policy(args: argparse.Namespace) -> TolerancePolicy:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return TolerancePolicy()
-    return TolerancePolicy(eps_abs=tol, eps_rel=tol)
 
 
 def _exact(args: argparse.Namespace) -> bool:
@@ -77,7 +70,7 @@ def _fmt_floats(values) -> str:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     m, digest = _load_matrix(args, args.matrix)
-    result = classify(m, m_max=args.power_cap, policy=_policy(args))
+    result = classify(m, m_max=args.power_cap)
     out = {
         "input_sha256": digest,
         "kind": result.kind,
@@ -92,7 +85,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     m, digest = _load_matrix(args, args.matrix)
-    params = factorize(m, word=args.word, policy=_policy(args))
+    params = factorize(m, word=args.word)
     out = {"input_sha256": digest, "params": params}
     lines = [
         f"word: {' '.join(str(i) for i in params.word)}",
@@ -157,7 +150,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     m, digest = _load_matrix(args, args.matrix)
-    report = verify_gk(m, policy=_policy(args))
+    report = verify_gk(m)
     out = {"input_sha256": digest, "report": report}
     lines = [
         f"eigenvalues: {_fmt_floats(report.eigenvalues)}",
@@ -174,7 +167,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_canonical_form(args: argparse.Namespace) -> int:
     m, digest = _load_matrix(args, args.matrix)
-    result = canonical_basis(BilinearForm(m), policy=_policy(args))
+    result = canonical_basis(BilinearForm(m))
     out = {"input_sha256": digest, "result": result}
     lines = [
         "comparison matrix:",
@@ -189,10 +182,9 @@ def _cmd_canonical_form(args: argparse.Namespace) -> int:
 
 def _cmd_flag_pos(args: argparse.Namespace) -> int:
     m, digest = _load_matrix(args, args.matrix)
-    policy = _policy(args)
-    flag = flag_from_matrix(m, policy=policy)
-    cert = in_B_pos(flag, policy=policy)
-    cert_prime = in_B_pos_prime(flag, policy=policy)
+    flag = flag_from_matrix(m)
+    cert = in_B_pos(flag)
+    cert_prime = in_B_pos_prime(flag)
     out = {
         "input_sha256": digest,
         "positive_cell": cert is not None,
@@ -211,12 +203,7 @@ def _cmd_flag_pos(args: argparse.Namespace) -> int:
 def _cmd_opposed(args: argparse.Namespace) -> int:
     m1, d1 = _load_matrix(args, args.first)
     m2, d2 = _load_matrix(args, args.second)
-    policy = _policy(args)
-    verdict = opposed(
-        flag_from_matrix(m1, policy=policy),
-        flag_from_matrix(m2, policy=policy),
-        policy=policy,
-    )
+    verdict = opposed(flag_from_matrix(m1), flag_from_matrix(m2))
     out = {"input_sha256": [d1, d2], "opposed": verdict}
     lines = [f"opposed: {'yes' if verdict else 'no'}"]
     return _emit(args, out, lines)
@@ -224,7 +211,7 @@ def _cmd_opposed(args: argparse.Namespace) -> int:
 
 def _cmd_stable_flags(args: argparse.Namespace) -> int:
     m, digest = _load_matrix(args, args.matrix)
-    pair = stable_flags(m, sigma_mode=args.sigma, policy=_policy(args))
+    pair = stable_flags(m, sigma_mode=args.sigma)
     out = {"input_sha256": digest, "pair": pair}
     lines = [
         f"sigma mode: {pair.sigma_mode}",
@@ -318,7 +305,7 @@ def _cmd_convex_check(args: argparse.Namespace) -> int:
 
 def _cmd_tilde(args: argparse.Namespace) -> int:
     m, digest = _load_matrix(args, args.matrix)
-    result = tilde(m, policy=_policy(args))
+    result = tilde(m)
     out = {"input_sha256": digest, "matrix": result}
     lines = [format_matrix_grid(result), f"input sha256: {digest}"]
     return _emit(args, out, lines)
@@ -333,12 +320,6 @@ def _add_common(sub: argparse.ArgumentParser, arithmetic: bool = True) -> None:
         choices=("exact", "float"),
         default="exact",
         help="arithmetic used when parsing matrix input",
-    )
-    sub.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="absolute and relative tolerance for float comparisons",
     )
 
 

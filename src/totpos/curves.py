@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from .errors import DomainError, InputError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix
 from .linalg import Matrix, inverse, reversal_permutation
-from .scalars import DEFAULT_POLICY, Scalar, as_fraction
+from .scalars import Scalar, as_fraction
 from .whitney import gauss_ldu, membership_uni
 
 
@@ -233,7 +233,7 @@ def is_positive_quadruple(
     return (
         params is not None
         and params.strict
-        and _cell_params(Matrix.diagonal(signs) @ h @ f4.rep, True, DEFAULT_POLICY) is not None
+        and _cell_params(Matrix.diagonal(signs) @ h @ f4.rep, True) is not None
     )
 
 

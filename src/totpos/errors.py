@@ -31,5 +31,5 @@ class ConsistencyError(TotposError):
 
 
 class StrictnessWarning(UserWarning):
-    """A strict sign decision on the float backend fell inside the zero band
-    of the tolerance policy and was resolved pessimistically."""
+    """A strict sign decision on the float backend fell inside the fixed zero
+    band of :mod:`totpos.scalars` and was resolved pessimistically."""

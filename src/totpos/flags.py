@@ -39,7 +39,7 @@ from .linalg import (
     rank,
     reversal_permutation,
 )
-from .scalars import DEFAULT_POLICY, TolerancePolicy, as_fraction
+from .scalars import as_fraction, sign_of
 from .spectra import _rationalize_columns, gk_spectrum, refine_eigenbasis
 from .whitney import UniParams, gauss_ldu, membership_uni
 
@@ -61,20 +61,14 @@ class Flag:
     def n(self) -> int:
         return self.rep.rows
 
-    def approx_equal(self, other: "Flag", policy: TolerancePolicy | None = None) -> bool:
-        return self.rep.approx_equal(other.rep, policy)
+    def approx_equal(self, other: "Flag") -> bool:
+        return self.rep.approx_equal(other.rep)
 
 
-def _canonical_rep(g: Matrix, policy: TolerancePolicy) -> Matrix:
+def _canonical_rep(g: Matrix) -> Matrix:
     n = g.rows
     exact = g.is_exact
     scale = max(g.entry_scale(), 1.0)
-
-    def is_zero(x) -> bool:
-        if exact:
-            return x == 0
-        return policy.is_zero(float(x), scale)
-
     canon: list[list] = []
     pivots: list[int] = []
     for j in range(n):
@@ -85,7 +79,7 @@ def _canonical_rep(g: Matrix, policy: TolerancePolicy) -> Matrix:
             f = v[p]
             if f != 0:
                 v = [a - f * b for a, b in zip(v, u)]
-        piv = next((i for i in range(n - 1, -1, -1) if not is_zero(v[i])), None)
+        piv = next((i for i in range(n - 1, -1, -1) if sign_of(v[i], scale)), None)
         if piv is None:
             raise SingularityError("matrix columns are linearly dependent")
         inv = 1 / v[piv]
@@ -98,11 +92,11 @@ def _canonical_rep(g: Matrix, policy: TolerancePolicy) -> Matrix:
     return Matrix.from_columns(canon)
 
 
-def flag_from_matrix(g: Matrix, policy: TolerancePolicy | None = None) -> Flag:
+def flag_from_matrix(g: Matrix) -> Flag:
     """Flag of the column-span chain of an invertible matrix."""
     if not g.is_square:
         raise InputError("flags come from square invertible matrices")
-    return Flag(_canonical_rep(g, policy or DEFAULT_POLICY))
+    return Flag(_canonical_rep(g))
 
 
 def standard_flag(n: int) -> Flag:
@@ -113,24 +107,23 @@ def reversed_flag(n: int) -> Flag:
     return Flag(reversal_permutation(n))
 
 
-def opposed(f1: Flag, f2: Flag, policy: TolerancePolicy | None = None) -> bool:
+def opposed(f1: Flag, f2: Flag) -> bool:
     """General position: every split of the two chains spans everything."""
     if f1.n != f2.n:
         raise InputError("flags must live in the same dimension")
     n = f1.n
     if n == 1:
         return True
-    p = policy or DEFAULT_POLICY
     for k in range(1, n):
         cols = [list(f1.rep.col_tuple(j)) for j in range(k)] + [
             list(f2.rep.col_tuple(j)) for j in range(n - k)
         ]
-        if rank(Matrix.from_columns(cols), p) < n:
+        if rank(Matrix.from_columns(cols)) < n:
             return False
     return True
 
 
-def _cell_params(g: Matrix, primed: bool, policy: TolerancePolicy) -> UniParams | None:
+def _cell_params(g: Matrix, primed: bool) -> UniParams | None:
     """Strict parameters of the lower LDU factor of g, or of its inverse
     for the primed cell; None when there are none.
 
@@ -138,29 +131,29 @@ def _cell_params(g: Matrix, primed: bool, policy: TolerancePolicy) -> UniParams 
     is g times an upper triangular matrix, so the two share their lower
     unitriangular factor, and either both have an LDU or neither does.
     """
-    ldu = gauss_ldu(g, policy)
+    ldu = gauss_ldu(g)
     if ldu is None:
         return None
     lower = inverse(ldu[0]) if primed else ldu[0]
-    params = membership_uni(lower, "lower", "standard", policy)
+    params = membership_uni(lower, "lower")
     if params is None or not params.strict:
         return None
     return params
 
 
-def in_B_pos(f: Flag, policy: TolerancePolicy | None = None) -> UniParams | None:
+def in_B_pos(f: Flag) -> UniParams | None:
     """Certificate that the flag lies in the open positive cell.
 
     Returns strictly positive factorization parameters of the flag's lower
     unitriangular representative, or None when the flag is outside the
     open cell (including its boundary).
     """
-    return _cell_params(f.rep, False, policy or DEFAULT_POLICY)
+    return _cell_params(f.rep, False)
 
 
-def in_B_pos_prime(f: Flag, policy: TolerancePolicy | None = None) -> UniParams | None:
+def in_B_pos_prime(f: Flag) -> UniParams | None:
     """Certificate for the primed cell: the representative's inverse factors."""
-    return _cell_params(f.rep, True, policy or DEFAULT_POLICY)
+    return _cell_params(f.rep, True)
 
 
 def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
@@ -266,11 +259,7 @@ def _transport_blocks(
     return block_moduli(upper), block_moduli(lower), block_moduli(diag)
 
 
-def stable_flags(
-    g: Matrix,
-    sigma_mode: SigmaMode = "identity",
-    policy: TolerancePolicy | None = None,
-) -> StableFlagPair:
+def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPair:
     """Fixed flags of the twisted conjugation action of a positive map.
 
     In identity mode the input must be totally positive; in tilde mode the
@@ -283,7 +272,6 @@ def stable_flags(
     """
     if not g.is_square:
         raise InputError("stable flags require a square matrix")
-    p = policy or DEFAULT_POLICY
     n = g.rows
     if n < 2:
         raise InputError(f"stable flags need n >= 2, got a {n}x{n} matrix")
@@ -291,34 +279,34 @@ def stable_flags(
         composite = g
         requirement = "identity mode requires a totally positive matrix"
     elif sigma_mode == "tilde":
-        composite = g @ tilde(g, p)
+        composite = g @ tilde(g)
         requirement = (
             "tilde mode requires the matrix times its twist to be totally positive"
         )
     else:
         raise InputError(f"unknown sigma mode {sigma_mode!r}")
     try:
-        spectrum = gk_spectrum(composite, p)
+        spectrum = gk_spectrum(composite)
     except DomainError:
         raise DomainError(requirement) from None
     if composite.is_exact:
         v = refine_eigenbasis(composite, spectrum.eigenvalues, spectrum.eigenvectors)
     else:
         v = _rationalize_columns(spectrum.eigenvectors)
-    flag = flag_from_matrix(v, p)
+    flag = flag_from_matrix(v)
     flag_prime = flag_from_matrix(
-        Matrix.from_columns([list(v.col_tuple(j)) for j in range(n - 1, -1, -1)]), p
+        Matrix.from_columns([list(v.col_tuple(j)) for j in range(n - 1, -1, -1)])
     )
-    params = in_B_pos(flag, p)
+    params = in_B_pos(flag)
     if params is None:
         raise ConsistencyError("attracting flag missed the open positive cell")
-    params_prime = in_B_pos_prime(flag_prime, p)
+    params_prime = in_B_pos_prime(flag_prime)
     if params_prime is None:
         raise ConsistencyError("repelling flag missed the primed positive cell")
 
     def alpha_image(f: Flag) -> Flag:
-        rep = f.rep if sigma_mode == "identity" else tilde(f.rep, p)
-        return flag_from_matrix(g @ rep, p)
+        rep = f.rep if sigma_mode == "identity" else tilde(f.rep)
+        return flag_from_matrix(g @ rep)
 
     residual = max(
         _flag_distance(alpha_image(flag), flag),

@@ -27,13 +27,14 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, SingularityError
 from .scalars import (
-    DEFAULT_POLICY,
     Scalar,
-    TolerancePolicy,
     as_fraction,
     is_exact_scalar,
+    is_zero,
+    magnitude,
     minor_scale,
     sign_of,
+    zero_threshold,
 )
 
 IndexSet = tuple[int, ...]
@@ -102,15 +103,8 @@ class Matrix:
         return [list(row) for row in self._entries]
 
     def entry_scale(self) -> float:
-        """Max |entry|, used as the scale argument of tolerance tests.
-
-        An exact entry past the float range saturates it to inf; exact sign
-        decisions never read the scale.
-        """
-        try:
-            return max(abs(float(x)) for row in self._entries for x in row)
-        except OverflowError:
-            return math.inf
+        """Max |entry|, the scale of zero-band tests; saturates to inf."""
+        return magnitude(itertools.chain.from_iterable(self._entries))
 
     # -- constructors ----------------------------------------------------
 
@@ -209,15 +203,12 @@ class Matrix:
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self._entries))
 
-    def approx_equal(
-        self, other: "Matrix", policy: TolerancePolicy | None = None
-    ) -> bool:
+    def approx_equal(self, other: "Matrix") -> bool:
         if self.rows != other.rows or self.cols != other.cols:
             return False
-        p = policy or DEFAULT_POLICY
         scale = max(self.entry_scale(), other.entry_scale(), 1.0)
         return all(
-            p.is_zero(float(a) - float(b), scale)
+            is_zero(float(a) - float(b), scale)
             for r1, r2 in zip(self._entries, other._entries)
             for a, b in zip(r1, r2)
         )
@@ -315,7 +306,7 @@ def _bareiss(
     return a, pivots, sign, row_den, col_den
 
 
-def _float_sweep(m: Matrix, policy: TolerancePolicy) -> tuple[list[int], float]:
+def _float_sweep(m: Matrix) -> tuple[list[int], float]:
     """Partial-pivot forward sweep: (pivot columns, signed pivot product).
 
     A column whose largest candidate lies in the zero band has no pivot.
@@ -329,7 +320,7 @@ def _float_sweep(m: Matrix, policy: TolerancePolicy) -> tuple[list[int], float]:
         if r == m.rows:
             break
         p = max(range(r, m.rows), key=lambda i: abs(a[i][c]))
-        if policy.is_zero(a[p][c], scale):
+        if is_zero(a[p][c], scale):
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
@@ -349,12 +340,12 @@ def _float_sweep(m: Matrix, policy: TolerancePolicy) -> tuple[list[int], float]:
 # -- determinants ---------------------------------------------------------
 
 
-def det(m: Matrix, policy: TolerancePolicy | None = None) -> Scalar:
+def det(m: Matrix) -> Scalar:
     """Determinant; exact input gives an exact Fraction."""
     if not m.is_square:
         raise InputError("determinant requires a square matrix")
     if not m.is_exact:
-        pivots, product = _float_sweep(m, policy or DEFAULT_POLICY)
+        pivots, product = _float_sweep(m)
         return product if len(pivots) == m.rows else 0.0
     a, pivots, sign, row_den, col_den = _bareiss(m.to_lists())
     if len(pivots) < m.rows:
@@ -362,20 +353,20 @@ def det(m: Matrix, policy: TolerancePolicy | None = None) -> Scalar:
     return Fraction(sign * a[-1][-1], math.prod(row_den) * math.prod(col_den))
 
 
-def _require_invertible(m: Matrix, policy: TolerancePolicy, what: str) -> None:
+def _require_invertible(m: Matrix, what: str) -> None:
     """Raise SingularityError unless det(m) has a decided nonzero sign.
 
     On the float backend the message names the determinant and the zero-band
     threshold it fell inside; the threshold is inf once the entry scale to
     the n-th power leaves the float range.
     """
-    d = det(m, policy)
+    d = det(m)
     scale = minor_scale(m.entry_scale(), m.rows)
-    if sign_of(d, policy, scale) != 0:
+    if sign_of(d, scale) != 0:
         return
     detail = "" if m.is_exact else (
         f": det = {d!r} lies inside the zero band "
-        f"(threshold {policy.zero_threshold(scale):.3e})"
+        f"(threshold {zero_threshold(scale):.3e})"
     )
     raise SingularityError(f"{what} requires invertibility{detail}")
 
@@ -384,14 +375,13 @@ def minor(
     m: Matrix,
     row_set: Iterable[int],
     col_set: Iterable[int],
-    policy: TolerancePolicy | None = None,
 ) -> Scalar:
     """Determinant of the submatrix on 1-based index sets of equal size."""
     rs = index_set(row_set, m.rows)
     cs = index_set(col_set, m.cols)
     if len(rs) != len(cs):
         raise InputError("minor requires equally sized row and column sets")
-    return det(submatrix(m, rs, cs), policy)
+    return det(submatrix(m, rs, cs))
 
 
 def minor_levels(
@@ -490,20 +480,19 @@ def compound(m: Matrix, k: int) -> Matrix:
 # -- rank, inverses, nullspace --------------------------------------------
 
 
-def rank(m: Matrix, policy: TolerancePolicy | None = None) -> int:
+def rank(m: Matrix) -> int:
     if m.is_exact:
         return len(_bareiss(m.to_lists())[1])
-    return len(_float_sweep(m, policy or DEFAULT_POLICY)[0])
+    return len(_float_sweep(m)[0])
 
 
-def inverse(m: Matrix, policy: TolerancePolicy | None = None) -> Matrix:
+def inverse(m: Matrix) -> Matrix:
     """Matrix inverse; raises SingularityError when no inverse exists."""
     if not m.is_square:
         raise InputError("inverse requires a square matrix")
     n = m.rows
     if m.is_exact:
         return Matrix(_solve_exact(m, Matrix.identity(n).to_lists()))
-    p = policy or DEFAULT_POLICY
     scale = max(m.entry_scale(), 1.0)
     a = [
         list(map(float, m.row_tuple(i)))
@@ -512,7 +501,7 @@ def inverse(m: Matrix, policy: TolerancePolicy | None = None) -> Matrix:
     ]
     for c in range(n):
         piv = max(range(c, n), key=lambda i: abs(a[i][c]))
-        if p.is_zero(a[piv][c], scale):
+        if is_zero(a[piv][c], scale):
             raise SingularityError("matrix is numerically singular")
         a[c], a[piv] = a[piv], a[c]
         inv_p = 1.0 / a[c][c]
@@ -524,9 +513,9 @@ def inverse(m: Matrix, policy: TolerancePolicy | None = None) -> Matrix:
     return Matrix([row[n:] for row in a])
 
 
-def transpose_inverse(m: Matrix, policy: TolerancePolicy | None = None) -> Matrix:
+def transpose_inverse(m: Matrix) -> Matrix:
     """The map M -> (M^T)^{-1}, an involutive group automorphism."""
-    return inverse(m, policy).transpose()
+    return inverse(m).transpose()
 
 
 def _solve_exact(

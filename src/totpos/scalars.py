@@ -1,9 +1,12 @@
-"""Scalar domains: exact rationals and floats under an explicit tolerance policy.
+"""Scalar domains: exact rationals, and floats under one zero band.
 
 Every public operation in the library runs on one of two backends.  The exact
 backend uses ``int``/``fractions.Fraction`` entries and decides signs exactly;
-the float backend decides signs against a :class:`TolerancePolicy`, whose zero
-band turns "is this minor positive?" into a three-way question.  Callers that
+the float backend reads a float as zero when it lies inside the zero band
+``_ZERO_BAND * (1 + |scale|)``, which turns "is this minor positive?" into a
+three-way question.  The band is one private constant, the same for every
+call; :func:`zero_threshold` and :func:`is_zero` are the only code that
+reads it.  Callers that
 need a boolean collapse the indeterminate band pessimistically and emit a
 :class:`totpos.errors.StrictnessWarning`.
 """
@@ -12,9 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import InputError
 
@@ -26,25 +28,30 @@ def is_exact_scalar(x: object) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Absolute/relative zero thresholds for float-backend sign decisions."""
-
-    eps_abs: float = 1e-9
-    eps_rel: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (self.eps_abs > 0.0 and self.eps_rel > 0.0):
-            raise InputError("tolerance policy requires positive eps_abs and eps_rel")
-
-    def zero_threshold(self, scale: float = 1.0) -> float:
-        return self.eps_abs + self.eps_rel * abs(scale)
-
-    def is_zero(self, x: float, scale: float = 1.0) -> bool:
-        return abs(x) <= self.zero_threshold(scale)
+# Absolute and relative width of the float zero band.
+_ZERO_BAND = 1e-9
 
 
-DEFAULT_POLICY = TolerancePolicy()
+def zero_threshold(scale: float) -> float:
+    """Largest |x| a float backend reads as zero at the given scale."""
+    return _ZERO_BAND + _ZERO_BAND * abs(scale)
+
+
+def is_zero(x: float, scale: float) -> bool:
+    """True when the float x lies inside the zero band at the given scale."""
+    return abs(x) <= zero_threshold(scale)
+
+
+def magnitude(values: Iterable[Scalar]) -> float:
+    """Max |x| over nonempty values, the scale of zero-band tests.
+
+    An exact value past the float range saturates it to inf; exact sign
+    decisions never read the scale.
+    """
+    try:
+        return max(abs(float(x)) for x in values)
+    except OverflowError:
+        return math.inf
 
 
 def minor_scale(entry_scale: float, k: int) -> float:
@@ -59,12 +66,11 @@ def minor_scale(entry_scale: float, k: int) -> float:
         return math.inf
 
 
-def sign_of(x: Scalar, policy: TolerancePolicy | None = None, scale: float = 1.0) -> int:
-    """Sign in {-1, 0, +1}; floats inside the policy's zero band flatten to 0."""
+def sign_of(x: Scalar, scale: float = 1.0) -> int:
+    """Sign in {-1, 0, +1}; floats inside the zero band flatten to 0."""
     if is_exact_scalar(x):
         return (x > 0) - (x < 0)
-    p = policy or DEFAULT_POLICY
-    if p.is_zero(float(x), scale):
+    if is_zero(float(x), scale):
         return 0
     return 1 if x > 0 else -1
 

@@ -33,7 +33,6 @@ from .errors import (
     SingularityError,
 )
 from .linalg import Matrix, det, ksubsets, nullspace, solve
-from .scalars import DEFAULT_POLICY, TolerancePolicy
 
 
 # Read when a routine runs, not bound as defaults, so a test may patch one.
@@ -189,7 +188,7 @@ def perron(m: Matrix) -> tuple[float, tuple[float, ...]]:
     return root, tuple(float(v) for v in vec)
 
 
-def _compound_arrays(m: Matrix, policy: TolerancePolicy) -> list[np.ndarray]:
+def _compound_arrays(m: Matrix) -> list[np.ndarray]:
     """Float arrays of every compound order 1..n of a totally positive matrix.
 
     The minor table that certifies total positivity is the one the arrays
@@ -207,7 +206,7 @@ def _compound_arrays(m: Matrix, policy: TolerancePolicy) -> list[np.ndarray]:
             )
         )
 
-    if not _is_positive(_scan_minors(m, policy, strict=True, on_level=keep)):
+    if not _is_positive(_scan_minors(m, strict=True, on_level=keep)):
         raise DomainError("matrix is not totally positive")
     return out
 
@@ -223,7 +222,7 @@ def _normalize_column(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def gk_spectrum(m: Matrix, policy: TolerancePolicy | None = None) -> Spectrum:
+def gk_spectrum(m: Matrix) -> Spectrum:
     """Full eigen-decomposition of a totally positive matrix.
 
     Eigenvalues come from ratios of consecutive compound Perron roots;
@@ -236,7 +235,7 @@ def gk_spectrum(m: Matrix, policy: TolerancePolicy | None = None) -> Spectrum:
     if not m.is_square:
         raise InputError("spectral analysis requires a square matrix")
     n = m.rows
-    compounds = _compound_arrays(m, policy or DEFAULT_POLICY)
+    compounds = _compound_arrays(m)
     roots: list[float] = []
     for arr in compounds:
         root, _ = _power_perron(arr)
@@ -312,7 +311,7 @@ class GKReport:
         return not self.failures
 
 
-def verify_gk(m: Matrix, policy: TolerancePolicy | None = None) -> GKReport:
+def verify_gk(m: Matrix) -> GKReport:
     """Check the spectral law on one matrix and report every sub-verdict.
 
     The compound cross-check compares each compound Perron root against the
@@ -322,7 +321,7 @@ def verify_gk(m: Matrix, policy: TolerancePolicy | None = None) -> GKReport:
     quantity.  Raises DomainError, as :func:`gk_spectrum` does, when the
     input is not totally positive.
     """
-    spectrum = gk_spectrum(m, policy)
+    spectrum = gk_spectrum(m)
     failures: list[str] = []
     c = spectrum.eigenvalues
     descending = all(x > 0 for x in c) and all(
@@ -358,7 +357,7 @@ def verify_gk(m: Matrix, policy: TolerancePolicy | None = None) -> GKReport:
         failures.append(
             "a compound Perron root disagrees with the partial eigenvalue product"
         )
-    d = float(det(m, policy))
+    d = float(det(m))
     full_product = 1.0
     for x in c:
         full_product *= x

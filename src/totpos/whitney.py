@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .errors import ConditioningError, DomainError, InputError
-from .linalg import Matrix, _require_invertible
-from .scalars import DEFAULT_POLICY, Scalar, TolerancePolicy
+from .linalg import Matrix
+from .scalars import Scalar, is_zero
 
 WordKind = Literal["standard", "reversed"]
 Side = Literal["lower", "upper"]
@@ -196,12 +196,6 @@ def synthesize(p: TPParameters) -> Matrix:
 # -- Gauss decomposition ---------------------------------------------------
 
 
-def _is_zero(x: Scalar, exact: bool, policy: TolerancePolicy, scale: float) -> bool:
-    if exact:
-        return x == 0
-    return policy.is_zero(float(x), scale)
-
-
 def _work_rows(m: Matrix) -> list[list[Scalar]]:
     """Mutable copy of the rows; exact entries become Fractions, so / is exact."""
     if m.is_exact:
@@ -209,9 +203,7 @@ def _work_rows(m: Matrix) -> list[list[Scalar]]:
     return [list(m.row_tuple(i)) for i in range(m.rows)]
 
 
-def _ldu(
-    m: Matrix, policy: TolerancePolicy, positive: bool = False
-) -> tuple[list[Scalar], Matrix | None, Matrix | None]:
+def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Scalar], Matrix | None, Matrix | None]:
     """Pivot-free elimination M = L * diag(d) * U, one pivot at a time.
 
     Returns (d, L, U).  Stops at the first pivot in the zero band, or with
@@ -227,7 +219,7 @@ def _ldu(
     for k in range(n):
         pivot = a[k][k]
         diag.append(pivot)
-        if _is_zero(pivot, exact, policy, scale) or (positive and pivot < 0):
+        if (pivot == 0 if exact else is_zero(pivot, scale)) or (positive and pivot < 0):
             return diag, None, None
         for i in range(k + 1, n):
             f = a[i][k] / pivot
@@ -245,9 +237,7 @@ def _ldu(
     return diag, Matrix(lower), Matrix(upper)
 
 
-def gauss_ldu(
-    m: Matrix, policy: TolerancePolicy | None = None
-) -> tuple[Matrix, tuple[Scalar, ...], Matrix] | None:
+def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Scalar, ...], Matrix] | None:
     """Pivot-free M = L * diag(d) * U with L, U unitriangular.
 
     Exists iff every leading principal minor is nonzero; returns None
@@ -257,7 +247,7 @@ def gauss_ldu(
     """
     if not m.is_square:
         raise InputError("decomposition requires a square matrix")
-    diag, lower, upper = _ldu(m, policy or DEFAULT_POLICY)
+    diag, lower, upper = _ldu(m)
     if lower is None:
         return None
     return lower, tuple(diag), upper
@@ -266,9 +256,7 @@ def gauss_ldu(
 # -- peels ------------------------------------------------------------------
 
 
-def _check_identity(
-    a: list[list[Scalar]], exact: bool, policy: TolerancePolicy, scale: float
-) -> bool:
+def _check_identity(a: list[list[Scalar]], exact: bool, scale: float) -> bool:
     n = len(a)
     for i in range(n):
         for j in range(n):
@@ -276,28 +264,28 @@ def _check_identity(
             if exact:
                 if a[i][j] != target:
                     return False
-            elif not policy.is_zero(float(a[i][j]) - target, scale):
+            elif not is_zero(float(a[i][j]) - target, scale):
                 return False
     return True
 
 
-def _peel_ratio(
-    num: Scalar, den: Scalar, exact: bool, policy: TolerancePolicy, scale: float
-) -> Scalar | None:
+def _peel_ratio(num: Scalar, den: Scalar, exact: bool, scale: float) -> Scalar | None:
     """num/den with domain-aware zero handling; None marks non-membership."""
-    if _is_zero(den, exact, policy, scale):
-        if _is_zero(num, exact, policy, scale):
-            return Fraction(0) if exact else 0.0
-        if not exact:
-            raise ConditioningError(
-                "peel pivot fell inside the zero band while the stripped "
-                "entry did not; refusing to divide"
-            )
-        return None
+    if exact:
+        if den == 0:
+            return Fraction(0) if num == 0 else None
+        return num / den
+    if is_zero(den, scale):
+        if is_zero(num, scale):
+            return 0.0
+        raise ConditioningError(
+            "peel pivot fell inside the zero band while the stripped "
+            "entry did not; refusing to divide"
+        )
     return num / den
 
 
-def _peel(m: Matrix, kind: WordKind, policy: TolerancePolicy) -> tuple[Scalar, ...] | None:
+def _peel(m: Matrix, kind: WordKind) -> tuple[Scalar, ...] | None:
     """Strip the word's lower generators from the right, one column at a time.
 
     Standard word: when the rightmost remaining generator has letter i and
@@ -328,14 +316,14 @@ def _peel(m: Matrix, kind: WordKind, policy: TolerancePolicy) -> tuple[Scalar, .
     for s in order:
         i, j = blocks[s]
         r, col = (i + j - 1, i) if kind == "standard" else (n - j, n - i)  # 0-based row
-        c = _peel_ratio(a[r][col - 1], a[r][col], exact, policy, scale)
+        c = _peel_ratio(a[r][col - 1], a[r][col], exact, scale)
         if c is None:
             return None
         out[s] = c
         if c != 0:
             for row in a:
                 row[col - 1] -= c * row[col]
-    if not _check_identity(a, exact, policy, scale):
+    if not _check_identity(a, exact, scale):
         return None
     return tuple(out)
 
@@ -357,7 +345,6 @@ def membership_uni(
     m: Matrix,
     side: Side,
     word: WordKind = "standard",
-    policy: TolerancePolicy | None = None,
 ) -> UniParams | None:
     """Factor a unitriangular matrix over the chosen word, if possible.
 
@@ -371,7 +358,6 @@ def membership_uni(
         raise DomainError(f"matrix is not {side} unitriangular")
     if word not in ("standard", "reversed"):
         raise InputError(f"unknown word kind {word!r}")
-    p = policy or DEFAULT_POLICY
     n = m.rows
     if side == "lower":
         target = m
@@ -382,7 +368,7 @@ def membership_uni(
         # preserving parameter order
         target = Matrix([row[::-1] for row in reversed(m.to_lists())])
         kind = "reversed" if word == "standard" else "standard"
-    cs = _peel(target, kind, p)
+    cs = _peel(target, kind)
     if cs is None:
         return None
     if any(c < 0 for c in cs):
@@ -391,11 +377,7 @@ def membership_uni(
     return UniParams(n, word_for(n, word), side, cs, strict)
 
 
-def factorize(
-    m: Matrix,
-    word: WordKind = "standard",
-    policy: TolerancePolicy | None = None,
-) -> TPParameters:
+def factorize(m: Matrix, word: WordKind = "standard") -> TPParameters:
     """Recover the unique factorization parameters of a totally positive matrix.
 
     Raises DomainError when the input is provably not totally positive (the
@@ -407,9 +389,8 @@ def factorize(
     """
     if not m.is_square:
         raise InputError("factorization requires a square matrix")
-    p = policy or DEFAULT_POLICY
     n = m.rows
-    ldu = gauss_ldu(m, p)
+    ldu = gauss_ldu(m)
     if ldu is None:
         raise DomainError(
             "a leading principal minor vanishes; the matrix is not totally positive"
@@ -417,8 +398,8 @@ def factorize(
     lower_mat, diag, upper_mat = ldu
     if any(not d > 0 for d in diag):
         raise DomainError("a leading principal minor ratio is not positive")
-    lower = membership_uni(lower_mat, "lower", word, p)
-    upper = membership_uni(upper_mat, "upper", word, p)
+    lower = membership_uni(lower_mat, "lower", word)
+    upper = membership_uni(upper_mat, "upper", word)
     if lower is None or upper is None:
         raise DomainError("unitriangular factor is outside the nonnegative cone")
     if not (lower.strict and upper.strict):
@@ -428,18 +409,3 @@ def factorize(
         )
     return TPParameters(n, word_for(n, word), lower.c, diag, upper.c, strict=True)
 
-
-def monoid_generate_check(m: Matrix, policy: TolerancePolicy | None = None) -> bool:
-    """True iff the matrix lies in the invertible totally nonnegative monoid.
-
-    Equivalent to membership in the closure of products of nonnegative
-    elementary generators and positive diagonals.  Singular input is a
-    domain error, not a negative answer.
-    """
-    from .classify import is_totally_nonnegative
-
-    if not m.is_square:
-        raise InputError("monoid membership requires a square matrix")
-    p = policy or DEFAULT_POLICY
-    _require_invertible(m, p, "monoid membership test")
-    return is_totally_nonnegative(m, p)

@@ -11,10 +11,9 @@ import inspect
 import textwrap
 
 import totpos
-from totpos import sampling
+from totpos import sampling, whitney
 
 KEPT_KEYWORDS = {
-    "policy",
     "scale",
     "exact",
     "max_order",
@@ -29,13 +28,11 @@ KEPT_KEYWORDS = {
     "points",
     "trials",
     "coeff_bound",
-    "eps_abs",
-    "eps_rel",
 }
 
 
 def _public_callables():
-    for module in (totpos, sampling):
+    for module in (totpos, sampling, whitney):
         for name in dir(module):
             obj = getattr(module, name)
             if name.startswith("_") or not callable(obj):
@@ -59,8 +56,8 @@ def test_only_kept_keywords_have_defaults():
 
 def test_walk_covers_the_public_api():
     names = {name for name, _ in _public_callables()}
-    assert {"totpos.verify_gk", "totpos.stable_flags", "totpos.TolerancePolicy"} <= names
-    assert "totpos.sampling.positive_fraction" in names
+    assert {"totpos.verify_gk", "totpos.stable_flags", "totpos.Matrix"} <= names
+    assert {"totpos.sampling.positive_fraction", "totpos.whitney.gauss_ldu"} <= names
 
 
 def _unread_parameters(func) -> list[str]:

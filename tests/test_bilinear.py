@@ -21,7 +21,7 @@ from totpos.bilinear import (
 from totpos.classify import is_totally_positive
 from totpos.errors import DomainError, InputError
 from totpos.linalg import Matrix, det, inverse, ksubsets, submatrix
-from totpos.scalars import TolerancePolicy, minor_scale
+from totpos.scalars import minor_scale, zero_threshold
 from totpos.sampling import random_positive_form, random_tp_matrix
 from totpos.whitney import gen_x, gen_y
 
@@ -93,7 +93,7 @@ def test_form_family_agrees_with_attached_matrix_test():
             assert form_family_positive(form) == is_totally_positive_form(form)
 
 
-def _old_form_family_positive(form, policy):
+def _old_form_family_positive(form):
     # oracle: every signed determinant of the family through its own
     # elimination, judged against the order-k zero band
     n = form.n
@@ -102,11 +102,11 @@ def _old_form_family_positive(form, policy):
     for k in range(1, n + 1):
         for rset in ksubsets(n, k):
             for sset in ksubsets(n, k):
-                value = det(submatrix(signed, rset, sset), policy)
+                value = det(submatrix(signed, rset, sset))
                 if form.gram.is_exact:
                     if not value > 0:
                         return False
-                elif not float(value) > policy.zero_threshold(minor_scale(scale, k)):
+                elif not float(value) > zero_threshold(minor_scale(scale, k)):
                     return False
     return True
 
@@ -130,7 +130,6 @@ def _family_inputs():
 
 
 def test_form_family_reads_the_minor_table_like_the_determinant_loop():
-    policy = TolerancePolicy()
     verdicts = set()
     for form in _family_inputs():
         grams = [form.gram] + ([form.gram.to_float()] if form.gram.is_exact else [])
@@ -138,8 +137,8 @@ def test_form_family_reads_the_minor_table_like_the_determinant_loop():
             f = BilinearForm(gram)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # the family never warns
-                got = form_family_positive(f, policy)
-            assert got == _old_form_family_positive(f, policy), gram.to_lists()
+                got = form_family_positive(f)
+            assert got == _old_form_family_positive(f), gram.to_lists()
             verdicts.add((got, gram.is_exact))
     assert verdicts == {(v, e) for v in (True, False) for e in (True, False)}
 

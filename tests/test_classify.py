@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totpos import linalg
+from totpos import linalg, monoid_generate_check
 from totpos.bilinear import A_to_form, canonical_basis, form_to_A, tilde
 from totpos.classify import (
     TPKind,
@@ -37,9 +37,9 @@ from totpos.flags import stable_flags
 from totpos.errors import InputError
 from totpos.linalg import Matrix, det, ksubsets, minor, reversal_permutation, submatrix
 from totpos.sampling import random_tn_matrix, random_tp_matrix, random_vector
-from totpos.scalars import TolerancePolicy, minor_scale, sign_of
+from totpos.scalars import minor_scale, sign_of, zero_threshold
 from totpos.spectra import gk_spectrum
-from totpos.whitney import gen_x, gen_y, monoid_generate_check
+from totpos.whitney import gen_x, gen_y
 
 VANDERMONDE = Matrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
 TRIDIAG = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
@@ -64,12 +64,14 @@ def test_sign_variation_frozen():
     assert sign_variation([0, 3, 0, -2, 0]) == 1
     assert sign_variation([F(1, 2)]) == 0
     assert sign_variation([-1, -2, -3]) == 0
+    # exact signs never read the scale, which saturates past the float range
+    assert sign_variation([F(10**400), -1, 1]) == 2
+    assert variation_diminishes_on(Matrix.identity(3), [F(10**400), -1, 1])
 
 
 def test_sign_variation_float_band():
-    p = TolerancePolicy(eps_abs=1e-9, eps_rel=1e-9)
     # the middle entry sits inside the zero band and is dropped
-    assert sign_variation([1.0, -1e-12, 1.0], p) == 0
+    assert sign_variation([1.0, -1e-12, 1.0]) == 0
 
 
 def test_vandermonde_is_totally_positive():
@@ -217,10 +219,9 @@ def test_products_stay_in_class():
 def _oracle_kind(m):
     # independent oracle: every minor through its own elimination, signs
     # judged with the same zero band as the scan
-    policy = TolerancePolicy()
     scale = m.entry_scale()
     signs = {
-        sign_of(minor(m, rs, cs), policy, minor_scale(scale, k))
+        sign_of(minor(m, rs, cs), minor_scale(scale, k))
         for k in range(1, m.rows + 1)
         for rs in ksubsets(m.rows, k)
         for cs in ksubsets(m.rows, k)
@@ -288,8 +289,7 @@ def test_scan_matches_exhaustive_minor_oracle():
 
 def _scan_class(m):
     # oracle: kind and exponent from the exhaustive minor table alone
-    policy = TolerancePolicy()
-    least = _scan_minors(m, policy, strict=False)
+    least = _scan_minors(m, strict=False)
     if least is _Least.POSITIVE:
         return TPKind.TOTALLY_POSITIVE, 1
     if least is _Least.NEGATIVE:
@@ -297,7 +297,7 @@ def _scan_class(m):
     power = m
     for exponent in range(2, max(m.rows - 1, 1) + 1):
         power = power @ m
-        if _scan_minors(power, policy, strict=True) is _Least.POSITIVE:
+        if _scan_minors(power, strict=True) is _Least.POSITIVE:
             return TPKind.TOTALLY_NONNEGATIVE_ONLY, exponent
     return TPKind.TOTALLY_NONNEGATIVE_ONLY, None
 
@@ -346,7 +346,7 @@ def test_factorization_verdict_matches_scan():
             assert is_totally_nonnegative(m) == (want[0] is not TPKind.NEITHER)
             least = _factored_least(m)
             if least is not None:
-                assert least is _scan_minors(m, TolerancePolicy(), strict=False)
+                assert least is _scan_minors(m, strict=False)
                 decided.add((least, all(isinstance(x, int) for row in m.to_lists() for x in row)))
     # the factorization itself decides all three signs, on int and Fraction
     # entries alike
@@ -375,7 +375,7 @@ def test_factorization_verdict_matches_scan():
 def test_factored_verdict_agrees_with_scan(rows):
     m = Matrix(rows)
     least = _factored_least(m)
-    assert least is None or least is _scan_minors(m, TolerancePolicy(), strict=False)
+    assert least is None or least is _scan_minors(m, strict=False)
     assert (classify(m).kind, classify(m).oscillatory_m) == _scan_class(m)
 
 
@@ -438,7 +438,7 @@ def test_one_minor_table_per_certified_matrix(monkeypatch):
     assert seen == [g @ tilde(g)]
 
 
-def _old_scan_minors(m, policy, strict):
+def _old_scan_minors(m, strict):
     # oracle: the per-minor sign loop the one-rule scan replaced; it stops
     # at the first negative (or, strict, zero) minor in table order
     scale = m.entry_scale()
@@ -446,7 +446,7 @@ def _old_scan_minors(m, policy, strict):
     for k, table in linalg.minor_levels(m):
         level_scale = minor_scale(scale, k)
         for value in table.values():
-            s = sign_of(value, policy, level_scale)
+            s = sign_of(value, level_scale)
             if s < 0:
                 return _Least.NEGATIVE
             if s == 0:
@@ -459,16 +459,16 @@ def _old_scan_minors(m, policy, strict):
     return least
 
 
-def _old_variation_diminishing(m, policy):
+def _old_variation_diminishing(m):
     # oracle: the per-minor loop looking for both signs inside one order
-    linalg._require_invertible(m, policy, "variation-diminishing test")
+    linalg._require_invertible(m, "variation-diminishing test")
     scale = m.entry_scale()
     for k, table in linalg.minor_levels(m):
         has_pos = False
         has_neg = False
         level_scale = minor_scale(scale, k)
         for value in table.values():
-            s = sign_of(value, policy, level_scale)
+            s = sign_of(value, level_scale)
             if s > 0:
                 has_pos = True
             elif s < 0:
@@ -518,24 +518,23 @@ def _sign_rule_inputs():
 
 
 def test_one_sign_rule_matches_per_minor_loops():
-    policy = TolerancePolicy()
     seen = set()
     for m in _sign_rule_inputs():
-        loose = _scan_minors(m, policy, strict=False)
-        assert loose is _old_scan_minors(m, policy, strict=False), m.to_lists()
-        strict, old = _scan_minors(m, policy, strict=True), _old_scan_minors(m, policy, strict=True)
+        loose = _scan_minors(m, strict=False)
+        assert loose is _old_scan_minors(m, strict=False), m.to_lists()
+        strict, old = _scan_minors(m, strict=True), _old_scan_minors(m, strict=True)
         # a zero and a negative minor of one order: the old loop returned
         # whichever came first, the fold returns the least
         assert strict is old or {strict, old} == {_Least.NEGATIVE, _Least.ZERO}
         assert _strict_verdict(strict) == _strict_verdict(old)
         seen |= {(loose, m.is_exact), (strict, m.is_exact)}
         try:
-            want = _old_variation_diminishing(m, policy)
+            want = _old_variation_diminishing(m)
         except SingularityError:
             with pytest.raises(SingularityError):
-                is_variation_diminishing(m, policy)
+                is_variation_diminishing(m)
         else:
-            assert is_variation_diminishing(m, policy) == want, m.to_lists()
+            assert is_variation_diminishing(m) == want, m.to_lists()
             seen.add(("diminishing", want))
     # every kind on the float backend, every exact one, and both answers of
     # the variation test
@@ -557,7 +556,7 @@ def test_invertible_zero_pivot_is_negative_without_a_table():
                 rows[i][k] = 0  # the (k+1)-th leading principal minor vanishes
             m = Matrix(rows)
             least = _factored_least(m)
-            want = _scan_minors(m, TolerancePolicy(), strict=False)
+            want = _scan_minors(m, strict=False)
             invertible = det(m) != 0
             if invertible:
                 assert least is _Least.NEGATIVE is want, rows
@@ -580,3 +579,48 @@ def test_zero_pivot_past_the_table_cap():
     pascal[0] = [0] * 14  # singular: only the table could decide
     with pytest.raises(InputError, match="past the cap"):
         classify(Matrix(pascal))
+
+
+def _clear_of_the_band(m):
+    # every exact minor lies outside twice the zero band of its order
+    scale = m.entry_scale()
+    return all(
+        abs(value) > 2 * zero_threshold(minor_scale(scale, k))
+        for k, table in linalg.minor_levels(m)
+        for value in table.values()
+    )
+
+
+def test_float_backend_agrees_with_exact_outside_the_band():
+    # the float contract: when no minor comes near the zero band, a float
+    # copy gets the exact verdicts, and no strict question warns
+    rng = random.Random(2007)
+    kinds = []
+    for trial in range(2000):
+        n = rng.randint(1, 4)
+        if trial % 3 == 0:
+            m = random_tp_matrix(n, rng)
+        else:
+            m = Matrix(
+                [[F(rng.randint(-2, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            )
+        if not _clear_of_the_band(m):
+            continue
+        verdicts = []
+        for x in (m, m.to_float()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", StrictnessWarning)
+                verdicts.append(
+                    (
+                        classify(x),
+                        is_totally_positive(x),
+                        is_totally_nonnegative(x),
+                        is_variation_diminishing(x),
+                    )
+                )
+        assert verdicts[0] == verdicts[1], m.to_lists()
+        kinds.append(verdicts[0][0].kind)
+    # no minor is zero, so every kept input is totally positive or neither
+    assert len(kinds) > 1000
+    assert kinds.count(TPKind.TOTALLY_POSITIVE) > 500
+    assert kinds.count(TPKind.NEITHER) > 200

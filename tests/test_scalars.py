@@ -1,4 +1,4 @@
-"""Scalar parsing, formatting, and tolerance policy behavior."""
+"""Scalar parsing, formatting, and the float zero band."""
 
 import math
 from fractions import Fraction as F
@@ -7,13 +7,14 @@ import pytest
 
 from totpos.errors import InputError
 from totpos.scalars import (
-    TolerancePolicy,
     as_fraction,
     format_scalar,
     is_exact_scalar,
+    is_zero,
     minor_scale,
     parse_scalar,
     sign_of,
+    zero_threshold,
 )
 
 
@@ -69,23 +70,30 @@ def test_is_exact_scalar():
     assert not is_exact_scalar(True)  # bools are not numbers here
 
 
-def test_policy_zero_band():
-    p = TolerancePolicy(eps_abs=1e-9, eps_rel=1e-9)
-    assert p.is_zero(5e-10, 0.0)
-    assert not p.is_zero(5e-9, 0.0)
+def test_zero_band():
+    assert is_zero(5e-10, 0.0)
+    assert not is_zero(5e-9, 0.0)
     # relative part grows with scale
-    assert p.is_zero(5e-4, 1e6)
+    assert is_zero(5e-4, 1e6)
+    assert not is_zero(5e-3, 1e6)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, 9.0, 1e6, 1e300, math.inf])
+def test_zero_threshold_is_pinned(s):
+    # bit for bit the band every float verdict has been read against
+    assert zero_threshold(s).hex() == (1e-9 + 1e-9 * abs(s)).hex()
 
 
 def test_sign_of_exact_is_strict():
-    p = TolerancePolicy()
-    assert sign_of(F(1, 10**12), p) == 1
-    assert sign_of(F(0), p) == 0
-    assert sign_of(-F(1, 10**12), p) == -1
+    assert sign_of(F(1, 10**12)) == 1
+    assert sign_of(F(0)) == 0
+    assert sign_of(-F(1, 10**12)) == -1
+    # exact signs never read the scale, not even an infinite one
+    assert sign_of(F(1, 10**12), math.inf) == 1
 
 
 def test_sign_of_float_flattens_band():
-    p = TolerancePolicy(eps_abs=1e-9, eps_rel=1e-9)
-    assert sign_of(1e-12, p) == 0
-    assert sign_of(1e-3, p) == 1
-    assert sign_of(-1e-3, p) == -1
+    assert sign_of(1e-12) == 0
+    assert sign_of(1e-3) == 1
+    assert sign_of(-1e-3) == -1
+    assert sign_of(1e-3, 1e6) == 0

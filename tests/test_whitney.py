@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totpos import monoid_generate_check
 from totpos.classify import is_totally_nonnegative, is_totally_positive
 from totpos.errors import (
     ConditioningError,
@@ -15,7 +16,6 @@ from totpos.errors import (
     SingularityError,
 )
 from totpos.linalg import Matrix, det
-from totpos.scalars import DEFAULT_POLICY
 from totpos.sampling import (
     random_tn_matrix,
     random_tp_matrix,
@@ -34,7 +34,6 @@ from totpos.whitney import (
     gen_x,
     gen_y,
     membership_uni,
-    monoid_generate_check,
     reversed_word,
     standard_word,
     synthesize,
@@ -255,7 +254,7 @@ def test_membership_upper_side():
     assert synthesize_uni(q) == m
 
 
-def _oracle_peel_standard(m, policy):
+def _oracle_peel_standard(m):
     # oracle: the standard-word peel with its own block table
     n = m.rows
     letters = [(i, j) for j in range(1, n) for i in range(1, n - j + 1)]
@@ -266,17 +265,17 @@ def _oracle_peel_standard(m, policy):
     for s in range(len(letters) - 1, -1, -1):
         i, j = letters[s]
         r = i + j - 1
-        c = _peel_ratio(a[r][i - 1], a[r][i], exact, policy, scale)
+        c = _peel_ratio(a[r][i - 1], a[r][i], exact, scale)
         if c is None:
             return None
         out[s] = c
         if c != 0:
             for row in range(n):
                 a[row][i - 1] -= c * a[row][i]
-    return tuple(out) if _check_identity(a, exact, policy, scale) else None
+    return tuple(out) if _check_identity(a, exact, scale) else None
 
 
-def _oracle_peel_reversed(m, policy):
+def _oracle_peel_reversed(m):
     # oracle: the reversed-word peel by row operations, left to right
     n = m.rows
     letters = [(i, j) for j in range(1, n) for i in range(n - 1, j - 1, -1)]
@@ -286,14 +285,14 @@ def _oracle_peel_reversed(m, policy):
     out = [0 if exact else 0.0] * len(letters)
     for s in range(len(letters)):
         i, j = letters[s]
-        c = _peel_ratio(a[i][j - 1], a[i - 1][j - 1], exact, policy, scale)
+        c = _peel_ratio(a[i][j - 1], a[i - 1][j - 1], exact, scale)
         if c is None:
             return None
         out[s] = c
         if c != 0:
             for col in range(n):
                 a[i][col] -= c * a[i - 1][col]
-    return tuple(out) if _check_identity(a, exact, policy, scale) else None
+    return tuple(out) if _check_identity(a, exact, scale) else None
 
 
 _ORACLE_PEELS = {"standard": _oracle_peel_standard, "reversed": _oracle_peel_reversed}
@@ -305,7 +304,7 @@ def _oracle_membership(m, side, word):
     else:
         target = Matrix([row[::-1] for row in reversed(m.to_lists())])
         kind = "reversed" if word == "standard" else "standard"
-    cs = _ORACLE_PEELS[kind](target, DEFAULT_POLICY)
+    cs = _ORACLE_PEELS[kind](target)
     if cs is None or any(c < 0 for c in cs):
         return None
     return UniParams(m.rows, word_for(m.rows, word), side, cs, all(c > 0 for c in cs))
@@ -349,8 +348,8 @@ def test_one_peel_matches_both_oracle_peels():
                         )
                         if side == "lower":
                             for kind in ("standard", "reversed"):
-                                assert _outcome(_peel, x, kind, DEFAULT_POLICY) == _outcome(
-                                    _ORACLE_PEELS[kind], x, DEFAULT_POLICY
+                                assert _outcome(_peel, x, kind) == _outcome(
+                                    _ORACLE_PEELS[kind], x
                                 )
                         compared += 1
     assert compared > 500
