@@ -107,16 +107,20 @@ def c0_matrix(n: int) -> Matrix:
     """The twist matrix: column r is (-1)^r e_{n+1-r}."""
     if n < 1:
         raise InputError("twist matrix needs n >= 1")
-    rows = [[0] * n for _ in range(n)]
-    for r in range(1, n + 1):
-        rows[n - r][r - 1] = -1 if r % 2 else 1
-    return Matrix(rows)
+    return _twisted(Matrix.identity(n), True, False)
 
 
-def _c0_inverse(n: int) -> Matrix:
-    # the twist squares to (-1)^{n+1} times the identity
-    c0 = c0_matrix(n)
-    return c0 if n % 2 else -c0
+def _twisted(m: Matrix, left: bool, right: bool, sign: int = 1) -> Matrix:
+    """sign * C0^left @ m @ C0^right, as one signed index reversal: C0 @ m
+    moves row n-1-i of m, times (-1)^(n-i), to row i (0-based), and m @ C0
+    column n-1-j, times (-1)^(j+1), to column j.  Each entry is 0 + s * x, so
+    a float zero never turns into -0.0."""
+    n, a = m.rows, m.to_lists()
+    return Matrix([
+        [0 + sign * (-1) ** (left * (n - i) + right * (j + 1))
+         * a[-1 - i if left else i][-1 - j if right else j] for j in range(n)]
+        for i in range(n)
+    ])
 
 
 def tilde(m: Matrix) -> Matrix:
@@ -124,12 +128,13 @@ def tilde(m: Matrix) -> Matrix:
 
     An automorphism of the general linear group that maps each lower
     elementary generator with letter i to the one with letter n-i (same
-    parameter), and therefore preserves total positivity.
+    parameter), and therefore preserves total positivity.  As C0^{-1} is
+    (-1)^{n+1} C0, entry (i, j) is (-1)^{i+j} T[n-1-i][n-1-j], T = (M^T)^{-1}.
     """
     if not m.is_square:
         raise InputError("the twist involution requires a square matrix")
     n = m.rows
-    return c0_matrix(n) @ transpose_inverse(m) @ _c0_inverse(n)
+    return _twisted(transpose_inverse(m), True, True, (-1) ** (n + 1))
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,7 @@ def canonical_basis(form: BilinearForm) -> CanonicalBasisResult:
     if not is_totally_positive_form(form):
         raise DomainError("the form is not totally positive")
     a_op = form_to_A(form).transpose()
-    c = c0_matrix(n) @ transpose_inverse(a_op)
+    c = _twisted(transpose_inverse(a_op), True, False)
     c_check = transpose_inverse(c)
     sign = 1 if n % 2 else -1
     comparison = (c @ c_check).scale(sign)

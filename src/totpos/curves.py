@@ -30,10 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .classify import sign_variation
 from .errors import DomainError, InputError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix
 from .linalg import Matrix, inverse, reversal_permutation
-from .scalars import Scalar, as_fraction
+from .scalars import Scalar, _require_scalar, as_fraction
 from .whitney import gauss_ldu, membership_uni
 
 
@@ -331,64 +332,44 @@ def is_positive_curve_sampled(
 # -- hyperplane sections of the moment curve --------------------------------
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+def sturm_distinct_real_roots(coeffs: Sequence[Scalar]) -> int:
+    """Number of distinct real roots, by one Sturm chain on integers.
+
+    Ascending coefficient order.  Each remainder is scaled by |lead| before a
+    top term is cancelled and divided by its content (Collins 1967): a positive
+    multiple of the rational chain's member, with its signs.  A common factor
+    of non-square-free input scales whole chain evaluations without changing
+    sign variation counts.  The zero polynomial is rejected.
+    """
+    for x in coeffs:
+        _require_scalar(x)
+    p = [as_fraction(x) for x in coeffs]
+    d = math.lcm(*(x.denominator for x in p))
+    p = [x.numerator * (d // x.denominator) for x in p]
     while p and p[-1] == 0:
         p.pop()
-    return p
-
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [p[i] * i for i in range(1, len(p))]
-
-
-def _poly_divmod(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    r = _poly_trim(list(a))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        factor = r[-1] * inv_lead
-        q[shift] = factor
-        for i in range(len(b)):
-            r[shift + i] -= factor * b[i]
-        r.pop()
-        _poly_trim(r)
-    return _poly_trim(q), r
-
-
-def sturm_distinct_real_roots(coeffs: Sequence[Scalar]) -> int:
-    """Number of distinct real roots, by one Sturm chain over the rationals.
-
-    Ascending coefficient order.  Works for non-square-free input: a
-    common factor scales whole chain evaluations without changing sign
-    variation counts.  The zero polynomial is rejected.
-    """
-    p = _poly_trim([as_fraction(x) for x in coeffs])
     if not p:
         raise InputError("the zero polynomial has no root count")
     if len(p) == 1:
         return 0
-    chain = [p]
-    current = _poly_trim(_poly_deriv(p))
-    while current:
-        chain.append(current)
-        if len(current) == 1:
+    chain = [p, [i * x for i, x in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        while len(r) >= len(b):
+            f = r.pop() if b[-1] > 0 else -r.pop()
+            r = [abs(b[-1]) * x for x in r]
+            for i, y in enumerate(b[:-1], len(r) + 1 - len(b)):
+                r[i] -= f * y
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
             break
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        current = [-x for x in rem]
-
-    def variations(at_plus_infinity: bool) -> int:
-        signs = []
-        for poly in chain:
-            s = 1 if poly[-1] > 0 else -1
-            if not at_plus_infinity and (len(poly) - 1) % 2:
-                s = -s
-            signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(False) - variations(True)
+        g = math.gcd(*r)
+        chain.append([-x // g for x in r])
+    # the chain's signs at +infinity, and at -infinity
+    top = [q[-1] for q in chain]
+    bottom = [x if len(q) % 2 else -x for x, q in zip(top, chain)]
+    return sign_variation(bottom) - sign_variation(top)
 
 
 def hyperplane_intersection_count(
@@ -404,11 +385,12 @@ def hyperplane_intersection_count(
     n = curve.n
     if len(coeffs) != n:
         raise InputError(f"hyperplane needs {n} coefficients")
-    h = [as_fraction(x) for x in coeffs]
-    if all(x == 0 for x in h):
+    for x in coeffs:
+        _require_scalar(x)
+    if all(x == 0 for x in coeffs):
         raise InputError("hyperplane coefficients must not all vanish")
-    finite = sturm_distinct_real_roots(h)
-    at_infinity = 1 if h[-1] == 0 else 0
+    finite = sturm_distinct_real_roots(coeffs)
+    at_infinity = 1 if coeffs[-1] == 0 else 0
     return finite + at_infinity
 
 

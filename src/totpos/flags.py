@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bilinear import c0_matrix, tilde
+from .bilinear import _twisted, tilde
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -324,7 +324,7 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
     g_w = w_inv @ g @ w
     k_mat = None
     if sigma_mode == "tilde":
-        k_mat = w_inv @ c0_matrix(n) @ w_inv.transpose()
+        k_mat = _twisted(w_inv, False, True) @ w_inv.transpose()
     dilation, contraction, finite = _transport_blocks(g_w, sigma_mode, k_mat)
     margin = min(
         min(float(c) for c in params.c),

@@ -10,12 +10,13 @@ strictly increasing convention used throughout the public API.
 On the exact backend, determinants, rank, solves, inverses and kernels all
 come from one fraction-free Bareiss elimination, run on integers after the
 denominators are cleared along the rows or the columns, whichever costs fewer
-bits.  On the float backend, determinant and rank share one partial-pivot
-forward sweep.  Minors of all orders come from a dynamic program that expands
-each order-k minor along its last row using the order k-1 table, which is far
-cheaper than independent eliminations when a caller needs every minor of
-every order.  On exact input that table runs on integers, after one clearing
-of the denominators, so its floats are the correctly rounded exact minors.
+bits, and exact products run on integers too.  On the float backend,
+determinant and rank share one partial-pivot forward sweep.  Minors of all
+orders come from a dynamic program that expands each order-k minor along its
+last row using the order k-1 table, which is far cheaper than independent
+eliminations when a caller needs every minor of every order.  On exact input
+that table runs on integers, after one clearing of the denominators, so its
+floats are the correctly rounded exact minors.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, SingularityError
 from .scalars import (
     Scalar,
+    _require_scalar,
     as_fraction,
     is_exact_scalar,
     is_zero,
@@ -57,16 +60,13 @@ class Matrix:
             if len(row) != width:
                 raise InputError("ragged rows: all rows must have equal length")
             for x in row:
-                if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)):
-                    raise InputError(f"entry {x!r} is not a supported scalar")
+                _require_scalar(x)
         exact = all(is_exact_scalar(x) for row in data for x in row)
         if not exact:
             try:
                 data = tuple(tuple(float(x) for x in row) for row in data)
             except OverflowError:
                 raise InputError("an entry lies outside the float range") from None
-            if not all(math.isfinite(x) for row in data for x in row):
-                raise InputError("float entries must be finite, not NaN or infinite")
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_entries", data)
@@ -137,6 +137,8 @@ class Matrix:
                 f"{other.rows}x{other.cols}"
             )
         bt = list(zip(*other._entries))
+        if self._exact and other._exact:
+            return Matrix(_exact_products(self._entries, bt))
         return Matrix(
             [
                 [sum(a * b for a, b in zip(row, col)) for col in bt]
@@ -174,6 +176,8 @@ class Matrix:
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.cols:
             raise InputError("vector length must equal the column count")
+        if self._exact and all(is_exact_scalar(x) for x in vector):
+            return tuple(row[0] for row in _exact_products(self._entries, [vector]))
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._entries)
 
     def to_float(self) -> "Matrix":
@@ -222,6 +226,22 @@ class Matrix:
     def _require_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise InputError("shape mismatch")
+
+
+def _exact_products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
+    """Dot products of exact rows and columns, summed on integers: each is
+    cleared once by the lcm of its denominators, and an entry is one Fraction
+    over two lcms, or an int when neither holds a Fraction, as in a sum."""
+    def cleared(v):
+        d = math.lcm(*(x.denominator for x in v))
+        wrap = any(isinstance(x, Fraction) for x in v)
+        return [x.numerator * (d // x.denominator) for x in v], d, wrap
+
+    right = [cleared(col) for col in cols]
+    return [
+        [Fraction(s, d * e) if f or g else s for b, e, g in right for s in [sum(map(mul, a, b))]]
+        for a, d, f in map(cleared, rows)
+    ]
 
 
 # -- index sets ----------------------------------------------------------

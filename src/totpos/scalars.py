@@ -28,6 +28,14 @@ def is_exact_scalar(x: object) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _require_scalar(x: object) -> None:
+    """The entry rule: an int, Fraction or finite float, never a bool or str."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)):
+        raise InputError(f"entry {x!r} is not a supported scalar")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise InputError("float entries must be finite, not NaN or infinite")
+
+
 # Absolute and relative width of the float zero band.
 _ZERO_BAND = 1e-9
 

@@ -9,6 +9,7 @@ import pytest
 
 from totpos.bilinear import (
     A_to_form,
+    _twisted,
     BilinearForm,
     c0_matrix,
     canonical_basis,
@@ -19,7 +20,7 @@ from totpos.bilinear import (
     tilde,
 )
 from totpos.classify import is_totally_positive
-from totpos.errors import DomainError, InputError
+from totpos.errors import DomainError, InputError, SingularityError
 from totpos.linalg import Matrix, det, inverse, ksubsets, submatrix
 from totpos.scalars import minor_scale, zero_threshold
 from totpos.sampling import random_positive_form, random_tp_matrix
@@ -176,6 +177,42 @@ def test_tilde_frozen_value():
     assert tilde(m) == Matrix(
         [[F(1, 2), F(3, 2), 1], [1, 4, 3], [F(1, 2), F(5, 2), 3]]
     )
+
+
+def _c0_product(*factors):
+    """Left-to-right product by one sum of products per entry, the loop the
+    twist products ran before they became index reversals."""
+    out = factors[0].to_lists()
+    for f in factors[1:]:
+        cols = list(zip(*f.to_lists()))
+        out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in out]
+    return out
+
+
+def test_twists_match_the_c0_products():
+    # repr, not ==: it sees entry types and the sign of a float zero
+    rng = random.Random(37)
+    seen_float_zero = False
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        exact = rng.random() < 0.5
+        rows = [
+            [0 if rng.random() < 0.4 else F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        m = Matrix(rows) if exact else Matrix(rows).to_float()
+        try:
+            t = inverse(m).transpose()
+        except SingularityError:
+            continue
+        c0 = c0_matrix(n)
+        c0_inv = c0 if n % 2 else -c0
+        assert repr(tilde(m).to_lists()) == repr(_c0_product(c0, t, c0_inv)), m
+        for left, right in ((True, False), (False, True), (True, True)):
+            expect = _c0_product(*([c0] * left + [t] + [c0] * right))
+            assert repr(_twisted(t, left, right).to_lists()) == repr(expect), m
+        seen_float_zero |= not exact and 0.0 in (x for row in t.to_lists() for x in row)
+    assert seen_float_zero
 
 
 def test_canonical_basis_frozen_2x2():

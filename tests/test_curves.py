@@ -255,6 +255,84 @@ def test_sturm_matches_sympy():
         assert ours == theirs
 
 
+def _fraction_sturm_count(coeffs):
+    """The Sturm count over the rationals, with one Fraction per term: the
+    chain the integer pseudo-remainders replaced."""
+    p = [F(x) for x in coeffs]
+    while p[-1] == 0:
+        p.pop()
+    if len(p) == 1:
+        return 0
+    chain = [p, [p[i] * i for i in range(1, len(p))]]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        while len(r) >= len(b):
+            factor = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i in range(len(b)):
+                r[shift + i] -= factor * b[i]
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            break
+        chain.append([-x for x in r])
+    plus = [q[-1] > 0 for q in chain]
+    minus = [(q[-1] > 0) == (len(q) % 2 == 1) for q in chain]
+    changes = lambda signs: sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes(minus) - changes(plus)
+
+
+def _seeded_polynomial(rng):
+    """Degree <= 8 with rational, float or integer roots and coefficients,
+    often repeated roots, and a leading coefficient of either sign."""
+    kind = rng.choice(["roots", "int", "fraction", "float"])
+    if kind != "roots":
+        draw = {
+            "int": lambda: rng.randint(-9, 9),
+            "fraction": lambda: F(rng.randint(-9, 9), rng.randint(1, 7)),
+            "float": lambda: rng.choice([0.0, rng.uniform(-4, 4), 0.125 * rng.randint(-9, 9)]),
+        }[kind]
+        coeffs = [draw() for _ in range(rng.randint(1, 9))]
+        return coeffs if any(coeffs) else coeffs + [1]
+    # a product of linear and quadratic factors, each with a multiplicity
+    coeffs = [F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))]
+    while len(coeffs) < 9 and rng.random() < 0.9:
+        if rng.random() < 0.8:
+            factor = [F(-rng.randint(-5, 5), rng.randint(1, 3)), 1]
+        else:
+            factor = [rng.randint(1, 4), rng.randint(-2, 2), 1]
+        for _ in range(rng.choice([1, 1, 1, 2, 3])):
+            if len(coeffs) + len(factor) - 1 > 9:
+                break
+            coeffs = [
+                sum(coeffs[i] * factor[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(factor))
+                for k in range(len(coeffs) + len(factor) - 1)
+            ]
+    return [float(x) for x in coeffs] if rng.random() < 0.2 else coeffs
+
+
+def test_sturm_matches_the_fraction_chain():
+    rng = random.Random(67)
+    counts = set()
+    for _ in range(5000):
+        coeffs = _seeded_polynomial(rng)
+        got = sturm_distinct_real_roots(coeffs)
+        assert repr(got) == repr(_fraction_sturm_count(coeffs)), coeffs
+        counts.add(got)
+    assert counts == set(range(9))
+
+
+@pytest.mark.parametrize(
+    "bad", [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0], ["1", 2], [True, 1], [1, None]]
+)
+def test_sturm_coefficients_follow_the_entry_rule(bad):
+    with pytest.raises(InputError):
+        sturm_distinct_real_roots(bad)
+    with pytest.raises(InputError):
+        hyperplane_intersection_count(MomentCurve(1), bad)
+
+
 def test_hyperplane_intersection_counts():
     curve = MomentCurve(3)
     # x2 - x0 = 0 meets at t = -1, 1, and at infinity

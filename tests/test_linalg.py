@@ -99,6 +99,54 @@ def test_matmul_frozen():
     assert a @ b == Matrix([[19, 22], [43, 50]])
 
 
+def _product_by_sums(a, b):
+    """The product as one sum of products per entry, the loop before the
+    integer kernel: the oracle for values and entry types alike."""
+    cols = list(zip(*b.to_lists()))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.to_lists()]
+
+
+# entry palettes: F(k, 1) makes a Fraction row or column whose lcm is 1
+_PALETTES = {
+    "int": lambda rng: rng.randint(-4, 4),
+    "fraction": lambda rng: F(rng.randint(-9, 9), rng.randint(1, 5)),
+    "unit fraction": lambda rng: F(rng.randint(-4, 4)),
+    "float": lambda rng: rng.choice([0.0, -0.0, 0.5, -2.75, rng.uniform(-3, 3)]),
+}
+
+
+def _palette_matrix(rng, rows, cols, kinds):
+    a = [[_PALETTES[rng.choice(kinds)](rng) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.3:  # a zero row
+        a[rng.randrange(rows)] = [rng.choice([0, F(0), 0.0])] * cols
+    if rng.random() < 0.3:  # a zero column
+        j, zero = rng.randrange(cols), rng.choice([0, F(0), 0.0])
+        for row in a:
+            row[j] = zero
+    return Matrix(a)
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [("int",), ("fraction",), ("int", "unit fraction"), ("int", "fraction"),
+     ("float",), ("int", "fraction", "float")],
+)
+def test_products_match_the_sum_of_products_loop(kinds):
+    # repr, not ==: Fraction(3, 1) == 3, so only repr sees an entry's type
+    rng = random.Random(repr(kinds))
+    for _ in range(300):
+        r, c, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = _palette_matrix(rng, r, c, kinds)
+        b = _palette_matrix(rng, c, k, rng.choice([kinds, ("int",), ("unit fraction",)]))
+        assert repr((a @ b).to_lists()) == repr(_product_by_sums(a, b)), (a, b)
+        v = [_PALETTES[rng.choice(kinds)](rng) for _ in range(c)]
+        expect = tuple(sum(x * y for x, y in zip(row, v)) for row in a.to_lists())
+        assert repr(a.apply(v)) == repr(expect), (a, v)
+    one = Matrix([[F(6, 2)]])
+    assert repr((one @ Matrix([[2]]))[0, 0]) == "Fraction(6, 1)"
+    assert repr(Matrix([[2]]).apply([3])) == "(6,)"
+
+
 def test_arithmetic_operators():
     a = Matrix([[1, 2], [3, 4]])
     assert a + a == a.scale(2)
