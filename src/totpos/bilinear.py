@@ -96,7 +96,8 @@ def form_family_positive(form: BilinearForm) -> bool:
     positive.  Independent of :func:`is_totally_positive_form`; the two
     verdicts must always agree.  The family is read from the minor table of
     the signed grid; a float minor inside the zero band resolves to False
-    without a warning.
+    without a warning.  The family is exhaustive on purpose, so it shares
+    the table's cap: n <= 12, and a larger form raises InputError.
     """
     signed = form_to_A(form).transpose()
     least = _scan_minors(signed, strict=True)

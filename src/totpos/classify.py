@@ -20,11 +20,12 @@ with a vanishing leading principal minor is left to the exhaustive minor
 table, exponential in n, which also decides every float verdict.  That scan
 reads each order of the table by one sign rule and stops after the first
 order holding a negative minor, or a zero one when only strict positivity
-is asked.  On exact input the table runs on integers and holds the exact
-minors, so ``gk_spectrum``, which reads its compound matrices from the
-table that certifies total positivity, gets each minor correctly rounded to
-a float.  The table holds at most the minors of the full table at n = 12; a
-larger scan, such as any float verdict past n = 12, raises InputError.
+is asked.  On exact input the table runs on integers, and each sign is read
+from its integer rows with no exact minor built; ``gk_spectrum``, which
+reads its compound matrices from the table that certifies total positivity,
+gets each minor correctly rounded to a float from the same rows.  The table
+holds at most the minors of the full table at n = 12; a larger scan, such
+as any float verdict past n = 12, raises InputError.
 ``classify`` decides all three kinds from one sign and then asks only about
 the powers for the oscillatory exponent.
 """
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import InputError, StrictnessWarning
-from .linalg import Matrix, _require_invertible, det, minor_levels
+from .linalg import Matrix, _MinorLevel, _require_invertible, det, minor_levels
 from .scalars import Scalar, magnitude, minor_scale, sign_of, zero_threshold
 from .whitney import _ldu, membership_uni
 
@@ -88,29 +89,33 @@ class _Least(enum.IntEnum):
     POSITIVE = 3
 
 
-def _minor_kinds(m: Matrix) -> Iterator[tuple[int, dict, set[_Least]]]:
+def _minor_kinds(m: Matrix) -> Iterator[tuple[int, _MinorLevel, set[_Least]]]:
     """Yield (k, order-k minor table, the kinds of its minors), k = 1, 2, ....
 
     The one sign rule for a minor table: an exact minor takes its exact
     sign, an exact or float zero is ZERO, and a nonzero float inside the
-    order-k zero band is INDETERMINATE.
+    order-k zero band is INDETERMINATE.  Each sign is read from the table's
+    rows, which hold the minors times a positive scale, so no exact minor
+    is built.
     """
     scale = m.entry_scale()
     neg, zero, indet, pos = _Least
     for k, table in minor_levels(m):
-        # exact minors meet a band of width 0; a NaN float minor, from
-        # overflowing products, reads as negative
+        # exact minors meet a band of width 0; float rows hold the minors
+        # themselves, and a NaN float minor, from overflowing products,
+        # reads as negative
         t = 0 if m.is_exact else zero_threshold(minor_scale(scale, k))
         yield k, table, {
             pos if v > t else neg if not v >= -t else zero if v == 0 else indet
-            for v in table.values()
+            for row in table.rows
+            for v in row
         }
 
 
 def _scan_minors(
     m: Matrix,
     strict: bool,
-    on_level: Callable[[int, dict], None] | None = None,
+    on_level: Callable[[int, _MinorLevel], None] | None = None,
 ) -> _Least:
     """Least sign over every minor of a square matrix, one table per call.
 

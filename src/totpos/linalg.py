@@ -15,14 +15,17 @@ determinant and rank share one partial-pivot forward sweep.  Minors of all
 orders come from a dynamic program that expands each order-k minor along its
 last row using the order k-1 table, which is far cheaper than independent
 eliminations when a caller needs every minor of every order.  On exact input
-that table runs on integers, after one clearing of the denominators, so its
-floats are the correctly rounded exact minors.
+that table runs on integers, after one clearing of the denominators, and
+each order is a read-only view over those integer rows: signs and correctly
+rounded floats are read from the integers, and an exact minor is built only
+when a key is read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -404,24 +407,78 @@ def minor(
     return det(submatrix(m, rs, cs))
 
 
+class _MinorLevel(Mapping):
+    """One order k of the minor table: a read-only view keyed like the dict
+    {(row set, column set): minor}, both sets in lexicographic order.
+
+    ``rows[i][j]`` is the minor on the i-th row and j-th column k-subset
+    times ``scale`` > 0, so it has the minor's sign.  On exact input of
+    order k >= 2 it is an integer minor of dM with ``scale`` d**k, and
+    ``wrap`` says the minors are Fractions; otherwise it is the minor itself.
+    An exact minor is built only when a key is read.
+    """
+
+    __slots__ = ("subsets", "rows", "scale", "wrap", "_at")
+
+    def __init__(self, subsets, at, rows, scale, wrap):
+        self.subsets, self._at = subsets, at
+        self.rows, self.scale, self.wrap = rows, scale, wrap
+
+    def __getitem__(self, key: tuple[IndexSet, IndexSet]) -> Scalar:
+        try:
+            r, c = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        v = self.rows[self._at[r]][self._at[c]]
+        return Fraction(v, self.scale) if self.wrap else v
+
+    def __iter__(self) -> Iterator[tuple[IndexSet, IndexSet]]:
+        return itertools.product(self.subsets, repeat=2)
+
+    def __len__(self) -> int:
+        return len(self.subsets) ** 2
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def floats(self) -> list[list[float]]:
+        """The minors row by row, each correctly rounded to a float: on
+        scaled rows an int/int true division, which CPython rounds
+        correctly, as it does ``float()`` of an int or a Fraction."""
+        s = self.scale
+        if s == 1:
+            return [list(map(float, row)) for row in self.rows]
+        return [[v / s for v in row] for row in self.rows]
+
+
+def _require_order(k: object, what: str) -> None:
+    """Raise InputError unless k is an int >= 1; a bool is not an order."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise InputError(f"{what} must be an int >= 1, got {k!r}")
+
+
 def minor_levels(
     m: Matrix, max_order: int | None = None
-) -> Iterator[tuple[int, dict[tuple[IndexSet, IndexSet], Scalar]]]:
+) -> Iterator[tuple[int, Mapping[tuple[IndexSet, IndexSet], Scalar]]]:
     """Yield (k, table of all order-k minors), for k = 1, 2, ....
 
     Each order-k minor is expanded along its last row against the order k-1
     table.  Exact input runs on integers: its entries are scaled once by the
-    lcm d of their denominators, and each order-k minor of dM is divided by
-    d**k as its level is yielded.  The tables therefore hold the exact minors
-    (Fractions, or ints when every entry is an int), and ``float()`` of each
-    is the correctly rounded minor.  Float input runs the same recursion in
-    floats.  Square matrices only, and the levels asked for may hold at most
+    lcm d of their denominators, and each table is a read-only view over
+    the integer minors of dM in lexicographic subset order, with scale d**k.
+    Signs and correctly rounded floats are read from those integers; an
+    exact minor (a Fraction, or an int when every entry is an int) is built
+    only when a key is read.  Float input runs the same recursion in floats.
+    Square matrices only, and the levels asked for may hold at most
     ``_MINOR_TABLE_CAP`` minors, the full table at n = 12; a larger request
-    raises InputError.  Callers may stop iterating early; nothing beyond the
-    consumed level is computed.
+    raises InputError, as does an order ``max_order`` that is not an int
+    >= 1.  Callers may stop iterating early; nothing beyond the consumed
+    level is computed.
     """
     if not m.is_square:
         raise InputError("minor tables require a square matrix")
+    if max_order is not None:
+        _require_order(max_order, "the largest minor order")
     n = m.rows
     top = n if max_order is None else min(max_order, n)
     size = sum(math.comb(n, k) ** 2 for k in range(1, top + 1))
@@ -438,20 +495,15 @@ def minor_levels(
         wrap = any(isinstance(x, Fraction) for row in entries for x in row)
     else:
         a, d, wrap = entries, 1, False
-    if top >= 1:
-        yield 1, {
-            ((i + 1,), (j + 1,)): x
-            for i, row in enumerate(entries)
-            for j, x in enumerate(row)
-        }
     # prev[i][j] is the minor of a on the i-th row and j-th column (k-1)-subset
     prev, at = a, {(i,): i - 1 for i in range(1, n + 1)}
+    yield 1, _MinorLevel(tuple(at), at, entries, 1, False)
     # each row followed by its negation: a minus cofactor sign reads at +n;
     # negation is exact, so float sums equal those that subtract the term
     signed = [[*row, *(-x for x in row)] for row in a]
     zero = m.zero
     for k in range(2, top + 1):
-        subsets = list(itertools.combinations(range(1, n + 1), k))
+        subsets = tuple(itertools.combinations(range(1, n + 1), k))
         # per column set, its last-row expansion: (signed column, index of
         # the column set without it)
         plan = [
@@ -475,26 +527,21 @@ def minor_levels(
                 values.append(acc)
             cur.append(values)
         prev, at = cur, {s: i for i, s in enumerate(subsets)}
-        dk = d**k
-        yield k, {
-            (r, c): Fraction(v, dk) if wrap else v
-            for r, values in zip(subsets, cur)
-            for c, v in zip(subsets, values)
-        }
+        yield k, _MinorLevel(subsets, at, cur, d**k, wrap)
 
 
 def compound(m: Matrix, k: int) -> Matrix:
     """Order-k multiplicative compound: minors on lexicographic k-subsets."""
     if not m.is_square:
         raise InputError("compound requires a square matrix")
-    if not 1 <= k <= m.rows:
+    _require_order(k, "compound order")
+    if k > m.rows:
         raise InputError(f"compound order must lie in [1, {m.rows}], got {k}")
-    subsets = ksubsets(m.rows, k)
-    table: dict[tuple[IndexSet, IndexSet], Scalar] = {}
-    for order, lvl in minor_levels(m, k):
-        if order == k:
-            table = lvl
-    return Matrix([[table[(r, c)] for c in subsets] for r in subsets])
+    for _, level in minor_levels(m, k):
+        pass
+    if not level.wrap:
+        return Matrix(level.rows)
+    return Matrix([[Fraction(v, level.scale) for v in row] for row in level.rows])
 
 
 # -- rank, inverses, nullspace --------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (
     InputError,
     SingularityError,
 )
-from .linalg import Matrix, det, ksubsets, nullspace, solve
+from .linalg import Matrix, _MinorLevel, det, nullspace, solve
 
 
 # Read when a routine runs, not bound as defaults, so a test may patch one.
@@ -192,19 +192,14 @@ def _compound_arrays(m: Matrix) -> list[np.ndarray]:
     """Float arrays of every compound order 1..n of a totally positive matrix.
 
     The minor table that certifies total positivity is the one the arrays
-    are read from; raises DomainError when the certificate fails.
+    are read from: each entry is one correctly rounded quotient of the
+    table's integer row value by its scale d**k, so no exact minor is
+    built.  Raises DomainError when the certificate fails.
     """
-    n = m.rows
     out: list[np.ndarray] = []
 
-    def keep(k: int, table: dict) -> None:
-        subsets = ksubsets(n, k)
-        out.append(
-            np.array(
-                [[float(table[(r, c)]) for c in subsets] for r in subsets],
-                dtype=np.float64,
-            )
-        )
+    def keep(k: int, table: _MinorLevel) -> None:
+        out.append(np.array(table.floats(), dtype=np.float64))
 
     if not _is_positive(_scan_minors(m, strict=True, on_level=keep)):
         raise DomainError("matrix is not totally positive")

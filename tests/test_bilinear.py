@@ -144,6 +144,15 @@ def test_form_family_reads_the_minor_table_like_the_determinant_loop():
     assert verdicts == {(v, e) for v in (True, False) for e in (True, False)}
 
 
+def test_form_family_is_capped_at_n_12():
+    # the family reads every minor of the signed grid, so it stops where the
+    # minor table does; the comparison-matrix test has no cap
+    form = A_to_form(random_tp_matrix(13, random.Random(13)))
+    assert is_totally_positive_form(form)
+    with pytest.raises(InputError, match="past the cap"):
+        form_family_positive(form)
+
+
 def test_tilde_is_involution():
     rng = random.Random(33)
     for n in (2, 3, 4):

@@ -9,7 +9,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totpos.errors import InputError, SingularityError
+from totpos.classify import _Least, _minor_kinds, _scan_minors, is_variation_diminishing
+from totpos.errors import DomainError, InputError, SingularityError
 from totpos.linalg import (
     Matrix,
     compound,
@@ -26,6 +27,9 @@ from totpos.linalg import (
     submatrix,
     transpose_inverse,
 )
+from totpos.sampling import random_tp_matrix
+from totpos.scalars import minor_scale, zero_threshold
+from totpos.spectra import _compound_arrays
 
 
 def _random_fraction_matrix(n, rng, bound=6):
@@ -362,6 +366,109 @@ def test_minor_table_size_cap():
     for top in (6, None):
         with pytest.raises(InputError, match="past the cap of 2,704,155"):
             next(minor_levels(big, top))
+
+
+def test_minor_orders_must_be_positive_ints():
+    m = Matrix([[2, 1], [1, 3]])
+    assert [k for k, _ in minor_levels(m, 5)] == [1, 2]
+    for order in (0, -2, 1.5, True, "2"):
+        with pytest.raises(InputError, match="must be an int >= 1"):
+            next(minor_levels(m, order))
+        with pytest.raises(InputError, match="must be an int >= 1"):
+            compound(m, order)
+    with pytest.raises(InputError, match=r"must lie in \[1, 2\], got 3"):
+        compound(m, 3)
+
+
+def _old_minor_kinds(m):
+    # oracle: the sign rule read from the exact minors of a Fraction dict
+    scale = m.entry_scale()
+    neg, zero, indet, pos = _Least
+    for k, level in minor_levels(m):
+        table = dict(level)
+        t = 0 if m.is_exact else zero_threshold(minor_scale(scale, k))
+        yield k, table, {
+            pos if v > t else neg if not v >= -t else zero if v == 0 else indet
+            for v in table.values()
+        }
+
+
+def _old_scan(m, strict):
+    least = _Least.POSITIVE
+    for _, _, kinds in _old_minor_kinds(m):
+        least = min(least, *kinds)
+        if least is _Least.NEGATIVE or (strict and least is _Least.ZERO):
+            break
+    return least
+
+
+def _old_compound_arrays(m):
+    # oracle: float() of each exact minor, keyed by subsets, orders 1..n
+    n = m.rows
+    out = []
+    for k, table, kinds in _old_minor_kinds(m):
+        if min(kinds) is not _Least.POSITIVE:
+            raise DomainError("matrix is not totally positive")
+        subsets = ksubsets(n, k)
+        out.append([[float(table[(r, c)]) for c in subsets] for r in subsets])
+    return out
+
+
+def _hexes(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+def _table_read_cases():
+    rng = random.Random(909)
+    exact = list(_minor_table_cases())
+    # the float cases of the bit-for-bit recursion test, built the same way
+    wide = [[rng.uniform(-3, 3) * 10.0 ** rng.randint(-40, 40) for _ in range(6)] for _ in range(6)]
+    huge = [[1e300 * rng.choice([-1, 0, 1, 2]) for _ in range(4)] for _ in range(4)]
+    floats = [m.to_float() for m in exact] + [Matrix(wide), Matrix(huge)]
+    tp = [random_tp_matrix(n, random.Random(n)) for n in (1, 3, 5)]
+    # totally positive with huge denominators, so the integer minors of dM
+    # pass 2**53 and each float is one rounding of a long quotient
+    tp += [m.scale(F(10**20 + 39, 3**41)) for m in tp]
+    return exact + tp + floats + [m.to_float() for m in tp]
+
+
+@pytest.mark.filterwarnings("ignore::totpos.errors.StrictnessWarning")
+def test_minor_table_reads_match_the_exact_minors():
+    seen = set()
+    for m in _table_read_cases():
+        pairs = zip(_minor_kinds(m), _old_minor_kinds(m), strict=True)
+        for (k, level, kinds), (k2, table, want) in pairs:
+            assert k == k2 and kinds == want, (m.to_lists(), k)
+            assert repr(level) == repr(table)
+            assert _hexes(level.floats()) == _hexes(
+                [[float(table[(r, c)]) for c in level.subsets] for r in level.subsets]
+            )
+            seen |= {(m.is_exact, kind) for kind in kinds}
+        for strict in (False, True):
+            assert _scan_minors(m, strict) is _old_scan(m, strict)
+        try:
+            want = _old_compound_arrays(m)
+        except DomainError:
+            with pytest.raises(DomainError):
+                _compound_arrays(m)
+        else:
+            got = _compound_arrays(m)
+            assert [_hexes(a.tolist()) for a in got] == [_hexes(a) for a in want]
+            seen.add(("compounds", m.is_exact))
+        try:
+            got = is_variation_diminishing(m)
+        except SingularityError:  # the test asks for invertible input
+            continue
+        want = not any(
+            _Least.NEGATIVE in kinds and _Least.POSITIVE in kinds
+            for _, _, kinds in _old_minor_kinds(m)
+        )
+        assert got == want, m.to_lists()
+        seen.add(("diminishing", want))
+    assert seen >= {(True, kind) for kind in _Least if kind is not _Least.INDETERMINATE}
+    assert seen >= {(False, kind) for kind in _Least}
+    assert seen >= {("compounds", True), ("compounds", False)}
+    assert seen >= {("diminishing", True), ("diminishing", False)}
 
 
 def test_rank_and_nullspace():
