@@ -160,21 +160,18 @@ class CanonicalBasisResult:
 def canonical_basis(form: BilinearForm) -> CanonicalBasisResult:
     """Anti-diagonalizing basis of a totally positive bilinear form.
 
-    Builds the canonical totally positive matrix attached to the form (a
-    signed product of the comparison matrix with its twisted inverse),
-    takes its eigenbasis, and returns the form's Gram matrix in that basis
-    together with the signed anti-diagonal profile.  Raises DomainError
-    when the form is not totally positive, and ConsistencyError when an
-    internal identity fails beyond tolerance.
+    Builds the canonical totally positive matrix attached to the form,
+    tilde(A) A with A the transpose of the comparison matrix, takes its
+    eigenbasis, and returns the form's Gram matrix in that basis together
+    with the signed anti-diagonal profile.  Raises DomainError when the
+    form is not totally positive, and ConsistencyError when an internal
+    identity fails beyond tolerance.
     """
     n = form.n
     if not is_totally_positive_form(form):
         raise DomainError("the form is not totally positive")
     a_op = form_to_A(form).transpose()
-    c = _twisted(transpose_inverse(a_op), True, False)
-    c_check = transpose_inverse(c)
-    sign = 1 if n % 2 else -1
-    comparison = (c @ c_check).scale(sign)
+    comparison = tilde(a_op) @ a_op
     try:
         spectrum = gk_spectrum(comparison)
     except DomainError:
@@ -191,23 +188,20 @@ def canonical_basis(form: BilinearForm) -> CanonicalBasisResult:
     else:
         v = spectrum.eigenvectors
         gram_new = v.transpose() @ form.gram.to_float() @ v
-    anti_scale = max(
-        abs(float(gram_new[r, n - 1 - r])) for r in range(n)
-    )
+    g = gram_new.to_float()
+    anti_scale = max(abs(g[r, n - 1 - r]) for r in range(n))
     if anti_scale == 0.0:
         raise ConsistencyError("anti-diagonal of the transformed Gram vanished")
     for r in range(n):
         for s in range(n):
-            if s == n - 1 - r:
-                continue
-            if abs(float(gram_new[r, s])) > _OFF_ANTI_DIAGONAL_TOL * anti_scale:
+            if s != n - 1 - r and abs(g[r, s]) > _OFF_ANTI_DIAGONAL_TOL * anti_scale:
                 raise ConsistencyError(
                     f"off-anti-diagonal Gram entry ({r + 1}, {s + 1}) = "
                     f"{gram_new[r, s]!r} exceeds tolerance"
                 )
     z: list[float] = []
     for r in range(1, n + 1):
-        value = float(gram_new[r - 1, star(r, n) - 1])
+        value = g[r - 1, star(r, n) - 1]
         z.append(-value if r % 2 else value)
     if any(x == 0.0 for x in z):
         raise ConsistencyError("a signed anti-diagonal value vanished")

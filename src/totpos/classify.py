@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import InputError, StrictnessWarning
-from .linalg import Matrix, _MinorLevel, _require_invertible, det, minor_levels
+from .linalg import Matrix, _MinorLevel, _require_invertible, _require_order, det, minor_levels
 from .scalars import Scalar, magnitude, minor_scale, sign_of, zero_threshold
 from .whitney import _ldu, membership_uni
 
@@ -232,8 +232,6 @@ def is_oscillatory(m: Matrix, m_max: int | None = None) -> int | None:
     """
     if not m.is_square:
         raise InputError("oscillatory classification is defined for square matrices")
-    if m_max is not None and m_max < 1:
-        raise InputError("m_max must be at least 1")
     return classify(m, m_max).oscillatory_m
 
 
@@ -242,8 +240,11 @@ def classify(m: Matrix, m_max: int | None = None) -> TPClass:
 
     One least minor sign of ``m`` decides the kind.  A totally nonnegative
     ``m`` is already known not to be totally positive, so the exponent
-    search asks only about its powers, from the square up to ``m_max``.
+    search asks only about its powers, from the square up to ``m_max``; an
+    ``m_max`` that is not an int >= 1 raises InputError before any work.
     """
+    if m_max is not None:
+        _require_order(m_max, "m_max")
     if not m.is_square:
         raise InputError("total positivity is defined for square matrices")
     least = _least_sign(m, strict=False)
@@ -252,8 +253,6 @@ def classify(m: Matrix, m_max: int | None = None) -> TPClass:
     if least is _Least.NEGATIVE:
         return TPClass(TPKind.NEITHER, None)
     cap = m_max if m_max is not None else max(m.rows - 1, 1)
-    if cap < 1:
-        raise InputError("m_max must be at least 1")
     power = m
     for exponent in range(2, cap + 1):
         try:

@@ -32,10 +32,9 @@ from typing import Mapping, Sequence
 
 from .classify import sign_variation
 from .errors import DomainError, InputError
-from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix
-from .linalg import Matrix, inverse, reversal_permutation
+from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix, reversed_flag
+from .linalg import Matrix, _solve_exact
 from .scalars import Scalar, _require_scalar, as_fraction
-from .whitney import gauss_ldu, membership_uni
 
 
 @dataclass(frozen=True, order=False)
@@ -149,7 +148,7 @@ def osculating_flag(curve: MomentCurve, point: CirclePoint) -> Flag:
     """
     n = curve.n
     if point.is_infinity:
-        return Flag(reversal_permutation(n))
+        return reversed_flag(n)
     t = point.param
     rows = [
         [
@@ -199,13 +198,15 @@ def is_positive_quadruple(
 
     Flags 1 and 3 are the reference pair (they must be opposed); flags 2
     and 4 are tested for landing in the open positive cell and its primed
-    companion after the change of basis adapted to the reference pair.
-    That basis is fixed up to a diagonal matrix.  A sign matrix s turns the
-    second flag's lower unitriangular representative L into s L s, so the
-    signs of L's first column are the only class that can put it in the
-    open cell (a zero there rules every class out), and s and -s give the
-    same flags.  The verdict does not depend on which compatible numbering
-    was chosen, and an incompatible numbering simply fails.
+    companion after the change of basis adapted to the reference pair, one
+    exact solve for both.  That basis is fixed up to a diagonal matrix.  A
+    sign matrix s turns the second flag's lower unitriangular factor L into
+    s L s, so the signs of L's first column (the second flag's first column
+    in the adapted frame over its corner entry) are the only class that can
+    put it in the open cell; a zero there rules every class out, and as s
+    and -s give the same flags, that column's own signs name the class.  The
+    verdict does not depend on which compatible numbering was chosen, and
+    an incompatible numbering simply fails.
     """
     if len(flags) != 4:
         raise InputError("a quadruple test needs exactly four flags")
@@ -221,21 +222,14 @@ def is_positive_quadruple(
         w = adapted_basis(f1, f3)
     except DomainError:
         raise DomainError("reference flags (positions 1 and 3) must be opposed") from None
-    h = inverse(w)
-    ldu = gauss_ldu(h @ f2.rep)
-    if ldu is None or 0 in ldu[0].col_tuple(0):
+    # rows of w^-1 [A2 | A4]
+    sides = _solve_exact(w, [a + b for a, b in zip(f2.rep.to_lists(), f4.rep.to_lists())])
+    if any(row[0] == 0 for row in sides):
         return False
-    signs = [1 if x > 0 else -1 for x in ldu[0].col_tuple(0)]
-    # s L s is the lower unitriangular factor of s h A2, so it is peeled as is
-    lower = Matrix(
-        [[si * sj * x for sj, x in zip(signs, row)] for si, row in zip(signs, ldu[0].to_lists())]
-    )
-    params = membership_uni(lower, "lower")
-    return (
-        params is not None
-        and params.strict
-        and _cell_params(Matrix.diagonal(signs) @ h @ f4.rep, True) is not None
-    )
+    signs = [1 if row[0] > 0 else -1 for row in sides]
+    rows = [[s * x for x in row] for s, row in zip(signs, sides)]
+    second, fourth = Matrix([r[:n] for r in rows]), Matrix([r[n:] for r in rows])
+    return _cell_params(second, False) is not None and _cell_params(fourth, True) is not None
 
 
 @dataclass(frozen=True)

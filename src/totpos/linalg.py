@@ -184,7 +184,10 @@ class Matrix:
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._entries)
 
     def to_float(self) -> "Matrix":
-        return Matrix([[float(x) for x in row] for row in self._entries])
+        try:
+            return Matrix([[float(x) for x in row] for row in self._entries])
+        except OverflowError:
+            raise InputError("an entry lies outside the float range") from None
 
     def to_exact(self) -> "Matrix":
         """Exact view; float entries convert via their binary expansion."""
@@ -444,11 +447,14 @@ class _MinorLevel(Mapping):
     def floats(self) -> list[list[float]]:
         """The minors row by row, each correctly rounded to a float: on
         scaled rows an int/int true division, which CPython rounds
-        correctly, as it does ``float()`` of an int or a Fraction."""
+        correctly, as it does ``float()`` of an int or a Fraction; past the
+        float range, InputError."""
         s = self.scale
-        if s == 1:
-            return [list(map(float, row)) for row in self.rows]
-        return [[v / s for v in row] for row in self.rows]
+        try:
+            return [list(map(float, row)) if s == 1 else [v / s for v in row]
+                    for row in self.rows]
+        except OverflowError:
+            raise InputError("a minor lies outside the float range") from None
 
 
 def _require_order(k: object, what: str) -> None:

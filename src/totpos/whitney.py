@@ -92,6 +92,15 @@ def _validate_params(
     return out
 
 
+def _check_word(n: int, word: Sequence[int]) -> None:
+    """Raise InputError unless n >= 1 and every letter lies in [1, n-1]."""
+    if n < 1:
+        raise InputError("parameters need n >= 1")
+    for i in word:
+        if not 1 <= i <= n - 1:
+            raise InputError(f"word letter {i} outside [1, {n - 1}]")
+
+
 @dataclass(frozen=True)
 class TPParameters:
     """Factorization data: word, lower/upper parameters and the diagonal.
@@ -111,16 +120,12 @@ class TPParameters:
 
     def __post_init__(self) -> None:
         n = self.n
-        if n < 1:
-            raise InputError("parameters need n >= 1")
+        _check_word(n, self.word)
         expected = n * (n - 1) // 2
         if len(self.word) != expected:
             raise InputError(
                 f"word length must be n(n-1)/2 = {expected}, got {len(self.word)}"
             )
-        for i in self.word:
-            if not 1 <= i <= n - 1:
-                raise InputError(f"word letter {i} outside [1, {n - 1}]")
         if len(self.a) != expected or len(self.b) != expected:
             raise InputError("parameter tuples must match the word length")
         if len(self.t) != n:
@@ -147,6 +152,7 @@ class UniParams:
     def __post_init__(self) -> None:
         if self.side not in ("lower", "upper"):
             raise InputError(f"side must be 'lower' or 'upper', got {self.side!r}")
+        _check_word(self.n, self.word)
         if len(self.c) != len(self.word):
             raise InputError("parameter tuple must match the word length")
         object.__setattr__(self, "word", tuple(self.word))

@@ -2,13 +2,15 @@
 
 Tolerances, iteration caps and sampling bounds are module constants; a
 keyword belongs in a public signature only when callers use more than
-one value of it, and every parameter of a public function is read.
+one value of it, and every parameter of a public function is read.  No
+module of the package but ``__init__`` imports a name it never reads.
 """
 
 import ast
 import enum
 import inspect
 import textwrap
+from pathlib import Path
 
 import totpos
 from totpos import sampling, whitney
@@ -114,3 +116,49 @@ def test_unread_parameter_walk_sees_dead_keywords():
 
     assert _unread_parameters(dead) == ["policy"]
     assert _unread_parameters(nested) == []
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; ``from __future__`` is exempt.
+
+    A name counts as read when it is loaded anywhere in the module, as the
+    root of a dotted access too (``np.array`` reads ``np``)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, name))
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [f"{line} {name}" for line, name in imported if name not in loaded]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    package = Path(totpos.__file__).parent
+    dead = [
+        f"{path.name}:{entry}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for entry in _unread_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not dead, dead
+
+
+def test_unread_import_walk_sees_dead_imports():
+    source = textwrap.dedent(
+        """
+        from __future__ import annotations
+        import numpy as np
+        import os.path
+        from .linalg import Matrix, inverse
+
+        def f(m: Matrix):
+            return np.array(os.path.sep)
+        """
+    )
+    assert _unread_imports(source) == ["5 inverse"]

@@ -21,7 +21,7 @@ from totpos.bilinear import (
 )
 from totpos.classify import is_totally_positive
 from totpos.errors import DomainError, InputError, SingularityError
-from totpos.linalg import Matrix, det, inverse, ksubsets, submatrix
+from totpos.linalg import Matrix, det, inverse, ksubsets, submatrix, transpose_inverse
 from totpos.scalars import minor_scale, zero_threshold
 from totpos.sampling import random_positive_form, random_tp_matrix
 from totpos.whitney import gen_x, gen_y
@@ -301,3 +301,18 @@ def test_chain_survives_basis_rescaling():
         assert chain_of(rescaled) == base
         for r in range(n):
             assert math.isclose(float(base[r]), result.chain[r], rel_tol=1e-8)
+
+
+def _c_times_c_check(form):
+    """The comparison matrix as built before it became tilde(A) A: C0 A^-T
+    times its own transpose inverse, signed by (-1)^(n+1)."""
+    a_op = form_to_A(form).transpose()
+    c = _twisted(transpose_inverse(a_op), True, False)
+    return (c @ transpose_inverse(c)).scale(1 if form.n % 2 else -1)
+
+
+def test_comparison_is_the_c_times_c_check_product():
+    rng = random.Random(71)
+    for n in range(2, 8):
+        form = random_positive_form(n, rng)
+        assert repr(canonical_basis(form).comparison) == repr(_c_times_c_check(form))

@@ -624,3 +624,15 @@ def test_float_backend_agrees_with_exact_outside_the_band():
     assert len(kinds) > 1000
     assert kinds.count(TPKind.TOTALLY_POSITIVE) > 500
     assert kinds.count(TPKind.NEITHER) > 200
+
+
+@pytest.mark.parametrize("m_max", [0, -1, 1.5, True, "2"])
+def test_m_max_is_checked_before_any_work(m_max):
+    # TP, TN-only and Neither inputs: the same check, whatever the kind
+    for m in (Matrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]]), TRIDIAG, Matrix([[1, 2], [3, 4]])):
+        with pytest.raises(InputError, match="m_max must be an int >= 1"):
+            classify(m, m_max)
+        with pytest.raises(InputError, match="m_max must be an int >= 1"):
+            is_oscillatory(m, m_max)
+    assert classify(TRIDIAG, 1).oscillatory_m is None
+    assert is_oscillatory(TRIDIAG, 2) == 2

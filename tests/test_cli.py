@@ -398,3 +398,24 @@ def test_cli_fuzz_synth_params_exit_cleanly(text, as_json):
         path = Path(tmp) / "params.json"
         path.write_text(text, encoding="utf-8")
         _run_cleanly(["synth", "--params", str(path)], as_json)
+
+
+def test_power_cap_below_one_is_input_error(vandermonde, capsys):
+    assert main(["classify", vandermonde, "--power-cap", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: m_max must be an int >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "stable-flags", "canonical-form"])
+def test_values_past_the_float_range_are_input_errors(tmp_path, capsys, command):
+    # a totally positive matrix, and for canonical-form the Gram matrix of
+    # a positive form, scaled past the float range
+    rows = [[1, 1, 1], [1, 2, 4], [1, 3, 9]] if command != "canonical-form" else [
+        [3, 7], [-1, -2]
+    ]
+    path = tmp_path / "huge.txt"
+    path.write_text("\n".join(" ".join(f"{x}e400" for x in row) for row in rows))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outside the float range" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

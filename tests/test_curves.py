@@ -37,7 +37,7 @@ from totpos.sampling import (
     random_positive_cell_flag,
     random_uni_params,
 )
-from totpos.whitney import synthesize_uni
+from totpos.whitney import gauss_ldu, membership_uni, synthesize_uni
 
 
 def test_circle_point_basics():
@@ -521,3 +521,86 @@ def test_flag_pairs_match_kernel_and_sign_search_oracles():
             assert _outcome(is_positive_quadruple, flags, quad) == want
             outcomes.add(want)
     assert outcomes == {"basis", DomainError, True, False}
+
+
+def _inverse_then_peel_quadruple(flags):
+    """The quadruple test as it ran before it reused the cell test: an exact
+    inverse of the adapted basis, two products, and its own sign-adjusted
+    peel of the second flag's lower factor."""
+    f1, f2, f3, f4 = flags
+    try:
+        w = adapted_basis(f1, f3)
+    except DomainError:
+        raise DomainError("reference flags (positions 1 and 3) must be opposed") from None
+    h = inverse(w)
+    ldu = gauss_ldu(h @ f2.rep)
+    if ldu is None or 0 in ldu[0].col_tuple(0):
+        return False
+    signs = [1 if x > 0 else -1 for x in ldu[0].col_tuple(0)]
+    lower = Matrix(
+        [[si * sj * x for sj, x in zip(signs, row)] for si, row in zip(signs, ldu[0].to_lists())]
+    )
+    params = membership_uni(lower, "lower")
+    if params is None or not params.strict:
+        return False
+    fourth = gauss_ldu(Matrix.diagonal(signs) @ h @ f4.rep)
+    if fourth is None:
+        return False
+    params = membership_uni(inverse(fourth[0]), "lower")
+    return params is not None and params.strict
+
+
+def _one_sign_flipped(f, rng):
+    signs = [F(1)] * f.n
+    signs[rng.randrange(f.n)] = F(-1)
+    return flag_from_matrix(Matrix.diagonal(signs) @ f.rep)
+
+
+def _zero_in_first_column(f1, f3, rng):
+    """A second flag whose first column in the frame adapted to (f1, f3)
+    has a zero, at the corner or below it."""
+    x = random_invertible(f1.n, rng).to_lists()
+    x[rng.randrange(f1.n)][0] = F(0)
+    if not nullspace(Matrix(x)):
+        return flag_from_matrix(adapted_basis(f1, f3) @ Matrix(x))
+    return None
+
+
+def _quadruple_inputs(n, rng):
+    """Seeded quadruples of exact flags in C^n, with the kind of each."""
+    if n > 1:
+        curve = MomentCurve(n - 1)
+        for _ in range(2):
+            pts = [CirclePoint.at(F(v, 3)) for v in sorted(rng.sample(range(-12, 13), 4))]
+            h = random_invertible(n, rng)
+            flags = [flag_from_matrix(h @ curve.flag_at(p).rep) for p in pts]
+            yield "positive", flags
+            yield "swapped", [flags[0], flags[2], flags[1], flags[3]]
+            yield "flipped", [flags[0], _one_sign_flipped(flags[1], rng), flags[2], flags[3]]
+            yield "flipped", [flags[0], flags[1], flags[2], _one_sign_flipped(flags[3], rng)]
+            f = random_flag(n, rng)
+            yield "not opposed", [f, flags[1], f, flags[3]]
+    for _ in range(3):
+        yield "random", [random_flag(n, rng) for _ in range(4)]
+        f1, f3 = random_positive_cell_flag(n, rng), _primed_cell_flag(n, rng)
+        f2 = _zero_in_first_column(f1, f3, rng)
+        if f2 is not None:
+            yield "zero", [f1, f2, f3, random_flag(n, rng)]
+
+
+def test_quadruple_matches_the_inverse_then_peel_oracle():
+    rng = random.Random(1307)
+    quad = dihedral_partition(*(CirclePoint.at(F(v)) for v in (0, 1, 2, 3)))
+    seen = set()
+    for n in range(1, 7):
+        for kind, flags in _quadruple_inputs(n, rng):
+            want = _outcome(_inverse_then_peel_quadruple, flags)
+            assert _outcome(is_positive_quadruple, flags, quad) == want, (kind, n)
+            if kind == "positive":
+                assert want is True
+            elif kind in ("swapped", "zero"):
+                assert want is False
+            elif kind == "not opposed":
+                assert want is DomainError
+            seen.add((kind, want))
+    assert {("flipped", False), ("random", True), ("random", False)} <= seen

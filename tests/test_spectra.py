@@ -2,12 +2,15 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from totpos.errors import ConvergenceError, DomainError
+from totpos.bilinear import A_to_form, canonical_basis
+from totpos.errors import ConvergenceError, DomainError, InputError, TotposError
+from totpos.flags import stable_flags
 from totpos.linalg import Matrix, det
 from totpos.sampling import random_tp_matrix
 from totpos import spectra
@@ -157,3 +160,38 @@ def test_perron_eigenvector_is_positive():
     for n in (2, 3, 4, 5):
         spec = gk_spectrum(random_tp_matrix(n, rng))
         assert all(x > 0 for x in spec.eigenvectors.col_tuple(0))
+
+
+def _spectral_entry_points(m):
+    return {
+        "gk_spectrum": lambda: gk_spectrum(m),
+        "verify_gk": lambda: verify_gk(m),
+        "stable_flags identity": lambda: stable_flags(m),
+        "stable_flags tilde": lambda: stable_flags(m, sigma_mode="tilde"),
+        "canonical_basis": lambda: canonical_basis(A_to_form(m)),
+        "perron": lambda: perron(m),
+    }
+
+
+def test_entries_past_the_float_range_are_input_errors():
+    m = random_tp_matrix(4, random.Random(5)).scale(Fraction(10**400))
+    for call in _spectral_entry_points(m).values():
+        with pytest.raises(InputError, match="outside the float range"):
+            call()
+
+
+def test_compounds_past_the_float_range_are_input_errors():
+    # the entries fit, but the order-2 minors do not
+    m = random_tp_matrix(4, random.Random(5)).scale(Fraction(10**200))
+    overflowing = {"gk_spectrum", "verify_gk", "stable_flags identity"}
+    for name, call in _spectral_entry_points(m).items():
+        if name in overflowing:
+            with pytest.raises(InputError, match="a minor lies outside the float range"):
+                call()
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    call()
+                except TotposError:
+                    pass  # any library error but a bare OverflowError

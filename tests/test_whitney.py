@@ -497,3 +497,19 @@ def test_tp_products_approximate_tn_matrices():
             if prev is not None:
                 assert dist < prev
             prev = dist
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_uni_params_check_their_word(side):
+    # letter 0 would write above the diagonal of a lower product
+    for n, word in ((3, (0,)), (3, (3,)), (3, (1, 5)), (0, ())):
+        with pytest.raises(InputError, match="word letter|n >= 1"):
+            UniParams(n, word, side, (F(1),) * len(word), True)
+    assert UniParams(3, (1, 2), side, (F(1), F(2)), True).word == (1, 2)
+
+
+def test_tp_parameters_check_their_word():
+    for n, word in ((3, (0, 1, 2)), (3, (1, 3, 1)), (0, ())):
+        size = n * (n - 1) // 2
+        with pytest.raises(InputError, match="word letter|n >= 1"):
+            TPParameters(n, word, (F(1),) * size, (F(1),) * n, (F(1),) * size)
