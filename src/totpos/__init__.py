@@ -46,7 +46,6 @@ from .curves import (
     sturm_distinct_real_roots,
 )
 from .errors import (
-    ConditioningError,
     ConsistencyError,
     ConvergenceError,
     DomainError,

@@ -192,7 +192,8 @@ def monoid_generate_check(m: Matrix) -> bool:
 
     Equivalent to membership in the closure of products of nonnegative
     elementary generators and positive diagonals.  Singular input is a
-    domain error, not a negative answer.
+    domain error, not a negative answer; singularity is decided on the
+    exact determinant, of a float matrix's dyadic copy too.
     """
     if not m.is_square:
         raise InputError("monoid membership requires a square matrix")
@@ -212,8 +213,9 @@ def variation_diminishes_on(m: Matrix, vector: Sequence[Scalar]) -> bool:
 def is_variation_diminishing(m: Matrix) -> bool:
     """Criterion over compounds: no order may contain entries of both signs.
 
-    Requires invertibility; equivalent to variation-diminishing action on
-    all of R^n for invertible matrices.
+    Requires invertibility, decided on the exact determinant as in
+    :func:`monoid_generate_check`; equivalent to variation-diminishing
+    action on all of R^n for invertible matrices.
     """
     if not m.is_square:
         raise InputError("variation tests are defined for square matrices")

@@ -4,9 +4,12 @@ Matrices come from files (or ``-`` for stdin) in grid or JSON form; every
 command echoes a sha256 digest of its raw input so results can be tied
 back to inputs.  ``--json`` switches to machine-readable output, and on
 all but ``synth``, ``quadruple``, ``curve-check`` and ``convex-check``,
-``--backend float`` parses the matrices as floats, whose signs the
-library's one fixed zero band decides.  Exit codes: 0 success, 1 domain or
-computation failure, 2 malformed input.
+``--backend float`` reads decimals as binary floats.  The library
+eliminates those floats exactly, as the dyadic rationals they are, so
+determinants, factorizations and flags are exact; only the signs of a float
+minor table (the positivity verdicts) are read through the one fixed zero
+band.  Exit codes: 0 success, 1 domain or computation failure, 2 malformed
+input.
 """
 
 from __future__ import annotations

@@ -1,4 +1,8 @@
-"""Exception hierarchy and warning categories shared by every module."""
+"""Exception hierarchy and warning categories shared by every module.
+
+Eliminations are exact on both backends, so SingularityError means exactly
+singular; the float zero band of minor-table signs warns, never raises.
+"""
 
 
 class TotposError(Exception):
@@ -15,10 +19,6 @@ class DomainError(TotposError):
 
 class SingularityError(DomainError):
     """A matrix required to be invertible is singular."""
-
-
-class ConditioningError(TotposError):
-    """A float computation hit a pivot too close to zero to be trusted."""
 
 
 class ConvergenceError(TotposError):

@@ -4,7 +4,9 @@ A flag is the increasing chain of column spans of an invertible matrix.
 Each flag owns a unique column-echelon representative: scanning columns
 left to right, every column is reduced against the pivots already chosen,
 scaled so its bottommost nonzero entry is 1, and earlier pivot rows are
-zeroed.  Two matrices generate the same flag exactly when their canonical
+zeroed.  The representative is computed exactly, a float matrix as the
+dyadic rationals its entries are, so no tolerance decides a pivot.  Two
+matrices generate the same flag exactly when their canonical
 representatives coincide, which turns flag equality into matrix equality.
 
 The open positive cell consists of flags of strictly-factorizable lower
@@ -39,7 +41,7 @@ from .linalg import (
     rank,
     reversal_permutation,
 )
-from .scalars import as_fraction, sign_of
+from .scalars import as_fraction
 from .spectra import _rationalize_columns, gk_spectrum, refine_eigenbasis
 from .whitney import UniParams, gauss_ldu, membership_uni
 
@@ -67,33 +69,30 @@ class Flag:
 
 def _canonical_rep(g: Matrix) -> Matrix:
     n = g.rows
-    exact = g.is_exact
-    scale = max(g.entry_scale(), 1.0)
     canon: list[list] = []
     pivots: list[int] = []
     for j in range(n):
-        v = [as_fraction(x) for x in g.col_tuple(j)] if exact else [
-            float(x) for x in g.col_tuple(j)
-        ]
+        v = [as_fraction(x) for x in g.col_tuple(j)]
         for p, u in zip(pivots, canon):
             f = v[p]
             if f != 0:
                 v = [a - f * b for a, b in zip(v, u)]
-        piv = next((i for i in range(n - 1, -1, -1) if sign_of(v[i], scale)), None)
+        piv = next((i for i in range(n - 1, -1, -1) if v[i]), None)
         if piv is None:
             raise SingularityError("matrix columns are linearly dependent")
         inv = 1 / v[piv]
         v = [a * inv for a in v]
-        v[piv] = 1 if exact else 1.0
+        v[piv] = 1
         for p in pivots:
-            v[p] = 0 if exact else 0.0
+            v[p] = 0
         canon.append(v)
         pivots.append(piv)
     return Matrix.from_columns(canon)
 
 
 def flag_from_matrix(g: Matrix) -> Flag:
-    """Flag of the column-span chain of an invertible matrix."""
+    """Flag of the column-span chain of an invertible matrix; the
+    representative is exact, a float matrix read as its dyadic copy."""
     if not g.is_square:
         raise InputError("flags come from square invertible matrices")
     return Flag(_canonical_rep(g))

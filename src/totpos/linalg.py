@@ -7,18 +7,21 @@ float backend (mixed entries coerce to float).  Row/column indices on
 (:func:`minor`, :func:`submatrix`, :func:`ksubsets`) speak the 1-based,
 strictly increasing convention used throughout the public API.
 
-On the exact backend, determinants, rank, solves, inverses and kernels all
-come from one fraction-free Bareiss elimination, run on integers after the
+Every float is an exact dyadic rational, so there is one elimination path:
+determinants, rank, solves, inverses and kernels all come from one
+fraction-free Bareiss elimination of the exact copy of the input (a float
+matrix is read through :meth:`Matrix.to_exact`), run on integers after the
 denominators are cleared along the rows or the columns, whichever costs fewer
-bits, and exact products run on integers too.  On the float backend,
-determinant and rank share one partial-pivot forward sweep.  Minors of all
-orders come from a dynamic program that expands each order-k minor along its
-last row using the order k-1 table, which is far cheaper than independent
-eliminations when a caller needs every minor of every order.  On exact input
-that table runs on integers, after one clearing of the denominators, and
-each order is a read-only view over those integer rows: signs and correctly
-rounded floats are read from the integers, and an exact minor is built only
-when a key is read.
+bits; their results are exact on either backend.  Exact products run on
+integers too.  Minors of all orders come from a dynamic program that expands
+each order-k minor along its last row using the order k-1 table, which is far
+cheaper than independent eliminations when a caller needs every minor of
+every order.  On exact input that table runs on integers, after one clearing
+of the denominators, and each order is a read-only view over those integer
+rows: signs and correctly rounded floats are read from the integers, and an
+exact minor is built only when a key is read; on float input it runs in
+floats, whose signs :mod:`totpos.classify` reads through the zero band.
+:meth:`Matrix.approx_equal` is the only other reader of the band here.
 """
 
 from __future__ import annotations
@@ -31,17 +34,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, SingularityError
-from .scalars import (
-    Scalar,
-    _require_scalar,
-    as_fraction,
-    is_exact_scalar,
-    is_zero,
-    magnitude,
-    minor_scale,
-    sign_of,
-    zero_threshold,
-)
+from .scalars import Scalar, _require_scalar, as_fraction, is_exact_scalar, is_zero, magnitude
 
 IndexSet = tuple[int, ...]
 
@@ -332,69 +325,23 @@ def _bareiss(
     return a, pivots, sign, row_den, col_den
 
 
-def _float_sweep(m: Matrix) -> tuple[list[int], float]:
-    """Partial-pivot forward sweep: (pivot columns, signed pivot product).
-
-    A column whose largest candidate lies in the zero band has no pivot.
-    """
-    scale = max(m.entry_scale(), 1.0)
-    a = [list(map(float, m.row_tuple(i))) for i in range(m.rows)]
-    pivots: list[int] = []
-    product = 1.0
-    for c in range(m.cols):
-        r = len(pivots)
-        if r == m.rows:
-            break
-        p = max(range(r, m.rows), key=lambda i: abs(a[i][c]))
-        if is_zero(a[p][c], scale):
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            product = -product
-        product *= a[r][c]
-        inv = 1.0 / a[r][c]
-        for i in range(r + 1, m.rows):
-            f = a[i][c] * inv
-            if f == 0.0:
-                continue
-            for j in range(c + 1, m.cols):
-                a[i][j] -= f * a[r][j]
-        pivots.append(c)
-    return pivots, product
-
-
 # -- determinants ---------------------------------------------------------
 
 
-def det(m: Matrix) -> Scalar:
-    """Determinant; exact input gives an exact Fraction."""
+def det(m: Matrix) -> Fraction:
+    """Exact determinant, a Fraction; float input is read exactly."""
     if not m.is_square:
         raise InputError("determinant requires a square matrix")
-    if not m.is_exact:
-        pivots, product = _float_sweep(m)
-        return product if len(pivots) == m.rows else 0.0
-    a, pivots, sign, row_den, col_den = _bareiss(m.to_lists())
+    a, pivots, sign, row_den, col_den = _bareiss(m.to_exact().to_lists())
     if len(pivots) < m.rows:
         return Fraction(0)
     return Fraction(sign * a[-1][-1], math.prod(row_den) * math.prod(col_den))
 
 
 def _require_invertible(m: Matrix, what: str) -> None:
-    """Raise SingularityError unless det(m) has a decided nonzero sign.
-
-    On the float backend the message names the determinant and the zero-band
-    threshold it fell inside; the threshold is inf once the entry scale to
-    the n-th power leaves the float range.
-    """
-    d = det(m)
-    scale = minor_scale(m.entry_scale(), m.rows)
-    if sign_of(d, scale) != 0:
-        return
-    detail = "" if m.is_exact else (
-        f": det = {d!r} lies inside the zero band "
-        f"(threshold {zero_threshold(scale):.3e})"
-    )
-    raise SingularityError(f"{what} requires invertibility{detail}")
+    """Raise SingularityError unless det(m), exact on any input, is nonzero."""
+    if det(m) == 0:
+        raise SingularityError(f"{what} requires invertibility")
 
 
 def minor(
@@ -554,36 +501,14 @@ def compound(m: Matrix, k: int) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    if m.is_exact:
-        return len(_bareiss(m.to_lists())[1])
-    return len(_float_sweep(m)[0])
+    return len(_bareiss(m.to_exact().to_lists())[1])
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Matrix inverse; raises SingularityError when no inverse exists."""
+    """Exact matrix inverse; raises SingularityError when none exists."""
     if not m.is_square:
         raise InputError("inverse requires a square matrix")
-    n = m.rows
-    if m.is_exact:
-        return Matrix(_solve_exact(m, Matrix.identity(n).to_lists()))
-    scale = max(m.entry_scale(), 1.0)
-    a = [
-        list(map(float, m.row_tuple(i)))
-        + [1.0 if j == i else 0.0 for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda i: abs(a[i][c]))
-        if is_zero(a[piv][c], scale):
-            raise SingularityError("matrix is numerically singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv_p = 1.0 / a[c][c]
-        a[c] = [x * inv_p for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0.0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return Matrix([row[n:] for row in a])
+    return Matrix(_solve_exact(m, Matrix.identity(m.rows).to_lists()))
 
 
 def transpose_inverse(m: Matrix) -> Matrix:
@@ -621,7 +546,7 @@ def solve(m: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
 
 
 def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Exact kernel basis (possibly empty) of an exact matrix."""
+    """Exact kernel basis (possibly empty); float input is read exactly."""
     a, pivots, _, _, col_den = _bareiss(m.to_exact().to_lists(), reduce=True)
     free = [c for c in range(m.cols) if c not in pivots]
     basis: list[tuple[Fraction, ...]] = []

@@ -1,13 +1,18 @@
 """Scalar domains: exact rationals, and floats under one zero band.
 
 Every public operation in the library runs on one of two backends.  The exact
-backend uses ``int``/``fractions.Fraction`` entries and decides signs exactly;
-the float backend reads a float as zero when it lies inside the zero band
-``_ZERO_BAND * (1 + |scale|)``, which turns "is this minor positive?" into a
-three-way question.  The band is one private constant, the same for every
-call; :func:`zero_threshold` and :func:`is_zero` are the only code that
-reads it.  Callers that
-need a boolean collapse the indeterminate band pessimistically and emit a
+backend uses ``int``/``fractions.Fraction`` entries and decides signs exactly.
+A float is an exact dyadic rational, and every elimination (determinant,
+rank, inverse, solve, kernel, LDU, peel, flag representative) runs on that
+exact value, so it never reads a tolerance.  The zero band
+``_ZERO_BAND * (1 + |scale|)`` is read in three places only: the sign rule of
+a float minor table (:mod:`totpos.classify`, so float positivity verdicts),
+:func:`totpos.classify.sign_variation`, and
+:meth:`totpos.linalg.Matrix.approx_equal`.  There a float inside the band is
+zero, which turns "is this minor positive?" into a three-way question.  The
+band is one private constant, the same for every call; :func:`zero_threshold`
+and :func:`is_zero` are the only code that reads it.  Callers that need a
+boolean collapse the indeterminate band pessimistically and emit a
 :class:`totpos.errors.StrictnessWarning`.
 """
 

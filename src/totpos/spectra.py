@@ -44,6 +44,9 @@ _GAP_TOL = 1e-8
 _PRODUCT_REL_TOL = 1e-7
 _DET_REL_TOL = 1e-9
 _MAX_DENOMINATOR = 10**30
+# Largest |entry| the power iteration takes as it is; past it, it runs on
+# the matrix scaled by a power of two, so no square leaves the float range.
+_POWER_RANGE = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,12 @@ def _power_perron(a: np.ndarray) -> tuple[float, np.ndarray]:
     n = a.shape[0]
     if n == 1:
         return float(a[0, 0]), np.ones(1)
+    top = float(np.max(np.abs(a)))
+    if top > _POWER_RANGE:
+        # squares would overflow: iterate on a / 2**e, exact, and scale back
+        e = math.frexp(top)[1]
+        root, vec = _power_perron(np.ldexp(a, -e))
+        return math.ldexp(root, e), vec
     scale = float(np.sqrt(np.sum(a * a)))
     x = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0

@@ -16,8 +16,10 @@ strips one generator at a time from the right by a column operation, and
 the reversed word is the standard rule applied to the anti-transpose
 w0 X^T w0, which maps each generator x_i to x_{n-i} and reverses products.
 The peel rule is exact on the image of the parameter map and detects
-non-membership by a failed final identity check.  Exact input is factored
-over Fraction, so exact matrices give exact parameters.
+non-membership by a failed final identity check.  Every input is factored
+over Fraction, a float matrix as the dyadic rationals its entries are, so
+pivots, factors and parameters are always exact and no tolerance decides a
+zero.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .errors import ConditioningError, DomainError, InputError
+from .errors import DomainError, InputError
 from .linalg import Matrix
-from .scalars import Scalar, is_zero
+from .scalars import Scalar
 
 WordKind = Literal["standard", "reversed"]
 Side = Literal["lower", "upper"]
@@ -202,30 +204,27 @@ def synthesize(p: TPParameters) -> Matrix:
 # -- Gauss decomposition ---------------------------------------------------
 
 
-def _work_rows(m: Matrix) -> list[list[Scalar]]:
-    """Mutable copy of the rows; exact entries become Fractions, so / is exact."""
-    if m.is_exact:
-        return [[Fraction(x) for x in m.row_tuple(i)] for i in range(m.rows)]
-    return [list(m.row_tuple(i)) for i in range(m.rows)]
+def _work_rows(m: Matrix) -> list[list[Fraction]]:
+    """Mutable exact copy of the rows: every entry, a float too, becomes the
+    Fraction it equals, so / is exact."""
+    return [[Fraction(x) for x in m.row_tuple(i)] for i in range(m.rows)]
 
 
-def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Scalar], Matrix | None, Matrix | None]:
-    """Pivot-free elimination M = L * diag(d) * U, one pivot at a time.
+def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Matrix | None, Matrix | None]:
+    """Pivot-free exact elimination M = L * diag(d) * U, one pivot at a time.
 
-    Returns (d, L, U).  Stops at the first pivot in the zero band, or with
-    ``positive`` at the first negative one too; d then ends with that pivot
-    and L and U are None.  The k-th leading principal minor is d_1 ... d_k.
+    Returns (d, L, U).  Stops at the first zero pivot, or with ``positive``
+    at the first negative one too; d then ends with that pivot and L and U
+    are None.  The k-th leading principal minor is d_1 ... d_k.
     """
     n = m.rows
-    exact = m.is_exact
-    scale = 1.0 if exact else max(m.entry_scale(), 1.0)
     a = _work_rows(m)
-    lower = [[1 if i == j else (0 if exact else 0.0) for j in range(n)] for i in range(n)]
-    diag: list[Scalar] = []
+    lower = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    diag: list[Fraction] = []
     for k in range(n):
         pivot = a[k][k]
         diag.append(pivot)
-        if (pivot == 0 if exact else is_zero(pivot, scale)) or (positive and pivot < 0):
+        if pivot == 0 or (positive and pivot < 0):
             return diag, None, None
         for i in range(k + 1, n):
             f = a[i][k] / pivot
@@ -234,22 +233,19 @@ def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Scalar], Matrix | None
                 for j in range(k, n):
                     a[i][j] -= f * a[k][j]
     upper = [
-        [
-            (a[i][j] / diag[i]) if j > i else (1 if i == j else (0 if exact else 0.0))
-            for j in range(n)
-        ]
+        [a[i][j] / diag[i] if j > i else (1 if i == j else 0) for j in range(n)]
         for i in range(n)
     ]
     return diag, Matrix(lower), Matrix(upper)
 
 
-def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Scalar, ...], Matrix] | None:
+def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
     """Pivot-free M = L * diag(d) * U with L, U unitriangular.
 
     Exists iff every leading principal minor is nonzero; returns None
     otherwise.  No row exchanges: the decomposition must respect the
     triangular structure, so a vanishing pivot is a genuine obstruction.
-    Exact input gives Fraction pivots and factors.
+    Pivots and factors are exact, float input included.
     """
     if not m.is_square:
         raise InputError("decomposition requires a square matrix")
@@ -262,36 +258,22 @@ def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Scalar, ...], Matrix] | None:
 # -- peels ------------------------------------------------------------------
 
 
-def _check_identity(a: list[list[Scalar]], exact: bool, scale: float) -> bool:
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            target = 1 if i == j else 0
-            if exact:
-                if a[i][j] != target:
-                    return False
-            elif not is_zero(float(a[i][j]) - target, scale):
+def _check_identity(a: list[list[Fraction]]) -> bool:
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x != (1 if i == j else 0):
                 return False
     return True
 
 
-def _peel_ratio(num: Scalar, den: Scalar, exact: bool, scale: float) -> Scalar | None:
-    """num/den with domain-aware zero handling; None marks non-membership."""
-    if exact:
-        if den == 0:
-            return Fraction(0) if num == 0 else None
-        return num / den
-    if is_zero(den, scale):
-        if is_zero(num, scale):
-            return 0.0
-        raise ConditioningError(
-            "peel pivot fell inside the zero band while the stripped "
-            "entry did not; refusing to divide"
-        )
+def _peel_ratio(num: Fraction, den: Fraction) -> Fraction | None:
+    """num/den, where 0/0 is 0; None marks non-membership."""
+    if den == 0:
+        return Fraction(0) if num == 0 else None
     return num / den
 
 
-def _peel(m: Matrix, kind: WordKind) -> tuple[Scalar, ...] | None:
+def _peel(m: Matrix, kind: WordKind) -> tuple[Fraction, ...] | None:
     """Strip the word's lower generators from the right, one column at a time.
 
     Standard word: when the rightmost remaining generator has letter i and
@@ -310,26 +292,24 @@ def _peel(m: Matrix, kind: WordKind) -> tuple[Scalar, ...] | None:
     """
     n = m.rows
     blocks = _blocks(n, kind)
-    exact = m.is_exact
-    scale = 1.0 if exact else max(m.entry_scale(), 1.0)
     a = _work_rows(m)
     if kind == "standard":
         order = range(len(blocks) - 1, -1, -1)
     else:
         a = [[a[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)]
         order = range(len(blocks))
-    out: list[Scalar] = [0 if exact else 0.0] * len(blocks)
+    out: list[Fraction] = [Fraction(0)] * len(blocks)
     for s in order:
         i, j = blocks[s]
         r, col = (i + j - 1, i) if kind == "standard" else (n - j, n - i)  # 0-based row
-        c = _peel_ratio(a[r][col - 1], a[r][col], exact, scale)
+        c = _peel_ratio(a[r][col - 1], a[r][col])
         if c is None:
             return None
         out[s] = c
         if c != 0:
             for row in a:
                 row[col - 1] -= c * row[col]
-    if not _check_identity(a, exact, scale):
+    if not _check_identity(a):
         return None
     return tuple(out)
 
@@ -388,10 +368,11 @@ def factorize(m: Matrix, word: WordKind = "standard") -> TPParameters:
 
     Raises DomainError when the input is provably not totally positive (the
     Gauss decomposition or a peel fails, or a recovered parameter is not
-    positive).  Exact input is factored over Fraction, so its parameters are
-    Fractions.  On exact input, :func:`totpos.classify.is_totally_positive`
-    reads its verdict from this same elimination and the same peels, and
-    falls back to the minor table only where they cannot decide.
+    positive).  Input is factored over Fraction, float input included, so
+    its parameters are Fractions.  On exact input,
+    :func:`totpos.classify.is_totally_positive` reads its verdict from this
+    same elimination and the same peels, and falls back to the minor table
+    only where they cannot decide.
     """
     if not m.is_square:
         raise InputError("factorization requires a square matrix")

@@ -3,7 +3,8 @@
 Tolerances, iteration caps and sampling bounds are module constants; a
 keyword belongs in a public signature only when callers use more than
 one value of it, and every parameter of a public function is read.  No
-module of the package but ``__init__`` imports a name it never reads.
+module of the package but ``__init__`` imports a name it never reads, and
+only the sign rules read the float zero band.
 """
 
 import ast
@@ -162,3 +163,41 @@ def test_unread_import_walk_sees_dead_imports():
         """
     )
     assert _unread_imports(source) == ["5 inverse"]
+
+
+# The zero band is read by the minor-table sign rule and sign_variation
+# (classify) and by Matrix.approx_equal (linalg, is_zero only); scalars
+# defines it, and __init__ re-exports sign_of as public API.
+_BAND_NAMES = {"is_zero", "sign_of", "zero_threshold", "minor_scale"}
+_BAND_READERS = {"scalars.py": _BAND_NAMES, "classify.py": _BAND_NAMES, "linalg.py": {"is_zero"}}
+
+
+def _band_names_used(source: str) -> set[str]:
+    """Band names a module imports, or reads as an attribute of a module."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names} & _BAND_NAMES
+        elif isinstance(node, ast.Attribute) and node.attr in _BAND_NAMES:
+            used.add(node.attr)
+    return used
+
+
+def test_only_the_sign_rules_read_the_zero_band():
+    package = Path(totpos.__file__).parent
+    stray = {
+        path.name: sorted(extra)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for extra in [
+            _band_names_used(path.read_text(encoding="utf-8"))
+            - _BAND_READERS.get(path.name, set())
+        ]
+        if extra
+    }
+    assert not stray, stray
+
+
+def test_band_walk_sees_imports_and_attributes():
+    source = "from .scalars import as_fraction, sign_of\nscalars.is_zero(x, 1.0)\n"
+    assert _band_names_used(source) == {"sign_of", "is_zero"}

@@ -95,6 +95,15 @@ def test_flag_pos(tmp_path, capsys):
     assert "primed cell: no" in out
 
 
+def test_flag_pos_float_backend_answers(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("-0.2 -0.48 -0.12 1\n0 -1 1 0\n1 1 0 0\n1 0 0 0\n")
+    assert main(["flag-pos", str(path), "--backend", "float"]) == 0
+    out = capsys.readouterr().out
+    assert "positive cell: no" in out
+    assert "primed cell: no" in out
+
+
 def test_opposed(tmp_path, capsys):
     a = tmp_path / "a.txt"
     a.write_text("1 0\n0 1\n")

@@ -111,6 +111,17 @@ def test_boundary_flags_are_rejected():
     assert in_B_pos(bad) is None
 
 
+def test_float_flag_cells_answer_like_the_exact_copy():
+    # the lower factor of a float flag is inverted exactly, so it stays
+    # unitriangular and the primed cell answers instead of raising
+    m = Matrix([[-0.2, -0.48, -0.12, 1], [0, -1, 1, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
+    for g in (m, m.to_exact()):
+        f = flag_from_matrix(g)
+        assert f.rep.is_exact
+        assert in_B_pos(f) is None
+        assert in_B_pos_prime(f) is None
+
+
 def test_cells_are_disjoint():
     rng = random.Random(25)
     for n in (2, 3):
