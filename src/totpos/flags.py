@@ -5,7 +5,8 @@ Each flag owns a unique column-echelon representative: scanning columns
 left to right, every column is reduced against the pivots already chosen,
 scaled so its bottommost nonzero entry is 1, and earlier pivot rows are
 zeroed.  The representative is computed exactly, a float matrix as the
-dyadic rationals its entries are, so no tolerance decides a pivot.  Two
+dyadic rationals its entries are, so no tolerance decides a pivot: the
+columns are reduced as integers, and each entry is one Fraction.  Two
 matrices generate the same flag exactly when their canonical
 representatives coincide, which turns flag equality into matrix equality.
 
@@ -21,6 +22,7 @@ and torus tolerances are module constants, not per-call settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -36,12 +38,12 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    _cleared_line,
     _solve_exact,
     inverse,
     rank,
     reversal_permutation,
 )
-from .scalars import as_fraction
 from .spectra import _rationalize_columns, gk_spectrum, refine_eigenbasis
 from .whitney import UniParams, gauss_ldu, membership_uni
 
@@ -68,24 +70,25 @@ class Flag:
 
 
 def _canonical_rep(g: Matrix) -> Matrix:
-    n = g.rows
-    canon: list[list] = []
+    """Column echelon representative, reduced on integer columns: column v
+    becomes v * u[p] - v[p] * u for each earlier column u with pivot row p,
+    then v over its content, and each entry is read over the pivot entry."""
+    ints: list[list[int]] = []
     pivots: list[int] = []
-    for j in range(n):
-        v = [as_fraction(x) for x in g.col_tuple(j)]
-        for p, u in zip(pivots, canon):
-            f = v[p]
-            if f != 0:
-                v = [a - f * b for a, b in zip(v, u)]
-        piv = next((i for i in range(n - 1, -1, -1) if v[i]), None)
-        if piv is None:
+    canon: list[list] = []
+    for col in zip(*g.to_exact().to_lists()):
+        v = _cleared_line(col)[0]
+        for p, u in zip(pivots, ints):
+            f, e = v[p], u[p]
+            if f:
+                v = [a * e - f * b for a, b in zip(v, u)]
+        content = math.gcd(*v)
+        if content == 0:
             raise SingularityError("matrix columns are linearly dependent")
-        inv = 1 / v[piv]
-        v = [a * inv for a in v]
-        v[piv] = 1
-        for p in pivots:
-            v[p] = 0
-        canon.append(v)
+        piv = max(i for i, a in enumerate(v) if a)
+        canon.append([0 if i in pivots else Fraction(a, v[piv]) for i, a in enumerate(v)])
+        canon[-1][piv] = 1
+        ints.append([a // content for a in v])
         pivots.append(piv)
     return Matrix.from_columns(canon)
 

@@ -12,8 +12,10 @@ determinants, rank, solves, inverses and kernels all come from one
 fraction-free Bareiss elimination of the exact copy of the input (a float
 matrix is read through :meth:`Matrix.to_exact`), run on integers after the
 denominators are cleared along the rows or the columns, whichever costs fewer
-bits; their results are exact on either backend.  Exact products run on
-integers too.  Minors of all orders come from a dynamic program that expands
+bits; their results are exact on either backend, and the same clearing
+feeds the pivot-free LDU of :mod:`totpos.whitney`.  Exact products, the peel
+and flag representatives run on integer columns, each over the lcm of its
+denominators.  Minors of all orders come from a dynamic program that expands
 each order-k minor along its last row using the order k-1 table, which is far
 cheaper than independent eliminations when a caller needs every minor of
 every order.  On exact input that table runs on integers, after one clearing
@@ -227,14 +229,18 @@ class Matrix:
             raise InputError("shape mismatch")
 
 
+def _cleared_line(v: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Integers w and the lcm d of an exact vector's denominators: v = w / d."""
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def _exact_products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
     """Dot products of exact rows and columns, summed on integers: each is
     cleared once by the lcm of its denominators, and an entry is one Fraction
     over two lcms, or an int when neither holds a Fraction, as in a sum."""
     def cleared(v):
-        d = math.lcm(*(x.denominator for x in v))
-        wrap = any(isinstance(x, Fraction) for x in v)
-        return [x.numerator * (d // x.denominator) for x in v], d, wrap
+        return *_cleared_line(v), any(isinstance(x, Fraction) for x in v)
 
     right = [cleared(col) for col in cols]
     return [
@@ -279,17 +285,12 @@ def submatrix(m: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Matr
 # -- elimination kernels --------------------------------------------------
 
 
-def _bareiss(
-    rows: Sequence[Sequence[int | Fraction]], reduce: bool = False
-) -> tuple[list[list[int]], list[int], int, list[int], list[int]]:
-    """Fraction-free Bareiss (1968) elimination, the one exact kernel.
-
-    Rows M become integers A = diag(R)·M·diag(C), clearing denominators on
-    the side (rows or columns) whose lcms have fewer bits; the other side's
-    scales are all ones.  Each update divides exactly by the previous pivot.
-    Returns (A, pivot columns, row permutation sign, R, C): A in echelon form,
-    or with ``reduce`` in d·RREF form, every pivot equal to the last one, d.
-    """
+def _cleared(
+    rows: Sequence[Sequence[int | Fraction]],
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Exact rows M as integers A = diag(R)·M·diag(C), clearing denominators
+    on the side (rows or columns) whose lcms have fewer bits; the other
+    side's scales are all ones.  Returns (A, R, C)."""
     row_den = [math.lcm(*(x.denominator for x in row)) for row in rows]
     col_den = [math.lcm(*(x.denominator for x in col)) for col in zip(*rows)]
     if sum(d.bit_length() for d in row_den) <= sum(d.bit_length() for d in col_den):
@@ -300,6 +301,20 @@ def _bareiss(
         [x.numerator * (r * c // x.denominator) for x, c in zip(row, col_den)]
         for row, r in zip(rows, row_den)
     ]
+    return a, row_den, col_den
+
+
+def _bareiss(
+    rows: Sequence[Sequence[int | Fraction]], reduce: bool = False
+) -> tuple[list[list[int]], list[int], int, list[int], list[int]]:
+    """Fraction-free Bareiss (1968) elimination, the one exact kernel.
+
+    Runs on the integers A = diag(R)·M·diag(C) of :func:`_cleared`.  Each
+    update divides exactly by the previous pivot.  Returns (A, pivot
+    columns, row permutation sign, R, C): A in echelon form, or with
+    ``reduce`` in d·RREF form, every pivot equal to the last one, d.
+    """
+    a, row_den, col_den = _cleared(rows)
     nrows = len(a)
     pivots: list[int] = []
     sign = 1

@@ -17,19 +17,21 @@ the reversed word is the standard rule applied to the anti-transpose
 w0 X^T w0, which maps each generator x_i to x_{n-i} and reverses products.
 The peel rule is exact on the image of the parameter map and detects
 non-membership by a failed final identity check.  Every input is factored
-over Fraction, a float matrix as the dyadic rationals its entries are, so
-pivots, factors and parameters are always exact and no tolerance decides a
-zero.
+exactly, a float matrix as the dyadic rationals its entries are, so no
+tolerance decides a zero: the elimination is a fraction-free Bareiss pass
+and the peel runs on integer columns, and each pivot, factor entry and
+parameter is one Fraction built from the integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
 from .errors import DomainError, InputError
-from .linalg import Matrix
+from .linalg import Matrix, _cleared, _cleared_line
 from .scalars import Scalar
 
 WordKind = Literal["standard", "reversed"]
@@ -204,38 +206,39 @@ def synthesize(p: TPParameters) -> Matrix:
 # -- Gauss decomposition ---------------------------------------------------
 
 
-def _work_rows(m: Matrix) -> list[list[Fraction]]:
-    """Mutable exact copy of the rows: every entry, a float too, becomes the
-    Fraction it equals, so / is exact."""
-    return [[Fraction(x) for x in m.row_tuple(i)] for i in range(m.rows)]
-
-
 def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Matrix | None, Matrix | None]:
     """Pivot-free exact elimination M = L * diag(d) * U, one pivot at a time.
 
     Returns (d, L, U).  Stops at the first zero pivot, or with ``positive``
     at the first negative one too; d then ends with that pivot and L and U
     are None.  The k-th leading principal minor is d_1 ... d_k.
+
+    A pivot-free Bareiss pass runs on the integers A = diag(R) M diag(C) of
+    :func:`totpos.linalg._cleared`.  Before step k, a[i][j] (i, j >= k) is
+    the minor of A on rows 0..k-1, i and columns 0..k-1, j, so P_k = a[k][k]
+    is its leading principal minor of order k+1; step k updates only the
+    entries below and right of the pivot, so row k and column k keep these
+    values.  Then d_k = P_k / (P_{k-1} R_k C_k), L[i][k] = a[i][k] R_k /
+    (R_i P_k) and U[k][j] = a[k][j] C_k / (C_j P_k).
     """
     n = m.rows
-    a = _work_rows(m)
-    lower = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    a, row_den, col_den = _cleared(m.to_exact().to_lists())
     diag: list[Fraction] = []
+    prev = 1
     for k in range(n):
         pivot = a[k][k]
-        diag.append(pivot)
+        diag.append(Fraction(pivot, prev * row_den[k] * col_den[k]))
         if pivot == 0 or (positive and pivot < 0):
             return diag, None, None
+        row = a[k][k + 1:]
         for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            lower[i][k] = f
-            if f != 0:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    upper = [
-        [a[i][j] / diag[i] if j > i else (1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
+            f, tail = a[i][k], a[i][k + 1:]
+            a[i][k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(tail, row)]
+        prev = pivot
+    lower = [[Fraction(x * row_den[j], row_den[i] * a[j][j]) if i > j else int(i == j)
+              for j, x in enumerate(row)] for i, row in enumerate(a)]
+    upper = [[Fraction(x * col_den[i], col_den[j] * a[i][i]) if j > i else int(i == j)
+              for j, x in enumerate(row)] for i, row in enumerate(a)]
     return diag, Matrix(lower), Matrix(upper)
 
 
@@ -245,7 +248,8 @@ def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
     Exists iff every leading principal minor is nonzero; returns None
     otherwise.  No row exchanges: the decomposition must respect the
     triangular structure, so a vanishing pivot is a genuine obstruction.
-    Pivots and factors are exact, float input included.
+    Pivots and factors are exact, float input included: the elimination
+    runs on integers and each entry is one Fraction built at the end.
     """
     if not m.is_square:
         raise InputError("decomposition requires a square matrix")
@@ -256,21 +260,6 @@ def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
 
 
 # -- peels ------------------------------------------------------------------
-
-
-def _check_identity(a: list[list[Fraction]]) -> bool:
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x != (1 if i == j else 0):
-                return False
-    return True
-
-
-def _peel_ratio(num: Fraction, den: Fraction) -> Fraction | None:
-    """num/den, where 0/0 is 0; None marks non-membership."""
-    if den == 0:
-        return Fraction(0) if num == 0 else None
-    return num / den
 
 
 def _peel(m: Matrix, kind: WordKind) -> tuple[Fraction, ...] | None:
@@ -289,29 +278,38 @@ def _peel(m: Matrix, kind: WordKind) -> tuple[Fraction, ...] | None:
     anti-transposed matrix Q', stripping the reversed word's generators from
     left to right: Q'[n-j+1, n-i] = c * Q'[n-j+1, n-i+1].  A final identity
     check rejects matrices outside the image of the parameter map.
+
+    Each column is held as integers over one nonzero denominator, so a
+    column operation is one integer combination divided by the column's
+    content, and each parameter is one Fraction.
     """
     n = m.rows
     blocks = _blocks(n, kind)
-    a = _work_rows(m)
+    rows = m.to_exact().to_lists()
     if kind == "standard":
-        order = range(len(blocks) - 1, -1, -1)
-    else:
-        a = [[a[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)]
-        order = range(len(blocks))
+        lines, order = zip(*rows), range(len(blocks) - 1, -1, -1)
+    else:  # column c of w0 Q^T w0 is row n-1-c of Q read backwards
+        lines, order = [row[::-1] for row in reversed(rows)], range(len(blocks))
+    cols = [_cleared_line(v) for v in lines]
     out: list[Fraction] = [Fraction(0)] * len(blocks)
     for s in order:
         i, j = blocks[s]
         r, col = (i + j - 1, i) if kind == "standard" else (n - j, n - i)  # 0-based row
-        c = _peel_ratio(a[r][col - 1], a[r][col])
-        if c is None:
+        (u, d), (v, e) = cols[col - 1], cols[col]
+        x, y = u[r], v[r]  # c = (x / d) / (y / e), where 0/0 is 0
+        if x == 0:
+            continue
+        if y == 0:
             return None
-        out[s] = c
-        if c != 0:
-            for row in a:
-                row[col - 1] -= c * row[col]
-    if not _check_identity(a):
-        return None
-    return tuple(out)
+        h = math.gcd(x, y)
+        x, y = x // h, y // h
+        out[s] = Fraction(x * e, y * d)
+        w = [y * a - x * b for a, b in zip(u, v)]
+        g = math.gcd(y * d, *w)
+        cols[col - 1] = [t // g for t in w], y * d // g
+    if all(v == [e if i == k else 0 for i in range(n)] for k, (v, e) in enumerate(cols)):
+        return tuple(out)
+    return None
 
 
 def _is_unitriangular(m: Matrix, side: Side) -> bool:
@@ -340,10 +338,12 @@ def membership_uni(
     """
     if not m.is_square:
         raise InputError("membership requires a square matrix")
-    if not _is_unitriangular(m, side):
-        raise DomainError(f"matrix is not {side} unitriangular")
+    if side not in ("lower", "upper"):
+        raise InputError(f"side must be 'lower' or 'upper', got {side!r}")
     if word not in ("standard", "reversed"):
         raise InputError(f"unknown word kind {word!r}")
+    if not _is_unitriangular(m, side):
+        raise DomainError(f"matrix is not {side} unitriangular")
     n = m.rows
     if side == "lower":
         target = m
@@ -368,8 +368,8 @@ def factorize(m: Matrix, word: WordKind = "standard") -> TPParameters:
 
     Raises DomainError when the input is provably not totally positive (the
     Gauss decomposition or a peel fails, or a recovered parameter is not
-    positive).  Input is factored over Fraction, float input included, so
-    its parameters are Fractions.  On exact input,
+    positive).  Input is factored exactly on integers, float input
+    included, and its parameters are Fractions.  On exact input,
     :func:`totpos.classify.is_totally_positive` reads its verdict from this
     same elimination and the same peels, and falls back to the minor table
     only where they cannot decide.
@@ -377,6 +377,7 @@ def factorize(m: Matrix, word: WordKind = "standard") -> TPParameters:
     if not m.is_square:
         raise InputError("factorization requires a square matrix")
     n = m.rows
+    letters = word_for(n, word)
     ldu = gauss_ldu(m)
     if ldu is None:
         raise DomainError(
@@ -394,5 +395,5 @@ def factorize(m: Matrix, word: WordKind = "standard") -> TPParameters:
             "factorization parameters are not all strictly positive; "
             "the matrix is totally nonnegative at best"
         )
-    return TPParameters(n, word_for(n, word), lower.c, diag, upper.c, strict=True)
+    return TPParameters(n, letters, lower.c, diag, upper.c, strict=True)
 

@@ -11,6 +11,7 @@ from totpos.bilinear import c0_matrix, tilde
 from totpos.errors import DomainError, InputError, SingularityError
 from totpos.flags import (
     Flag,
+    _canonical_rep,
     _transport_blocks,
     adapted_basis,
     flag_from_matrix,
@@ -30,6 +31,7 @@ from totpos.sampling import (
     random_tp_matrix,
     random_uni_params,
 )
+from totpos.scalars import as_fraction
 from totpos.whitney import synthesize_uni
 
 
@@ -313,3 +315,81 @@ def test_tilde_keeps_the_positive_cell():
         u = synthesize_uni(random_uni_params(n, rng, side="lower", strict=True))
         image = flag_from_matrix(tilde(u))
         assert in_B_pos(image) is not None
+
+
+def _oracle_canonical_rep(g):
+    # oracle: the column reduction on Fractions
+    n = g.rows
+    canon = []
+    pivots = []
+    for j in range(n):
+        v = [as_fraction(x) for x in g.col_tuple(j)]
+        for p, u in zip(pivots, canon):
+            f = v[p]
+            if f != 0:
+                v = [a - f * b for a, b in zip(v, u)]
+        piv = next((i for i in range(n - 1, -1, -1) if v[i]), None)
+        if piv is None:
+            raise SingularityError("matrix columns are linearly dependent")
+        inv = 1 / v[piv]
+        v = [a * inv for a in v]
+        v[piv] = 1
+        for p in pivots:
+            v[p] = 0
+        canon.append(v)
+        pivots.append(piv)
+    return Matrix.from_columns(canon)
+
+
+def _typed_outcome(fn, g):
+    # entries with their types (a Matrix repr prints 1 and Fraction(1)
+    # alike), or the exception type
+    try:
+        return [[(type(x), x) for x in row] for row in fn(g).to_lists()], None
+    except Exception as exc:  # the oracle and the kernel must raise alike
+        return None, type(exc)
+
+
+def test_canonical_rep_matches_the_fraction_reduction():
+    rng = random.Random(1616)
+
+    def small_fraction():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    palettes = {
+        "int": lambda: rng.randint(-9, 9),
+        "sparse": lambda: rng.choice((0, 0, 0, rng.randint(-3, 3))),
+        "fraction": small_fraction,
+        "float": lambda: rng.uniform(-3, 3),
+        "int and fraction": lambda: rng.choice((rng.randint(-9, 9), small_fraction())),
+        "mixed": lambda: rng.choice((rng.randint(-9, 9), small_fraction(), rng.uniform(-3, 3))),
+        "heavy": lambda: F(rng.getrandbits(1010) - 2**1009, rng.getrandbits(1010) | 2**1009),
+    }
+    outcomes = set()
+    compared = heavy = 0
+    for n in range(1, 8):
+        for name, draw in palettes.items():
+            for _ in range(12 if name != "heavy" else 3 if n < 6 else 1):
+                rows = [[draw() for _ in range(n)] for _ in range(n)]
+                cases = [rows]
+                if n > 1:
+                    # column j a combination of the earlier ones: dependent
+                    j = rng.randrange(1, n)
+                    c = [rng.randint(-2, 2) for _ in range(j)]
+                    dependent = [list(row) for row in rows]
+                    for row in dependent:
+                        row[j] = sum(ci * x for ci, x in zip(c, row[:j]))
+                    cases.append(dependent)
+                for x in cases:
+                    g = Matrix(x)
+                    want = _typed_outcome(_oracle_canonical_rep, g)
+                    assert _typed_outcome(_canonical_rep, g) == want
+                    outcomes.add(want[1])
+                    compared += 1
+                    heavy += name == "heavy"
+        for perm in itertools.islice(itertools.permutations(range(n)), 24):
+            g = Matrix([[int(perm[j] == i) for j in range(n)] for i in range(n)])
+            want = _typed_outcome(_oracle_canonical_rep, g)
+            assert _typed_outcome(_canonical_rep, g) == want
+    assert outcomes == {None, SingularityError}
+    assert compared > 900 and heavy > 30

@@ -1,6 +1,7 @@
 """Bidiagonal synthesis, factorization, and monoid membership."""
 
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from totpos.errors import (
     InputError,
     SingularityError,
 )
-from totpos.linalg import Matrix, det
+from totpos.linalg import Matrix, det, inverse
 from totpos.sampling import (
     random_tn_matrix,
     random_tp_matrix,
@@ -24,10 +25,8 @@ from totpos.sampling import (
 from totpos.whitney import (
     TPParameters,
     UniParams,
-    _check_identity,
+    _ldu,
     _peel,
-    _peel_ratio,
-    _work_rows,
     factorize,
     gauss_ldu,
     gen_x,
@@ -253,6 +252,27 @@ def test_membership_upper_side():
     q = membership_uni(m, "upper")
     assert q is not None
     assert synthesize_uni(q) == m
+
+
+def _work_rows(m: Matrix) -> list[list[Fraction]]:
+    """Mutable exact copy of the rows: every entry, a float too, becomes the
+    Fraction it equals, so / is exact."""
+    return [[Fraction(x) for x in m.row_tuple(i)] for i in range(m.rows)]
+
+
+def _check_identity(a: list[list[Fraction]]) -> bool:
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x != (1 if i == j else 0):
+                return False
+    return True
+
+
+def _peel_ratio(num: Fraction, den: Fraction) -> Fraction | None:
+    """num/den, where 0/0 is 0; None marks non-membership."""
+    if den == 0:
+        return Fraction(0) if num == 0 else None
+    return num / den
 
 
 def _oracle_peel_standard(m):
@@ -512,3 +532,158 @@ def test_tp_parameters_check_their_word():
         size = n * (n - 1) // 2
         with pytest.raises(InputError, match="word letter|n >= 1"):
             TPParameters(n, word, (F(1),) * size, (F(1),) * n, (F(1),) * size)
+
+
+def test_arguments_are_checked_before_the_domain():
+    # an unknown side or word is an input error whatever the matrix holds
+    for rows in ([[1, 2], [3, 1]], [[1, 0], [1, 1]], [[1, 0], [0, 1]], [[2, 0], [0, 1]]):
+        m = Matrix(rows)
+        with pytest.raises(InputError, match="side"):
+            membership_uni(m, "middle")
+        with pytest.raises(InputError, match="word kind"):
+            membership_uni(m, "lower", word="foo")
+    for rows in ([[1, 2], [3, 4]], [[0, 1], [1, 0]], [[1, 0], [1, 1]], [[2, 1], [1, 1]]):
+        with pytest.raises(InputError, match="word kind"):
+            factorize(Matrix(rows), word="foo")
+
+
+def _typed(result):
+    # values with their types: a Matrix repr prints 1 and Fraction(1) alike
+    if isinstance(result, Matrix):
+        return _typed(result.to_lists())
+    if isinstance(result, (list, tuple)):
+        return [_typed(x) for x in result]
+    return type(result), result
+
+
+def _heavy_fraction(rng):
+    # above 1,000 bits, with a denominator of its own
+    return F(rng.getrandbits(1010) - 2**1009, rng.getrandbits(1010) | 2**1009 | 1)
+
+
+def _bits(m):
+    return max(max(F(x).numerator.bit_length(), F(x).denominator.bit_length())
+               for row in m.to_lists() for x in row)
+
+
+def _oracle_ldu(m, positive=False):
+    # oracle: the pivot-at-a-time elimination on Fractions
+    n = m.rows
+    a = _work_rows(m)
+    lower = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    diag = []
+    for k in range(n):
+        pivot = a[k][k]
+        diag.append(pivot)
+        if pivot == 0 or (positive and pivot < 0):
+            return diag, None, None
+        for i in range(k + 1, n):
+            f = a[i][k] / pivot
+            lower[i][k] = f
+            if f != 0:
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    upper = [
+        [a[i][j] / diag[i] if j > i else (1 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return diag, Matrix(lower), Matrix(upper)
+
+
+def _ldu_cases():
+    rng = random.Random(1515)
+
+    def small_fraction():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    palettes = {
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": small_fraction,
+        "float": lambda: rng.uniform(-3, 3),
+        "int and fraction": lambda: rng.choice((rng.randint(-9, 9), small_fraction())),
+        "mixed": lambda: rng.choice((rng.randint(-9, 9), small_fraction(), rng.uniform(-3, 3))),
+        "heavy": lambda: _heavy_fraction(rng),
+    }
+
+    def with_stops(rows):
+        # the matrix, then a zero and a negative pivot at each position k
+        yield rows
+        pivots = _oracle_ldu(Matrix(rows))[0]
+        for k in range(len(rows)):
+            zero = [list(row) for row in rows]
+            if k == 0:
+                zero[0][0] *= 0
+            else:  # the leading block of order k+1 becomes singular
+                zero[k][: k + 1] = zero[0][: k + 1]
+            yield zero
+            if k < len(pivots):  # pivots 0..k-1 are nonzero; pivot k moves to about -1
+                negative = [list(row) for row in rows]
+                negative[k][k] = negative[k][k] - pivots[k] - 1
+                yield negative
+
+    for n in range(1, 8):
+        for name, draw in palettes.items():
+            for _ in range(3 if name != "heavy" else 2 if n < 5 else 0):
+                yield from with_stops([[draw() for _ in range(n)] for _ in range(n)])
+        for _ in range(2):
+            # every pivot positive; the diagonal scalings give each entry
+            # a heavy denominator of its own
+            tp = random_tp_matrix(n, rng).to_lists()
+            left = [F(rng.getrandbits(510) + 1, rng.getrandbits(510) | 1) for _ in range(n)]
+            right = [F(rng.getrandbits(510) + 1, rng.getrandbits(510) | 1) for _ in range(n)]
+            yield from with_stops(tp)
+            yield [
+                [x * left[i] * right[j] for j, x in enumerate(row)] for i, row in enumerate(tp)
+            ]
+
+
+def test_ldu_matches_the_fraction_elimination():
+    compared = heavy = 0
+    stops = set()
+    for rows in _ldu_cases():
+        m = Matrix(rows)
+        for positive in (False, True):
+            want = _oracle_ldu(m, positive)
+            assert _typed(_ldu(m, positive)) == _typed(want)
+            if want[1] is None:
+                stops.add((m.rows, len(want[0]) - 1, want[0][-1] == 0))
+            compared += 1
+        heavy += _bits(m) > 1000
+    # zero and negative stops at every position of every size
+    every = {(n, k, zero) for n in range(1, 8) for k in range(n) for zero in (True, False)}
+    assert every <= stops
+    assert compared > 2000 and heavy > 50
+
+
+def test_one_peel_matches_both_oracle_peels_on_heavy_factors():
+    # factors with entries above 1,000 bits, each over a denominator of its own
+    rng = random.Random(707)
+    compared = heavy = 0
+    for n in range(2, 6):
+        for word in ("standard", "reversed"):
+            for _ in range(2):
+                params = [abs(_heavy_fraction(rng)) for _ in word_for(n, word)]
+                factor = synthesize_uni(UniParams(n, word_for(n, word), "lower", params, True))
+                # the lower factor of diag(s) M diag(t) is diag(s) L diag(s)^-1
+                lower = gauss_ldu(random_tp_matrix(n, rng))[0].to_lists()
+                s = [abs(_heavy_fraction(rng)) for _ in range(n)]
+                scaled = Matrix(
+                    [[x * s[i] / s[j] for j, x in enumerate(row)] for i, row in enumerate(lower)]
+                )
+                lowers = [factor, inverse(factor), scaled, inverse(scaled)]
+                for low in lowers:
+                    cells = [(i, j) for i in range(n) for j in range(i)]
+                    i, j = rng.choice(cells)
+                    bent = low.to_lists()
+                    bent[i][j] += rng.choice((F(1, 7), -bent[i][j]))
+                    for x in (low, Matrix(bent)):
+                        for side, y in (("lower", x), ("upper", x.transpose())):
+                            assert _outcome(membership_uni, y, side, word) == _outcome(
+                                _oracle_membership, y, side, word
+                            )
+                        for kind in ("standard", "reversed"):
+                            want = _outcome(_ORACLE_PEELS[kind], x)
+                            assert _outcome(_peel, x, kind) == want
+                        compared += 1
+                        heavy += _bits(x) > 1000
+    assert compared > 100 and heavy > 100
