@@ -57,30 +57,16 @@ class BilinearForm:
 
 
 def form_to_A(form: BilinearForm) -> Matrix:
-    """Signed comparison matrix: entry (s, r) is (-1)^r <e_{r*}, e_s>."""
-    n = form.n
-    g = form.gram
-    return Matrix(
-        [
-            [
-                (-(g[star(r, n) - 1, s - 1]) if r % 2 else g[star(r, n) - 1, s - 1])
-                for r in range(1, n + 1)
-            ]
-            for s in range(1, n + 1)
-        ]
-    )
+    """Signed comparison matrix: entry (s, r) is (-1)^r <e_{r*}, e_s>, so
+    A = gram^T C0."""
+    return _twisted(form.gram.transpose(), False, True)
 
 
 def A_to_form(a: Matrix) -> BilinearForm:
-    """Inverse of :func:`form_to_A`: rebuild the Gram grid from the signs."""
+    """Inverse of :func:`form_to_A`: the Gram matrix C0 A^T."""
     if not a.is_square:
         raise InputError("comparison matrix must be square")
-    n = a.rows
-    rows = []
-    for i in range(1, n + 1):
-        sign = -1 if (n + 1 - i) % 2 else 1
-        rows.append([sign * a[j - 1, n - i] for j in range(1, n + 1)])
-    return BilinearForm(Matrix(rows))
+    return BilinearForm(_twisted(a.transpose(), True, False))
 
 
 def is_totally_positive_form(form: BilinearForm) -> bool:
@@ -111,17 +97,21 @@ def c0_matrix(n: int) -> Matrix:
     return _twisted(Matrix.identity(n), True, False)
 
 
-def _twisted(m: Matrix, left: bool, right: bool, sign: int = 1) -> Matrix:
-    """sign * C0^left @ m @ C0^right, as one signed index reversal: C0 @ m
-    moves row n-1-i of m, times (-1)^(n-i), to row i (0-based), and m @ C0
-    column n-1-j, times (-1)^(j+1), to column j.  Each entry is 0 + s * x, so
-    a float zero never turns into -0.0."""
-    n, a = m.rows, m.to_lists()
-    return Matrix([
-        [0 + sign * (-1) ** (left * (n - i) + right * (j + 1))
-         * a[-1 - i if left else i][-1 - j if right else j] for j in range(n)]
-        for i in range(n)
-    ])
+def _twisted(m: Matrix, left: bool, right: bool, negate: bool = False) -> Matrix:
+    """+-C0^left @ m @ C0^right (minus with ``negate``), as one signed index
+    reversal: C0 @ m moves row n-1-i of m, negated when n-i is odd, to row i
+    (0-based), and m @ C0 column n-1-j, negated when j+1 is odd, to column j.
+    A float zero always comes out as 0.0, never -0.0."""
+    n, rows = m.rows, m.to_lists()
+    odd_cols = [right and j % 2 == 0 for j in range(n)]
+    out = []
+    for i, row in enumerate(rows[::-1] if left else rows):
+        flip = negate != (left and (n - i) % 2 == 1)
+        cells = row[::-1] if right else row
+        out.append([-x if flip != odd else x for x, odd in zip(cells, odd_cols)])
+    if not m.is_exact:
+        out = [[0.0 + x for x in row] for row in out]
+    return Matrix(out)
 
 
 def tilde(m: Matrix) -> Matrix:
@@ -129,13 +119,15 @@ def tilde(m: Matrix) -> Matrix:
 
     An automorphism of the general linear group that maps each lower
     elementary generator with letter i to the one with letter n-i (same
-    parameter), and therefore preserves total positivity.  As C0^{-1} is
+    parameter), and therefore preserves total positivity (the involution of
+    Fomin and Zelevinsky, J. Amer. Math. Soc. 1999).  As C0^{-1} is
     (-1)^{n+1} C0, entry (i, j) is (-1)^{i+j} T[n-1-i][n-1-j], T = (M^T)^{-1}.
+    On an inverse the twist needs no inversion: tilde(L^{-1}) is
+    (-1)^{n+1} C0 L^T C0, which is how the primed flag cell is tested.
     """
     if not m.is_square:
         raise InputError("the twist involution requires a square matrix")
-    n = m.rows
-    return _twisted(transpose_inverse(m), True, True, (-1) ** (n + 1))
+    return _twisted(transpose_inverse(m), True, True, m.rows % 2 == 0)
 
 
 @dataclass(frozen=True)

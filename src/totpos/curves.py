@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from .classify import sign_variation
 from .errors import DomainError, InputError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix, reversed_flag
-from .linalg import Matrix, _solve_exact
+from .linalg import Matrix, _cleared_line, _solve_exact
 from .scalars import Scalar, _require_scalar, as_fraction
 
 
@@ -337,9 +337,7 @@ def sturm_distinct_real_roots(coeffs: Sequence[Scalar]) -> int:
     """
     for x in coeffs:
         _require_scalar(x)
-    p = [as_fraction(x) for x in coeffs]
-    d = math.lcm(*(x.denominator for x in p))
-    p = [x.numerator * (d // x.denominator) for x in p]
+    p = _cleared_line([as_fraction(x) for x in coeffs])[0]
     while p and p[-1] == 0:
         p.pop()
     if not p:

@@ -12,12 +12,16 @@ representatives coincide, which turns flag equality into matrix equality.
 
 The open positive cell consists of flags of strictly-factorizable lower
 unitriangular matrices; its primed companion consists of flags of inverses
-of such matrices.  A totally positive matrix fixes exactly one flag from
-each cell, spanned by its eigenbasis in decreasing respectively increasing
-eigenvalue order, and the induced action on the tangent spaces at those
-fixed flags dilates at one and contracts at the other, read in the
-eigenbasis itself: it is the frame adapted to the pair.  The stability
-and torus tolerances are module constants, not per-call settings.
+of such matrices.  Both are read from the lower Gauss factor L of a
+representative: the open cell peels L over the standard word, and the
+primed cell peels the twist of L^-1 over the reversed word, a signed index
+reversal of L^T, so no inverse is formed.  A totally positive matrix fixes
+exactly one flag from each cell, spanned by its eigenbasis in decreasing
+respectively increasing eigenvalue order, and the induced action on the
+tangent spaces at those fixed flags dilates at one and contracts at the
+other, read in the eigenbasis itself: it is the frame adapted to the pair.
+The stability and torus tolerances are module constants, not per-call
+settings.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .linalg import (
     reversal_permutation,
 )
 from .spectra import _rationalize_columns, gk_spectrum, refine_eigenbasis
-from .whitney import UniParams, gauss_ldu, membership_uni
+from .whitney import UniParams, gauss_ldu, membership_uni, standard_word
 
 SigmaMode = Literal["identity", "tilde"]
 
@@ -126,21 +130,27 @@ def opposed(f1: Flag, f2: Flag) -> bool:
 
 
 def _cell_params(g: Matrix, primed: bool) -> UniParams | None:
-    """Strict parameters of the lower LDU factor of g, or of its inverse
-    for the primed cell; None when there are none.
+    """Strict parameters of the lower LDU factor L of g, or of L^-1 for the
+    primed cell; None when there are none.
 
     g may be any invertible representative of the flag: the canonical one
     is g times an upper triangular matrix, so the two share their lower
     unitriangular factor, and either both have an LDU or neither does.
+    L^-1 is never formed: the twist sends each generator x_i(c) to
+    x_{n-i}(c), so the standard word's products to the reversed word's, and
+    L^-1 has the standard-word parameters c exactly when its twist
+    (-1)^(n+1) C0 L^T C0 has the reversed-word parameters c.
     """
     ldu = gauss_ldu(g)
     if ldu is None:
         return None
-    lower = inverse(ldu[0]) if primed else ldu[0]
-    params = membership_uni(lower, "lower")
+    n, lower, word = g.rows, ldu[0], "standard"
+    if primed:
+        lower, word = _twisted(lower.transpose(), True, True, n % 2 == 0), "reversed"
+    params = membership_uni(lower, "lower", word)
     if params is None or not params.strict:
         return None
-    return params
+    return UniParams(n, standard_word(n), "lower", params.c, True)
 
 
 def in_B_pos(f: Flag) -> UniParams | None:
@@ -154,7 +164,9 @@ def in_B_pos(f: Flag) -> UniParams | None:
 
 
 def in_B_pos_prime(f: Flag) -> UniParams | None:
-    """Certificate for the primed cell: the representative's inverse factors."""
+    """Certificate for the primed cell: the standard-word parameters of the
+    inverse of the representative's lower factor, peeled from its twist
+    over the reversed word with no inverse formed."""
     return _cell_params(f.rep, True)
 
 

@@ -32,7 +32,7 @@ from .errors import (
     InputError,
     SingularityError,
 )
-from .linalg import Matrix, _MinorLevel, det, nullspace, solve
+from .linalg import Matrix, _cleared_line, _MinorLevel, det, nullspace, solve
 
 
 # Read when a routine runs, not bound as defaults, so a test may patch one.
@@ -349,8 +349,7 @@ def verify_gk(m: Matrix) -> GKReport:
     for k in range(n):
         x = _inverse_step(exact, c[k], start) or start
         # the quotient ignores the scale of x, so x may as well be integral
-        lcm = math.lcm(*(p.denominator for p in x))
-        x = [p.numerator * (lcm // p.denominator) for p in x]
+        x = _cleared_line(x)[0]
         quotient = Fraction(sum(p * q for p, q in zip(x, exact.apply(x))), sum(p * p for p in x))
         prod *= float(quotient)
         if abs(spectrum.perron_roots[k] - prod) > _PRODUCT_REL_TOL * abs(

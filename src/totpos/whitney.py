@@ -32,7 +32,7 @@ from typing import Literal, Sequence
 
 from .errors import DomainError, InputError
 from .linalg import Matrix, _cleared, _cleared_line
-from .scalars import Scalar
+from .scalars import Scalar, _require_scalar
 
 WordKind = Literal["standard", "reversed"]
 Side = Literal["lower", "upper"]
@@ -87,8 +87,7 @@ def _validate_params(
 ) -> tuple[Scalar, ...]:
     out = tuple(values)
     for v in out:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
-            raise InputError(f"{label} parameter {v!r} is not a supported scalar")
+        _require_scalar(v)
         if strict and not v > 0:
             raise InputError(f"{label} parameters must be strictly positive, got {v}")
         if not strict and v < 0:
@@ -137,10 +136,7 @@ class TPParameters:
         object.__setattr__(self, "word", tuple(self.word))
         object.__setattr__(self, "a", _validate_params(self.a, self.strict, "lower"))
         object.__setattr__(self, "b", _validate_params(self.b, self.strict, "upper"))
-        for v in self.t:
-            if not v > 0:
-                raise InputError(f"diagonal entries must be positive, got {v}")
-        object.__setattr__(self, "t", tuple(self.t))
+        object.__setattr__(self, "t", _validate_params(self.t, True, "diagonal"))
 
 
 @dataclass(frozen=True)

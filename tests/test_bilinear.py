@@ -316,3 +316,50 @@ def test_comparison_is_the_c_times_c_check_product():
     for n in range(2, 8):
         form = random_positive_form(n, rng)
         assert repr(canonical_basis(form).comparison) == repr(_c_times_c_check(form))
+
+
+def _old_form_to_A(form):
+    # oracle: the comparison matrix entry by entry, as it was built before
+    # it went through the twist
+    n, g = form.n, form.gram
+    return Matrix(
+        [
+            [(-(g[star(r, n) - 1, s - 1]) if r % 2 else g[star(r, n) - 1, s - 1]) for r in range(1, n + 1)]
+            for s in range(1, n + 1)
+        ]
+    )
+
+
+def _old_A_to_form(a):
+    n = a.rows
+    rows = []
+    for i in range(1, n + 1):
+        sign = -1 if (n + 1 - i) % 2 else 1
+        rows.append([sign * a[j - 1, n - i] for j in range(1, n + 1)])
+    return BilinearForm(Matrix(rows))
+
+
+def test_form_maps_match_the_entrywise_oracles():
+    rng = random.Random(4242)
+    float_cases = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        rows = [
+            [0 if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        for m in (Matrix(rows), Matrix(rows).to_float(), Matrix([[int(x) for x in r] for r in rows])):
+            pairs = (
+                (form_to_A(BilinearForm(m)), _old_form_to_A(BilinearForm(m))),
+                (A_to_form(m).gram, _old_A_to_form(m).gram),
+            )
+            for got, want in pairs:
+                if m.is_exact:
+                    # repr sees entry types as well as values
+                    assert repr(got.to_lists()) == repr(want.to_lists()), m
+                else:
+                    # the old maps wrote -0.0; the twist writes 0.0
+                    assert got.to_lists() == want.to_lists(), m
+                    assert all(math.copysign(1.0, x) > 0 for r in got.to_lists() for x in r if x == 0)
+                    float_cases += 1
+    assert float_cases > 500

@@ -8,10 +8,12 @@ from fractions import Fraction as F
 import pytest
 
 from totpos.bilinear import c0_matrix, tilde
+from totpos import flags as flags_module
 from totpos.errors import DomainError, InputError, SingularityError
 from totpos.flags import (
     Flag,
     _canonical_rep,
+    _cell_params,
     _transport_blocks,
     adapted_basis,
     flag_from_matrix,
@@ -32,7 +34,7 @@ from totpos.sampling import (
     random_uni_params,
 )
 from totpos.scalars import as_fraction
-from totpos.whitney import synthesize_uni
+from totpos.whitney import gauss_ldu, membership_uni, synthesize_uni
 
 
 def _random_upper_unitriangular(n, rng):
@@ -393,3 +395,57 @@ def test_canonical_rep_matches_the_fraction_reduction():
             assert _typed_outcome(_canonical_rep, g) == want
     assert outcomes == {None, SingularityError}
     assert compared > 900 and heavy > 30
+
+
+def _oracle_cell_params(g, primed):
+    # oracle: the primed cell as it was tested before the twist, by peeling
+    # the inverse of the lower factor over the standard word
+    ldu = gauss_ldu(g)
+    if ldu is None:
+        return None
+    params = membership_uni(inverse(ldu[0]) if primed else ldu[0], "lower")
+    if params is None or not params.strict:
+        return None
+    return params
+
+
+def _random_upper_triangular(n, rng):
+    rows = [
+        [F(rng.randint(-5, 5), rng.randint(1, 4)) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    for i in range(n):
+        rows[i][i] = F(rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(1, 3))
+    return Matrix(rows)
+
+
+def test_twisted_primed_peel_matches_the_inverse_oracle(monkeypatch):
+    rng = random.Random(1699)
+    reps = []
+    for n in range(1, 7):
+        for _ in range(6):
+            uni = [
+                synthesize_uni(random_uni_params(n, rng, side="lower", strict=strict))
+                for strict in (True, False)
+            ]
+            for g in (random_flag(n, rng).rep, uni[0], inverse(uni[0]), inverse(uni[1])):
+                moved = g @ _random_upper_triangular(n, rng)
+                reps += [g, moved, moved.to_float()]
+    for n in range(2, 6):
+        g = random_tp_matrix(n, rng)
+        for sigma_mode in ("identity", "tilde"):
+            pair = stable_flags(g, sigma_mode)
+            reps += [pair.flag_prime.rep, pair.flag.rep]
+    expected = [(_oracle_cell_params(g, p), g, p) for g in reps for p in (False, True)]
+
+    # no cell test inverts a matrix
+    def refuse(m):
+        raise AssertionError("a cell test called inverse")
+
+    monkeypatch.setattr(flags_module, "inverse", refuse)
+    primed = 0
+    for want, g, p in expected:
+        # repr sees the word, the parameters and their types
+        assert repr(_cell_params(g, p)) == repr(want), (g, p)
+        primed += p and want is not None
+    assert primed > 150

@@ -1,5 +1,6 @@
 """Bidiagonal synthesis, factorization, and monoid membership."""
 
+import math
 import random
 from fractions import Fraction
 from fractions import Fraction as F
@@ -532,6 +533,29 @@ def test_tp_parameters_check_their_word():
         size = n * (n - 1) // 2
         with pytest.raises(InputError, match="word letter|n >= 1"):
             TPParameters(n, word, (F(1),) * size, (F(1),) * n, (F(1),) * size)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda v: UniParams(2, (1,), "lower", (v,), False), id="uni-relaxed"),
+        pytest.param(lambda v: UniParams(2, (1,), "upper", (v,), True), id="uni-strict"),
+        pytest.param(lambda v: TPParameters(2, (1,), (v,), (1, 1), (1,), False), id="tp-lower"),
+        pytest.param(lambda v: TPParameters(2, (1,), (1,), (1, 1), (v,), True), id="tp-upper"),
+        pytest.param(lambda v: TPParameters(2, (1,), (1,), (v, 1), (1,)), id="tp-diagonal"),
+    ],
+)
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, True, "2", None], ids=repr
+)
+def test_parameters_follow_the_entry_rule(build, value):
+    # the rule of matrix entries: non-finite floats, bools, strings and
+    # None are refused when the parameters are built, not at synthesis
+    with pytest.raises(InputError, match="not a supported scalar|must be finite"):
+        build(value)
+    # and the finite scalars of every kind are still accepted
+    for ok in (2, F(1, 3), 0.5):
+        build(ok)
 
 
 def test_arguments_are_checked_before_the_domain():
