@@ -409,16 +409,6 @@ def _oracle_cell_params(g, primed):
     return params
 
 
-def _random_upper_triangular(n, rng):
-    rows = [
-        [F(rng.randint(-5, 5), rng.randint(1, 4)) if j > i else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
-        rows[i][i] = F(rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(1, 3))
-    return Matrix(rows)
-
-
 def test_twisted_primed_peel_matches_the_inverse_oracle(monkeypatch):
     rng = random.Random(1699)
     reps = []
@@ -429,7 +419,8 @@ def test_twisted_primed_peel_matches_the_inverse_oracle(monkeypatch):
                 for strict in (True, False)
             ]
             for g in (random_flag(n, rng).rep, uni[0], inverse(uni[0]), inverse(uni[1])):
-                moved = g @ _random_upper_triangular(n, rng)
+                d = Matrix.diagonal([F(rng.choice([1, 2, -3]), rng.randint(1, 3)) for _ in range(n)])
+                moved = g @ _random_upper_unitriangular(n, rng) @ d
                 reps += [g, moved, moved.to_float()]
     for n in range(2, 6):
         g = random_tp_matrix(n, rng)
