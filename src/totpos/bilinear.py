@@ -160,9 +160,10 @@ def canonical_basis(form: BilinearForm) -> CanonicalBasisResult:
     identity fails beyond tolerance.
     """
     n = form.n
-    if not is_totally_positive_form(form):
+    a = form_to_A(form)
+    if not is_totally_positive(a):
         raise DomainError("the form is not totally positive")
-    a_op = form_to_A(form).transpose()
+    a_op = a.transpose()
     comparison = tilde(a_op) @ a_op
     try:
         spectrum = gk_spectrum(comparison)

@@ -100,6 +100,13 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     return _emit(args, out, lines)
 
 
+def _json_int(value: Any, what: str) -> int:
+    # bool is an int subclass, but JSON true/false is not a JSON integer
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _params_from_json(text: str) -> TPParameters:
     try:
         data = json.loads(text)
@@ -108,12 +115,23 @@ def _params_from_json(text: str) -> TPParameters:
     if not isinstance(data, dict):
         raise InputError("parameter JSON must be an object")
     try:
-        n = int(data["n"])
-        word = tuple(int(i) for i in data["word"])
+        def listed(key: str) -> list:
+            # a string or an object would otherwise be read item by item
+            if not isinstance(data[key], list):
+                raise InputError(f"parameter field {key!r} must be a JSON array")
+            return data[key]
 
         def scalars(key: str) -> tuple:
             return tuple(
-                parse_scalar(str(x), exact=True) for x in data[key]
+                parse_scalar(str(x), exact=True) for x in listed(key)
+            )
+
+        n = _json_int(data["n"], "parameter field 'n'")
+        word = tuple(_json_int(i, "word letter") for i in listed("word"))
+        strict = data.get("strict", True)
+        if not isinstance(strict, bool):
+            raise InputError(
+                f"parameter field 'strict' must be a JSON boolean, got {strict!r}"
             )
 
         return TPParameters(
@@ -122,7 +140,7 @@ def _params_from_json(text: str) -> TPParameters:
             a=scalars("a"),
             t=scalars("t"),
             b=scalars("b"),
-            strict=bool(data.get("strict", True)),
+            strict=strict,
         )
     except KeyError as exc:
         raise InputError(f"parameter JSON missing field {exc}") from None
@@ -314,16 +332,8 @@ def _cmd_tilde(args: argparse.Namespace) -> int:
     return _emit(args, out, lines)
 
 
-def _add_common(sub: argparse.ArgumentParser, arithmetic: bool = True) -> None:
-    sub.add_argument("--json", action="store_true", help="emit JSON output")
-    if not arithmetic:
-        return
-    sub.add_argument(
-        "--backend",
-        choices=("exact", "float"),
-        default="exact",
-        help="arithmetic used when parsing matrix input",
-    )
+# Commands whose input is exact only: no matrix, or exact circle points.
+_EXACT_ONLY = ("synth", "quadruple", "curve-check", "convex-check")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,104 +343,74 @@ def build_parser() -> argparse.ArgumentParser:
         "spectra, canonical forms, flags, and positive curves.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    stdin = "matrix file, or - for stdin"
+    flag = "flag representative matrix file"
 
-    p = subs.add_parser("classify", help="classify a square matrix")
-    p.add_argument("matrix", help="matrix file, or - for stdin")
+    def command(name: str, func, summary: str, **files: str) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=summary)
+        for dest, text in files.items():
+            p.add_argument(dest, help=text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("classify", _cmd_classify, "classify a square matrix", matrix=stdin)
     p.add_argument(
         "--power-cap",
         type=int,
         default=None,
         help="largest power tried for the oscillatory exponent",
     )
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = subs.add_parser("factor", help="bidiagonal factorization parameters")
-    p.add_argument("matrix", help="matrix file, or - for stdin")
+    p = command("factor", _cmd_factor, "bidiagonal factorization parameters", matrix=stdin)
     p.add_argument("--word", choices=("standard", "reversed"), default="standard")
-    _add_common(p)
-    p.set_defaults(func=_cmd_factor)
-
-    p = subs.add_parser("synth", help="synthesize a matrix from parameters")
+    p = command("synth", _cmd_synth, "synthesize a matrix from parameters")
     p.add_argument("--params", help="JSON parameter file, or - for stdin")
     p.add_argument("--n", type=int, help="size for seeded random parameters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--relaxed", action="store_true", help="allow zero parameters")
     p.add_argument("--word", choices=("standard", "reversed"), default="standard")
-    _add_common(p, arithmetic=False)
-    p.set_defaults(func=_cmd_synth)
-
-    p = subs.add_parser("spectrum", help="eigenvalue ladder with verification")
-    p.add_argument("matrix", help="matrix file, or - for stdin")
-    _add_common(p)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = subs.add_parser(
-        "canonical-form", help="canonical eigenbasis of a positive bilinear form"
-    )
-    p.add_argument("matrix", help="Gram matrix file, or - for stdin")
-    _add_common(p)
-    p.set_defaults(func=_cmd_canonical_form)
-
-    p = subs.add_parser("tilde", help="apply the twisted-inverse involution")
-    p.add_argument("matrix", help="matrix file, or - for stdin")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tilde)
-
-    p = subs.add_parser("flag-pos", help="positive cell membership of a flag")
-    p.add_argument("matrix", help="flag representative matrix file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_flag_pos)
-
-    p = subs.add_parser("opposed", help="test whether two flags are opposed")
-    p.add_argument("first", help="first flag representative matrix file")
-    p.add_argument("second", help="second flag representative matrix file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_opposed)
-
-    p = subs.add_parser(
-        "stable-flags", help="attracting and repelling flags of a positive map"
-    )
-    p.add_argument("matrix", help="matrix file, or - for stdin")
+    command("spectrum", _cmd_spectrum, "eigenvalue ladder with verification", matrix=stdin)
+    command("canonical-form", _cmd_canonical_form,
+            "canonical eigenbasis of a positive bilinear form",
+            matrix="Gram matrix file, or - for stdin")
+    command("tilde", _cmd_tilde, "apply the twisted-inverse involution", matrix=stdin)
+    command("flag-pos", _cmd_flag_pos, "positive cell membership of a flag", matrix=flag)
+    command("opposed", _cmd_opposed, "test whether two flags are opposed",
+            first=f"first {flag}", second=f"second {flag}")
+    p = command("stable-flags", _cmd_stable_flags,
+                "attracting and repelling flags of a positive map", matrix=stdin)
     p.add_argument("--sigma", choices=("identity", "tilde"), default="identity")
-    _add_common(p)
-    p.set_defaults(func=_cmd_stable_flags)
-
-    p = subs.add_parser("quadruple", help="positivity of four flags over the circle")
-    p.add_argument("first", help="flag representative matrix file")
-    p.add_argument("second", help="flag representative matrix file")
-    p.add_argument("third", help="flag representative matrix file")
-    p.add_argument("fourth", help="flag representative matrix file")
+    p = command("quadruple", _cmd_quadruple, "positivity of four flags over the circle",
+                first=flag, second=flag, third=flag, fourth=flag)
     p.add_argument(
         "--points",
         required=True,
         help="four comma-separated circle points, e.g. 0,1/2,2,inf",
     )
-    _add_common(p, arithmetic=False)
-    p.set_defaults(func=_cmd_quadruple)
-
-    p = subs.add_parser(
-        "curve-check", help="quadruple positivity of a sampled osculating curve"
-    )
+    p = command("curve-check", _cmd_curve_check,
+                "quadruple positivity of a sampled osculating curve")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", help="explicit comma-separated circle points")
-    _add_common(p, arithmetic=False)
-    p.set_defaults(func=_cmd_curve_check)
-
-    p = subs.add_parser(
-        "convex-check", help="hyperplane intersection bound for a moment curve"
-    )
+    p = command("convex-check", _cmd_convex_check,
+                "hyperplane intersection bound for a moment curve")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=9)
-    _add_common(p, arithmetic=False)
-    p.set_defaults(func=_cmd_convex_check)
 
+    # last, so they close every command's usage and help
+    for name, p in subs.choices.items():
+        p.add_argument("--json", action="store_true", help="emit JSON output")
+        if name not in _EXACT_ONLY:
+            p.add_argument(
+                "--backend",
+                choices=("exact", "float"),
+                default="exact",
+                help="arithmetic used when parsing matrix input",
+            )
     return parser
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .classify import sign_variation
 from .errors import DomainError, InputError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix, reversed_flag
 from .linalg import Matrix, _cleared_line, _solve_exact
@@ -358,10 +357,15 @@ def sturm_distinct_real_roots(coeffs: Sequence[Scalar]) -> int:
             break
         g = math.gcd(*r)
         chain.append([-x // g for x in r])
-    # the chain's signs at +infinity, and at -infinity
-    top = [q[-1] for q in chain]
-    bottom = [x if len(q) % 2 else -x for x, q in zip(top, chain)]
-    return sign_variation(bottom) - sign_variation(top)
+    # the chain's signs at +infinity, and at -infinity: every leading
+    # coefficient is a nonzero integer, so there is no zero to skip
+    top = [q[-1] > 0 for q in chain]
+    bottom = [s if len(q) % 2 else not s for s, q in zip(top, chain)]
+
+    def changes(signs: list[bool]) -> int:
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return changes(bottom) - changes(top)
 
 
 def hyperplane_intersection_count(

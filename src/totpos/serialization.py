@@ -95,9 +95,7 @@ def format_matrix_grid(m: Matrix) -> str:
 
 def payload(obj: Any) -> Any:
     """Recursively convert results to JSON-serializable trees."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return format_scalar(obj)
@@ -127,6 +125,4 @@ def payload(obj: Any) -> Any:
         return {str(k): payload(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [payload(x) for x in obj]
-    if hasattr(obj, "rep"):
-        return payload(obj.rep)
     return str(obj)

@@ -64,22 +64,23 @@ def reversed_word(n: int) -> tuple[int, ...]:
     return word_for(n, "reversed")
 
 
-def gen_x(i: int, a: Scalar, n: int) -> Matrix:
-    """Lower elementary generator: identity plus ``a`` at entry (i+1, i)."""
+def _generator(i: int, a: Scalar, n: int, at: tuple[int, int]) -> Matrix:
+    """Identity of size n plus ``a`` at 0-based entry ``at``, for index i."""
     if not 1 <= i <= n - 1:
         raise InputError(f"generator index must lie in [1, {n - 1}], got {i}")
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[i][i - 1] = a
+    rows[at[0]][at[1]] = a
     return Matrix(rows)
+
+
+def gen_x(i: int, a: Scalar, n: int) -> Matrix:
+    """Lower elementary generator: identity plus ``a`` at entry (i+1, i)."""
+    return _generator(i, a, n, at=(i, i - 1))
 
 
 def gen_y(i: int, a: Scalar, n: int) -> Matrix:
     """Upper elementary generator: identity plus ``a`` at entry (i, i+1)."""
-    if not 1 <= i <= n - 1:
-        raise InputError(f"generator index must lie in [1, {n - 1}], got {i}")
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[i - 1][i] = a
-    return Matrix(rows)
+    return _generator(i, a, n, at=(i - 1, i))
 
 
 def _validate_params(

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from totpos import cli
 from totpos.cli import main
 
 
@@ -178,6 +180,80 @@ def test_synth_params_require_word(tmp_path, capsys):
     pfile.write_text(json.dumps({"n": 2, "a": ["1"], "t": ["1", "1"], "b": ["1"]}))
     assert main(["synth", "--params", str(pfile)]) == 2
     assert "missing field 'word'" in capsys.readouterr().err
+
+
+_PARAMS2 = {"n": 2, "word": [1], "a": ["1"], "t": ["1", "1"], "b": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 2.7), ("n", "2"), ("n", True), ("word", [1.9]), ("word", ["1"]),
+     ("word", [True]), ("word", "1"), ("strict", "false"), ("strict", None),
+     ("strict", 0), ("a", "1"), ("t", "11"), ("b", {"1": 1})],
+)
+def test_synth_params_refuse_non_json_types(tmp_path, capsys, field, value):
+    # values int() or bool() would coerce, and strings or objects a loop
+    # would read item by item
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({**_PARAMS2, field: value}))
+    assert main(["synth", "--params", str(pfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "must be a JSON" in captured.err
+
+
+def test_synth_params_strict_flag(tmp_path, capsys):
+    pfile = tmp_path / "params.json"
+    relaxed = {**_PARAMS2, "a": ["0"]}
+    pfile.write_text(json.dumps({**relaxed, "strict": False}))
+    assert main(["synth", "--params", str(pfile)]) == 0
+    for params in (relaxed, {**relaxed, "strict": True}):
+        pfile.write_text(json.dumps(params))
+        assert main(["synth", "--params", str(pfile)]) == 2
+    assert "strictly positive" in capsys.readouterr().err
+
+
+# Each subcommand's positionals and options with their defaults, in order.
+_PARSER = {
+    "classify": [("matrix", None), ("--power-cap", None), ("--json", False),
+                 ("--backend", "exact")],
+    "factor": [("matrix", None), ("--word", "standard"), ("--json", False),
+               ("--backend", "exact")],
+    "synth": [("--params", None), ("--n", None), ("--seed", 0), ("--relaxed", False),
+              ("--word", "standard"), ("--json", False)],
+    "spectrum": [("matrix", None), ("--json", False), ("--backend", "exact")],
+    "canonical-form": [("matrix", None), ("--json", False), ("--backend", "exact")],
+    "tilde": [("matrix", None), ("--json", False), ("--backend", "exact")],
+    "flag-pos": [("matrix", None), ("--json", False), ("--backend", "exact")],
+    "opposed": [("first", None), ("second", None), ("--json", False),
+                ("--backend", "exact")],
+    "stable-flags": [("matrix", None), ("--sigma", "identity"), ("--json", False),
+                     ("--backend", "exact")],
+    "quadruple": [("first", None), ("second", None), ("third", None), ("fourth", None),
+                  ("--points", None), ("--json", False)],
+    "curve-check": [("--degree", None), ("--samples", 8), ("--mode", "exhaustive"),
+                    ("--trials", None), ("--seed", 0), ("--points", None),
+                    ("--json", False)],
+    "convex-check": [("--degree", None), ("--trials", 1000), ("--seed", 0),
+                     ("--bound", 9), ("--json", False)],
+}
+
+
+def test_parser_declares_each_subcommand_in_order():
+    (subs,) = [
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(subs.choices) == list(_PARSER)
+    for name, sub in subs.choices.items():
+        declared = [
+            (a.option_strings[0] if a.option_strings else a.dest, a.default)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert declared == _PARSER[name], name
+        handler = getattr(cli, "_cmd_" + name.replace("-", "_"))
+        assert sub.get_default("func") is handler
 
 
 def test_float_overflow_is_input_error(tmp_path, capsys):

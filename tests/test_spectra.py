@@ -154,6 +154,14 @@ def test_verify_gk_tolerances_are_enforced(monkeypatch):
     assert strict.failures
 
 
+def test_gk_spectrum_owns_the_residual_check(monkeypatch):
+    # gk_spectrum raises on a residual past its bound, so verify_gk never
+    # returns a report whose residuals_ok is False
+    monkeypatch.setattr(spectra, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ConvergenceError, match="exceeds tolerance"):
+        verify_gk(random_tp_matrix(4, random.Random(8)))
+
+
 def test_perron_eigenvector_is_positive():
     rng = random.Random(210)
     for n in (2, 3, 4, 5):
