@@ -226,7 +226,7 @@ def _cmd_opposed(args: argparse.Namespace) -> int:
     m2, d2 = _load_matrix(args, args.second)
     verdict = opposed(flag_from_matrix(m1), flag_from_matrix(m2))
     out = {"input_sha256": [d1, d2], "opposed": verdict}
-    lines = [f"opposed: {'yes' if verdict else 'no'}"]
+    lines = [f"opposed: {'yes' if verdict else 'no'}", f"input sha256: {d1}, {d2}"]
     return _emit(args, out, lines)
 
 
@@ -278,7 +278,8 @@ def _cmd_quadruple(args: argparse.Namespace) -> int:
         "pairs": quadruple.pairs,
         "positive": verdict,
     }
-    lines = [f"positive quadruple: {'yes' if verdict else 'no'}"]
+    lines = [f"positive quadruple: {'yes' if verdict else 'no'}",
+             f"input sha256: {', '.join(digests)}"]
     return _emit(args, out, lines)
 
 

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, InputError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix, reversed_flag
-from .linalg import Matrix, _cleared_line, _solve_exact
+from .linalg import Matrix, _cleared_line, _is_int, _solve_exact
 from .scalars import Scalar, _require_scalar, as_fraction
 
 
@@ -126,8 +126,8 @@ class MomentCurve:
     degree: int
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise InputError("moment curves need degree >= 1")
+        if not _is_int(self.degree) or self.degree < 1:
+            raise InputError(f"moment curves need an int degree >= 1, got {self.degree!r}")
 
     @property
     def n(self) -> int:
@@ -278,8 +278,8 @@ def is_positive_curve_sampled(
         if isinstance(curve, TableFlagCurve):
             points = curve.points
         else:
-            if samples < 4:
-                raise InputError("need at least four sample points")
+            if not _is_int(samples) or samples < 4:
+                raise InputError(f"samples must be an int >= 4, got {samples!r}")
             points = _default_points(samples)
     pts = sorted(set(points), key=CirclePoint.sort_key)
     if len(pts) != len(points):
@@ -291,8 +291,8 @@ def is_positive_curve_sampled(
         subsets = list(itertools.combinations(range(len(pts)), 4))
     else:
         count = trials if trials is not None else 100
-        if count < 1:
-            raise InputError("need at least one trial")
+        if not _is_int(count) or count < 1:
+            raise InputError(f"need an int count of at least one trial, got {count!r}")
         rng = random.Random(seed)
         subsets = [
             tuple(sorted(rng.sample(range(len(pts)), 4))) for _ in range(count)
@@ -416,10 +416,10 @@ def convex_curve_check(
     No hyperplane may meet the curve in more than ``degree`` distinct
     projective points.
     """
-    if trials < 1:
-        raise InputError("need at least one trial")
-    if coeff_bound < 1:
-        raise InputError("coefficient bound must be positive")
+    if not _is_int(trials) or trials < 1:
+        raise InputError(f"need an int count of at least one trial, got {trials!r}")
+    if not _is_int(coeff_bound) or coeff_bound < 1:
+        raise InputError(f"coefficient bound must be a positive int, got {coeff_bound!r}")
     rng = random.Random(seed)
     n = curve.n
     worst = 0

@@ -20,8 +20,10 @@ exactly one flag from each cell, spanned by its eigenbasis in decreasing
 respectively increasing eigenvalue order, and the induced action on the
 tangent spaces at those fixed flags dilates at one and contracts at the
 other, read in the eigenbasis itself: it is the frame adapted to the pair.
-The stability and torus tolerances are module constants, not per-call
-settings.
+Two flags are opposed exactly when one Gauss decomposition of their
+relative position exists, which also yields that frame, and the images of
+a stable pair and its moduli come from one frame map.  The stability and
+torus tolerances are module constants, not per-call settings.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .linalg import (
     _cleared_line,
     _solve_exact,
     inverse,
-    rank,
     reversal_permutation,
 )
 from .spectra import _rationalize_columns, gk_spectrum, refine_eigenbasis
@@ -113,20 +114,21 @@ def reversed_flag(n: int) -> Flag:
     return Flag(reversal_permutation(n))
 
 
-def opposed(f1: Flag, f2: Flag) -> bool:
-    """General position: every split of the two chains spans everything."""
+def _relative_ldu(f1: Flag, f2: Flag) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
+    """Pivot-free LDU of w0 A^-1 B (A, B the representatives, w0 the
+    reversal); None exactly when the flags are not opposed.  A^-1 moves the
+    pair to the standard flag and the flag of A^-1 B, and e_1..e_k with the
+    first n-k columns of A^-1 B span everything iff the last n-k rows of
+    those columns, the order n-k leading block of w0 A^-1 B, are independent."""
     if f1.n != f2.n:
         raise InputError("flags must live in the same dimension")
-    n = f1.n
-    if n == 1:
-        return True
-    for k in range(1, n):
-        cols = [list(f1.rep.col_tuple(j)) for j in range(k)] + [
-            list(f2.rep.col_tuple(j)) for j in range(n - k)
-        ]
-        if rank(Matrix.from_columns(cols)) < n:
-            return False
-    return True
+    # w0 @ X reverses the rows of X
+    return gauss_ldu(Matrix(_solve_exact(f1.rep, f2.rep.to_lists())[::-1]))
+
+
+def opposed(f1: Flag, f2: Flag) -> bool:
+    """General position: every split of the two chains spans everything."""
+    return _relative_ldu(f1, f2) is not None
 
 
 def _cell_params(g: Matrix, primed: bool) -> UniParams | None:
@@ -177,18 +179,14 @@ def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
     scaled so its bottommost nonzero entry is 1.  The change of basis to
     this frame sends f1 to the standard flag and f2 to the reversed one.
 
-    With A, B the representatives and w0 the reversal, the flags are
-    opposed exactly when w0 A^-1 B = L D U has a pivot-free Gauss
-    decomposition; then A w0 L w0 is A times an upper unitriangular
-    matrix, and its k-th column, A w0 times column n-k+1 of L, lies in
-    the span of the first n-k+1 columns of B U^-1.
+    With A, B the representatives, w0 the reversal and w0 A^-1 B = L D U
+    the opposedness test, A w0 L w0 is A times an upper unitriangular
+    matrix, and its k-th column, A w0 times column n-k+1 of L, lies in the
+    span of the first n-k+1 columns of B U^-1.
     """
-    if f1.n != f2.n:
-        raise InputError("flags must live in the same dimension")
     if not (f1.rep.is_exact and f2.rep.is_exact):
         raise InputError("adapted bases require exact representatives")
-    # w0 @ X reverses the rows of X, and X @ w0 its columns
-    ldu = gauss_ldu(Matrix(_solve_exact(f1.rep, f2.rep.to_lists())[::-1]))
+    ldu = _relative_ldu(f1, f2)
     if ldu is None:
         raise DomainError("flags are not opposed; the adapted basis does not exist")
     # A times an upper unitriangular matrix: the n lines are independent
@@ -237,40 +235,34 @@ def _flag_distance(a: Flag, b: Flag) -> float:
 
 
 def _transport_blocks(
-    g_w: Matrix, sigma_mode: SigmaMode, k_mat: Matrix | None
+    m: Matrix, sigma_mode: SigmaMode
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     """Moduli of the induced map on strictly-upper, strictly-lower and
-    diagonal matrix coordinates in the adapted frame."""
-    n = g_w.rows
-    g = np.array(g_w.to_float().to_lists(), dtype=np.float64)
-    g_inv = np.linalg.inv(g)
+    diagonal matrix coordinates in the adapted frame.
+
+    ``m`` is the frame map: the action is y -> m y m^-1 in identity mode
+    and y -> -m y^T m^-1 in tilde mode.  Entry ((a, b), (i, j)) of its
+    n^2 x n^2 operator, the coefficient of y[i, j] in entry (a, b) of the
+    image, is m[a, i] m^-1[j, b], respectively -m[a, j] m^-1[i, b]; each
+    block is the operator restricted to one set of coordinates.
+    """
+    n = m.rows
+    a = np.array(m.to_float().to_lists(), dtype=np.float64)
+    op = np.einsum("ai,jb->abij", a, np.linalg.inv(a))
     if sigma_mode == "tilde":
-        assert k_mat is not None
-        k = np.array(k_mat.to_float().to_lists(), dtype=np.float64)
-        k_inv = np.linalg.inv(k)
+        op = -op.swapaxes(2, 3)
+    op = op.reshape(n * n, n * n)
+    i, j = np.divmod(np.arange(n * n), n)
 
-    def transport(y: np.ndarray) -> np.ndarray:
-        if sigma_mode == "tilde":
-            y = -k @ y.T @ k_inv
-        return g @ y @ g_inv
+    def block_moduli(coords: np.ndarray) -> tuple[float, ...]:
+        eig = np.linalg.eigvals(op[np.ix_(coords, coords)])
+        return tuple(sorted((float(abs(x)) for x in eig), reverse=True))
 
-    upper = [(i, j) for i in range(n) for j in range(n) if i < j]
-    lower = [(i, j) for i in range(n) for j in range(n) if i > j]
-    diag = [(i, i) for i in range(n)]
+    return block_moduli(i < j), block_moduli(i > j), block_moduli(i == j)
 
-    def block_moduli(coords: list[tuple[int, int]]) -> tuple[float, ...]:
-        if not coords:
-            return ()
-        op = np.zeros((len(coords), len(coords)))
-        for col, (i, j) in enumerate(coords):
-            e = np.zeros((n, n))
-            e[i, j] = 1.0
-            t = transport(e)
-            for row, (a, b) in enumerate(coords):
-                op[row, col] = t[a, b]
-        return tuple(sorted((float(abs(x)) for x in np.linalg.eigvals(op)), reverse=True))
 
-    return block_moduli(upper), block_moduli(lower), block_moduli(diag)
+def _reversed_columns(m: Matrix) -> Matrix:
+    return Matrix([row[::-1] for row in m.to_lists()])
 
 
 def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPair:
@@ -308,38 +300,37 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
     else:
         v = _rationalize_columns(spectrum.eigenvectors)
     flag = flag_from_matrix(v)
-    flag_prime = flag_from_matrix(
-        Matrix.from_columns([list(v.col_tuple(j)) for j in range(n - 1, -1, -1)])
-    )
+    flag_prime = flag_from_matrix(_reversed_columns(v))
     params = in_B_pos(flag)
     if params is None:
         raise ConsistencyError("attracting flag missed the open positive cell")
     params_prime = in_B_pos_prime(flag_prime)
     if params_prime is None:
         raise ConsistencyError("repelling flag missed the primed positive cell")
-
-    def alpha_image(f: Flag) -> Flag:
-        rep = f.rep if sigma_mode == "identity" else tilde(f.rep)
-        return flag_from_matrix(g @ rep)
-
+    # column k of v spans F_k meet F'_{n-k+1}, so v frames the pair, which is
+    # opposed: flag_from_matrix has already rejected a dependent v
+    w = _bottom_normalized(v)
+    w_inv = inverse(w)
+    # the representatives are w and w reversed times upper triangular
+    # matrices, which tilde keeps upper triangular: the images are the flags
+    # of g alpha(w) and of its reversal, with alpha(w) = tilde(w) in tilde mode
+    w_alpha = w
+    if sigma_mode == "tilde":
+        w_alpha = _twisted(w_inv.transpose(), True, True, n % 2 == 0)
+    image = g @ w_alpha
     residual = max(
-        _flag_distance(alpha_image(flag), flag),
-        _flag_distance(alpha_image(flag_prime), flag_prime),
+        _flag_distance(flag_from_matrix(image), flag),
+        _flag_distance(flag_from_matrix(_reversed_columns(image)), flag_prime),
     )
     if residual > _STABILITY_TOL:
         raise ConsistencyError(
             f"computed flags move under the action by {residual:.3e}, "
             f"beyond the stability tolerance {_STABILITY_TOL:.3e}"
         )
-    # column k of v spans F_k meet F'_{n-k+1}, so v frames the pair, which is
-    # opposed: flag_from_matrix has already rejected a dependent v
-    w = _bottom_normalized(v)
-    w_inv = inverse(w)
-    g_w = w_inv @ g @ w
-    k_mat = None
     if sigma_mode == "tilde":
-        k_mat = _twisted(w_inv, False, True) @ w_inv.transpose()
-    dilation, contraction, finite = _transport_blocks(g_w, sigma_mode, k_mat)
+        # the tangent action is y -> -m y^T m^-1 with m = w^-1 g tilde(w) C0
+        w_alpha = _twisted(w_alpha, False, True)
+    dilation, contraction, finite = _transport_blocks(w_inv @ g @ w_alpha, sigma_mode)
     margin = min(
         min(float(c) for c in params.c),
         min(float(c) for c in params_prime.c),

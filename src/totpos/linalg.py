@@ -419,9 +419,13 @@ class _MinorLevel(Mapping):
             raise InputError("a minor lies outside the float range") from None
 
 
+def _is_int(k: object) -> bool:
+    return isinstance(k, int) and not isinstance(k, bool)
+
+
 def _require_order(k: object, what: str) -> None:
     """Raise InputError unless k is an int >= 1; a bool is not an order."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _is_int(k) or k < 1:
         raise InputError(f"{what} must be an int >= 1, got {k!r}")
 
 

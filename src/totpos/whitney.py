@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .errors import DomainError, InputError
-from .linalg import Matrix, _cleared, _cleared_line
+from .linalg import Matrix, _cleared, _cleared_line, _is_int
 from .scalars import Scalar, _require_scalar
 
 WordKind = Literal["standard", "reversed"]
@@ -97,12 +97,13 @@ def _validate_params(
 
 
 def _check_word(n: int, word: Sequence[int]) -> None:
-    """Raise InputError unless n >= 1 and every letter lies in [1, n-1]."""
-    if n < 1:
-        raise InputError("parameters need n >= 1")
+    """Raise InputError unless n is an int >= 1 and every letter an int in
+    [1, n-1]; a bool is not an int."""
+    if not _is_int(n) or n < 1:
+        raise InputError(f"parameters need an int n >= 1, got {n!r}")
     for i in word:
-        if not 1 <= i <= n - 1:
-            raise InputError(f"word letter {i} outside [1, {n - 1}]")
+        if not _is_int(i) or not 1 <= i <= n - 1:
+            raise InputError(f"word letter {i!r} is not an int in [1, {n - 1}]")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from totpos import cli
 from totpos.cli import main
+from totpos.serialization import input_digest
 
 
 @pytest.fixture()
@@ -112,9 +113,11 @@ def test_opposed(tmp_path, capsys):
     b = tmp_path / "b.txt"
     b.write_text("0 1\n1 0\n")
     assert main(["opposed", str(a), str(b)]) == 0
-    assert "opposed: yes" in capsys.readouterr().out
+    digests = [input_digest(p.read_text()) for p in (a, b)]
+    # the digests in argument order, as in the JSON output
+    assert capsys.readouterr().out == f"opposed: yes\ninput sha256: {digests[0]}, {digests[1]}\n"
     assert main(["opposed", str(a), str(a)]) == 0
-    assert "opposed: no" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"opposed: no\ninput sha256: {digests[0]}, {digests[0]}\n"
 
 
 def test_stable_flags_command(tmp_path, capsys):
@@ -139,7 +142,8 @@ def test_quadruple_command(tmp_path, capsys):
         p.write_text(format_matrix_grid(flag.rep) + "\n")
         paths.append(str(p))
     assert main(["quadruple", *paths, "--points", "0,1,2,3"]) == 0
-    assert "positive quadruple: yes" in capsys.readouterr().out
+    digests = ", ".join(input_digest(Path(p).read_text()) for p in paths)
+    assert capsys.readouterr().out == f"positive quadruple: yes\ninput sha256: {digests}\n"
 
 
 def test_curve_check_command(capsys):

@@ -37,7 +37,7 @@ from totpos.sampling import (
     random_positive_cell_flag,
     random_uni_params,
 )
-from totpos.whitney import gauss_ldu, membership_uni, synthesize_uni
+from totpos.whitney import TPParameters, UniParams, gauss_ldu, membership_uni, synthesize_uni
 
 
 def test_circle_point_basics():
@@ -376,6 +376,38 @@ def test_curve_sample_validation():
     for trials in (0, -3):
         with pytest.raises(InputError, match="at least one trial"):
             is_positive_curve_sampled(curve, mode="random", trials=trials)
+
+
+_ONES = (F(1),) * 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TPParameters(3.0, (1, 2, 1), _ONES, _ONES, _ONES),
+        lambda: TPParameters(3, (1.5, 2, 1), _ONES, _ONES, _ONES),
+        lambda: TPParameters(3, (True, 2, 1), _ONES, _ONES, _ONES),
+        lambda: UniParams(3.0, (1, 2, 1), "lower", _ONES, True),
+        lambda: UniParams(3, (1.5, 2, 1), "lower", _ONES, True),
+        lambda: UniParams(3, (True, 2, 1), "upper", _ONES, True),
+        lambda: MomentCurve(2.5),
+        lambda: MomentCurve(True),
+        lambda: is_positive_curve_sampled(MomentCurve(2), samples=5.5),
+        lambda: is_positive_curve_sampled(MomentCurve(2), mode="random", trials=2.5),
+        lambda: convex_curve_check(MomentCurve(2), trials=2.5),
+        lambda: convex_curve_check(MomentCurve(2), coeff_bound=2.5),
+    ],
+    ids=[
+        "tp-n-float", "tp-letter-float", "tp-letter-bool",
+        "uni-n-float", "uni-letter-float", "uni-letter-bool",
+        "degree-float", "degree-bool", "samples-float", "trials-float",
+        "convex-trials-float", "convex-bound-float",
+    ],
+)
+def test_integer_arguments_refuse_floats_and_bools(call):
+    # each was accepted, or crashed later with a TypeError or ValueError
+    with pytest.raises(InputError, match="int"):
+        call()
 
 
 def test_quadruple_verdict_is_conjugation_invariant():

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from totpos.bilinear import c0_matrix, tilde
@@ -258,14 +259,146 @@ def test_stable_frame_matches_adapted_basis_oracle(sigma_mode):
             pair = stable_flags(m, sigma_mode=sigma_mode)
             w = adapted_basis(pair.flag, pair.flag_prime)
             w_inv = inverse(w)
-            k_mat = None
-            if sigma_mode == "tilde":
-                k_mat = w_inv @ c0_matrix(n) @ w_inv.transpose()
-            assert _transport_blocks(w_inv @ m @ w, sigma_mode, k_mat) == (
+            w_alpha = w if sigma_mode == "identity" else tilde(w) @ c0_matrix(n)
+            assert _transport_blocks(w_inv @ m @ w_alpha, sigma_mode) == (
                 pair.dilation_moduli,
                 pair.contraction_moduli,
                 pair.finite_order_moduli,
             )
+
+
+def _primed_flag(n, rng):
+    u = synthesize_uni(random_uni_params(n, rng, side="lower", strict=True))
+    return flag_from_matrix(inverse(u))
+
+
+def _oracle_opposed(f1, f2):
+    # oracle: one rank test per split of the two chains
+    n = f1.n
+    for k in range(1, n):
+        cols = [list(f1.rep.col_tuple(j)) for j in range(k)] + [
+            list(f2.rep.col_tuple(j)) for j in range(n - k)
+        ]
+        if rank(Matrix.from_columns(cols)) < n:
+            return False
+    return True
+
+
+def test_opposed_matches_the_rank_oracle():
+    rng = random.Random(1818)
+    verdicts = []
+    for n in range(1, 7):
+        perms = [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+        perms += [tuple(rng.sample(range(n), n)) for _ in range(6)]
+        perm_flags = [
+            flag_from_matrix(Matrix([[int(p[j] == i) for j in range(n)] for i in range(n)]))
+            for p in perms
+        ]
+        pairs = [(f, h) for f in perm_flags for h in perm_flags]
+        for _ in range(4):
+            f, h = random_flag(n, rng), random_flag(n, rng)
+            cell, primed = random_positive_cell_flag(n, rng), _primed_flag(n, rng)
+            pairs += [(f, h), (f, f), (cell, primed), (primed, cell), (cell, cell)]
+            if n > 1:
+                # h with its first line replaced by f's: the two share a line
+                shared = Matrix.from_columns(
+                    [f.rep.col_tuple(0)] + [h.rep.col_tuple(j) for j in range(1, n)]
+                )
+                if det(shared) != 0:
+                    pairs += [(f, flag_from_matrix(shared)), (flag_from_matrix(shared), f)]
+        for f1, f2 in pairs:
+            want = _oracle_opposed(f1, f2)
+            assert opposed(f1, f2) == want
+            float1, float2 = Flag(f1.rep.to_float()), Flag(f2.rep.to_float())
+            assert opposed(float1, float2) == _oracle_opposed(float1, float2)
+            # beside an exact one, a float representative is read as its
+            # dyadic copy, not rounding the exact one to floats
+            dyadic1 = Flag(float1.rep.to_exact())
+            assert opposed(float1, f2) == _oracle_opposed(dyadic1, f2)
+            verdicts.append(want)
+    assert verdicts.count(True) > 150 and verdicts.count(False) > 150
+
+
+def _oracle_transport_blocks(g_w, sigma_mode, k_mat):
+    # oracle: the map applied to each unit matrix, the twist conjugating
+    # through a second matrix k: y -> g (-k y^T k^-1) g^-1 in tilde mode
+    n = g_w.rows
+    g = np.array(g_w.to_float().to_lists(), dtype=np.float64)
+    g_inv = np.linalg.inv(g)
+    if sigma_mode == "tilde":
+        k = np.array(k_mat.to_float().to_lists(), dtype=np.float64)
+        k_inv = np.linalg.inv(k)
+
+    def transport(y):
+        if sigma_mode == "tilde":
+            y = -k @ y.T @ k_inv
+        return g @ y @ g_inv
+
+    def block_moduli(coords):
+        op = np.zeros((len(coords), len(coords)))
+        for col, (i, j) in enumerate(coords):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0
+            t = transport(e)
+            for row, (a, b) in enumerate(coords):
+                op[row, col] = t[a, b]
+        return tuple(sorted((float(abs(x)) for x in np.linalg.eigvals(op)), reverse=True))
+
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return (
+        block_moduli([(i, j) for i, j in pairs if i < j]),
+        block_moduli([(i, j) for i, j in pairs if i > j]),
+        block_moduli([(i, j) for i, j in pairs if i == j]),
+    )
+
+
+def test_transport_blocks_match_the_unit_matrix_oracle():
+    rng = random.Random(1819)
+    for n in range(2, 6):
+        g = random_tp_matrix(n, rng)
+        for sigma_mode in ("identity", "tilde"):
+            pair = stable_flags(g, sigma_mode)
+            w = adapted_basis(pair.flag, pair.flag_prime)
+            w_inv = inverse(w)
+            g_w = w_inv @ g @ w
+            if sigma_mode == "identity":
+                got = _transport_blocks(g_w, sigma_mode)
+                assert got == _oracle_transport_blocks(g_w, sigma_mode, None)
+            else:
+                # one frame map m = g_w k, formed exactly, against the float
+                # product through k: equal up to rounding
+                k = w_inv @ c0_matrix(n) @ w_inv.transpose()
+                got = _transport_blocks(g_w @ k, sigma_mode)
+                want = _oracle_transport_blocks(g_w, sigma_mode, k)
+                assert [len(t) for t in got] == [len(t) for t in want]
+                for x, y in zip(sum(got, ()), sum(want, ())):
+                    assert math.isclose(x, y, rel_tol=1e-6)
+            assert got == (
+                pair.dilation_moduli,
+                pair.contraction_moduli,
+                pair.finite_order_moduli,
+            )
+        # any frame map; with k = 1 the oracle rounds each coefficient once too
+        m = random_invertible(n, rng)
+        assert _transport_blocks(m, "identity") == _oracle_transport_blocks(m, "identity", None)
+        assert _transport_blocks(m, "tilde") == _oracle_transport_blocks(
+            m, "tilde", Matrix.identity(n)
+        )
+
+
+def test_tilde_mode_twists_only_the_input(monkeypatch):
+    # the flags' images are read from the twist of the frame, formed from
+    # the frame's one inverse, not by twisting each flag again
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return tilde(m)
+
+    monkeypatch.setattr(flags_module, "tilde", counted)
+    g = random_tp_matrix(4, random.Random(1820))
+    stable_flags(g, sigma_mode="tilde")
+    assert calls == [g]
 
 
 def test_stable_flags_rejects_non_tp():
