@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .classify import _Least, _scan_minors, is_totally_positive
 from .errors import ConsistencyError, DomainError, InputError
 from .linalg import Matrix, transpose_inverse
+from .scalars import _require_scalar
 from .spectra import gk_spectrum, refine_eigenbasis
 
 # Off-anti-diagonal Gram entries of the canonical basis, relative to the
@@ -51,6 +52,8 @@ class BilinearForm:
 
     def pair(self, u, v):
         """Evaluate <u, v> = u^T * gram * v."""
+        for x in u:
+            _require_scalar(x)
         return sum(
             ui * x for ui, x in zip(u, self.gram.apply(v))
         )

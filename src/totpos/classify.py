@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import InputError, StrictnessWarning
 from .linalg import Matrix, _MinorLevel, _require_invertible, _require_order, det, minor_levels
-from .scalars import Scalar, magnitude, minor_scale, sign_of, zero_threshold
+from .scalars import Scalar, _require_scalar, magnitude, minor_scale, sign_of, zero_threshold
 from .whitney import _ldu, membership_uni
 
 
@@ -75,6 +75,8 @@ def sign_variation(vector: Sequence[Scalar]) -> int:
     """
     if len(vector) == 0:
         raise InputError("sign variation needs a nonempty vector")
+    for x in vector:
+        _require_scalar(x)
     scale = max(magnitude(vector), 1.0)
     signs = [s for x in vector if (s := sign_of(x, scale)) != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -85,7 +87,7 @@ class _Least(enum.IntEnum):
 
     NEGATIVE = 0
     ZERO = 1
-    INDETERMINATE = 2  # a nonzero float minor inside the zero band
+    INDETERMINATE = 2  # a nonzero float minor inside the zero band, or NaN
     POSITIVE = 3
 
 
@@ -103,10 +105,10 @@ def _minor_kinds(m: Matrix) -> Iterator[tuple[int, _MinorLevel, set[_Least]]]:
     for k, table in minor_levels(m):
         # exact minors meet a band of width 0; float rows hold the minors
         # themselves, and a NaN float minor, from overflowing products,
-        # reads as negative
+        # is neither side of the band: indeterminate
         t = 0 if m.is_exact else zero_threshold(minor_scale(scale, k))
         yield k, table, {
-            pos if v > t else neg if not v >= -t else zero if v == 0 else indet
+            pos if v > t else neg if v < -t else zero if v == 0 else indet
             for row in table.rows
             for v in row
         }

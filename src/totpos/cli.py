@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Matrices come from files (or ``-`` for stdin) in grid or JSON form; every
-command echoes a sha256 digest of its raw input so results can be tied
-back to inputs.  ``--json`` switches to machine-readable output, and on
-all but ``synth``, ``quadruple``, ``curve-check`` and ``convex-check``,
+Matrices come from files (or ``-`` for stdin) in grid or JSON form.  A
+command's handler returns its JSON fields and text lines and prints
+nothing; ``main`` prints them with the sha256 digest of each input read,
+in argument order, so results can be tied back to inputs (a seeded
+``synth`` digests its options; ``curve-check`` and ``convex-check`` read no
+input).  ``--json`` switches to machine-readable output, and on all but
+``synth``, ``quadruple``, ``curve-check`` and ``convex-check``,
 ``--backend float`` reads decimals as binary floats.  The library
 eliminates those floats exactly, as the dyadic rationals they are, so
 determinants, factorizations and flags are exact; only the signs of a float
@@ -39,65 +42,52 @@ from .serialization import format_matrix_grid, input_digest, parse_matrix, paylo
 from .spectra import verify_gk
 from .whitney import TPParameters, factorize, synthesize
 
-
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+# A handler's result: its JSON fields and text lines, without the digests.
+_Output = tuple[dict[str, Any], list[str]]
 
 
 def _exact(args: argparse.Namespace) -> bool:
     return getattr(args, "backend", "exact") == "exact"
 
 
-def _load_matrix(args: argparse.Namespace, path: str) -> tuple[Matrix, str]:
-    text = _read_text(path)
-    return parse_matrix(text, exact=_exact(args)), input_digest(text)
-
-
-def _emit(args: argparse.Namespace, result: dict[str, Any], lines: list[str]) -> int:
-    if args.json:
-        print(json.dumps(payload(result), indent=2, sort_keys=True))
+def _read_input(args: argparse.Namespace, path: str) -> str:
+    """Read a file, or stdin for ``-``, and record its digest for ``main``."""
+    if path == "-":
+        text = sys.stdin.read()
     else:
-        for line in lines:
-            print(line)
-    return 0
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from None
+    args.digests.append(input_digest(text))
+    return text
+
+
+def _load_matrix(args: argparse.Namespace, path: str) -> Matrix:
+    return parse_matrix(_read_input(args, path), exact=_exact(args))
 
 
 def _fmt_floats(values) -> str:
     return ", ".join(f"{float(v):.12g}" for v in values)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    m, digest = _load_matrix(args, args.matrix)
-    result = classify(m, m_max=args.power_cap)
-    out = {
-        "input_sha256": digest,
-        "kind": result.kind,
-        "oscillatory_exponent": result.oscillatory_m,
-    }
+def _cmd_classify(args: argparse.Namespace) -> _Output:
+    result = classify(_load_matrix(args, args.matrix), m_max=args.power_cap)
+    out = {"kind": result.kind, "oscillatory_exponent": result.oscillatory_m}
     lines = [f"kind: {result.kind.value}"]
     if result.oscillatory_m is not None:
         lines.append(f"oscillatory exponent: {result.oscillatory_m}")
-    lines.append(f"input sha256: {digest}")
-    return _emit(args, out, lines)
+    return out, lines
 
 
-def _cmd_factor(args: argparse.Namespace) -> int:
-    m, digest = _load_matrix(args, args.matrix)
-    params = factorize(m, word=args.word)
-    out = {"input_sha256": digest, "params": params}
-    lines = [
+def _cmd_factor(args: argparse.Namespace) -> _Output:
+    params = factorize(_load_matrix(args, args.matrix), word=args.word)
+    return {"params": params}, [
         f"word: {' '.join(str(i) for i in params.word)}",
         f"a: {' '.join(str(x) for x in params.a)}",
         f"t: {' '.join(str(x) for x in params.t)}",
         f"b: {' '.join(str(x) for x in params.b)}",
-        f"input sha256: {digest}",
     ]
-    return _emit(args, out, lines)
 
 
 def _json_int(value: Any, what: str) -> int:
@@ -148,11 +138,9 @@ def _params_from_json(text: str) -> TPParameters:
         raise InputError(f"malformed parameter JSON: {exc}") from None
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> _Output:
     if args.params is not None:
-        text = _read_text(args.params)
-        params = _params_from_json(text)
-        digest = input_digest(text)
+        params = _params_from_json(_read_input(args, args.params))
     else:
         if args.n is None:
             raise InputError("synth needs either --params or --n")
@@ -162,18 +150,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         params = random_tp_parameters(
             args.n, rng, strict=not args.relaxed, word=args.word
         )
-        digest = input_digest(f"seed={args.seed} n={args.n} relaxed={args.relaxed}")
+        args.digests.append(input_digest(
+            f"seed={args.seed} n={args.n} relaxed={args.relaxed} word={args.word}"
+        ))
     m = synthesize(params)
-    out = {"input_sha256": digest, "matrix": m, "params": params}
-    lines = [format_matrix_grid(m), f"input sha256: {digest}"]
-    return _emit(args, out, lines)
+    return {"matrix": m, "params": params}, [format_matrix_grid(m)]
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    m, digest = _load_matrix(args, args.matrix)
-    report = verify_gk(m)
-    out = {"input_sha256": digest, "report": report}
-    lines = [
+def _cmd_spectrum(args: argparse.Namespace) -> _Output:
+    report = verify_gk(_load_matrix(args, args.matrix))
+    return {"report": report}, [
         f"eigenvalues: {_fmt_floats(report.eigenvalues)}",
         f"perron roots of compounds: {_fmt_floats(report.perron_roots)}",
         f"distinct positive descending: {report.distinct_positive_descending}",
@@ -181,33 +167,25 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         f"compound product ok: {report.compound_product_ok}",
         f"determinant ok: {report.determinant_ok}",
         f"passed: {report.passed}",
-        f"input sha256: {digest}",
     ]
-    return _emit(args, out, lines)
 
 
-def _cmd_canonical_form(args: argparse.Namespace) -> int:
-    m, digest = _load_matrix(args, args.matrix)
-    result = canonical_basis(BilinearForm(m))
-    out = {"input_sha256": digest, "result": result}
-    lines = [
+def _cmd_canonical_form(args: argparse.Namespace) -> _Output:
+    result = canonical_basis(BilinearForm(_load_matrix(args, args.matrix)))
+    return {"result": result}, [
         "comparison matrix:",
         format_matrix_grid(result.comparison),
         f"eigenvalues: {_fmt_floats(result.eigenvalues)}",
         f"z values: {_fmt_floats(result.z_values)}",
         f"chain ratios: {_fmt_floats(result.chain)}",
-        f"input sha256: {digest}",
     ]
-    return _emit(args, out, lines)
 
 
-def _cmd_flag_pos(args: argparse.Namespace) -> int:
-    m, digest = _load_matrix(args, args.matrix)
-    flag = flag_from_matrix(m)
+def _cmd_flag_pos(args: argparse.Namespace) -> _Output:
+    flag = flag_from_matrix(_load_matrix(args, args.matrix))
     cert = in_B_pos(flag)
     cert_prime = in_B_pos_prime(flag)
     out = {
-        "input_sha256": digest,
         "positive_cell": cert is not None,
         "positive_cell_params": cert,
         "primed_cell": cert_prime is not None,
@@ -216,25 +194,19 @@ def _cmd_flag_pos(args: argparse.Namespace) -> int:
     lines = [
         f"positive cell: {'yes' if cert is not None else 'no'}",
         f"primed cell: {'yes' if cert_prime is not None else 'no'}",
-        f"input sha256: {digest}",
     ]
-    return _emit(args, out, lines)
+    return out, lines
 
 
-def _cmd_opposed(args: argparse.Namespace) -> int:
-    m1, d1 = _load_matrix(args, args.first)
-    m2, d2 = _load_matrix(args, args.second)
+def _cmd_opposed(args: argparse.Namespace) -> _Output:
+    m1, m2 = _load_matrix(args, args.first), _load_matrix(args, args.second)
     verdict = opposed(flag_from_matrix(m1), flag_from_matrix(m2))
-    out = {"input_sha256": [d1, d2], "opposed": verdict}
-    lines = [f"opposed: {'yes' if verdict else 'no'}", f"input sha256: {d1}, {d2}"]
-    return _emit(args, out, lines)
+    return {"opposed": verdict}, [f"opposed: {'yes' if verdict else 'no'}"]
 
 
-def _cmd_stable_flags(args: argparse.Namespace) -> int:
-    m, digest = _load_matrix(args, args.matrix)
-    pair = stable_flags(m, sigma_mode=args.sigma)
-    out = {"input_sha256": digest, "pair": pair}
-    lines = [
+def _cmd_stable_flags(args: argparse.Namespace) -> _Output:
+    pair = stable_flags(_load_matrix(args, args.matrix), sigma_mode=args.sigma)
+    return {"pair": pair}, [
         f"sigma mode: {pair.sigma_mode}",
         f"eigenvalues: {_fmt_floats(pair.eigenvalues)}",
         f"dilation moduli: {_fmt_floats(pair.dilation_moduli)}",
@@ -242,9 +214,7 @@ def _cmd_stable_flags(args: argparse.Namespace) -> int:
         f"finite order moduli: {_fmt_floats(pair.finite_order_moduli)}",
         f"stability residual: {pair.stability_residual:.3g}",
         f"positivity margin: {float(pair.margin):.6g}",
-        f"input sha256: {digest}",
     ]
-    return _emit(args, out, lines)
 
 
 def _parse_points(text: str) -> list[CirclePoint]:
@@ -260,30 +230,25 @@ def _parse_points(text: str) -> list[CirclePoint]:
     return points
 
 
-def _cmd_quadruple(args: argparse.Namespace) -> int:
+def _cmd_quadruple(args: argparse.Namespace) -> _Output:
     points = _parse_points(args.points)
     if len(points) != 4:
         raise InputError("--points needs exactly four comma-separated values")
-    flags = []
-    digests = []
-    for path in (args.first, args.second, args.third, args.fourth):
-        m, digest = _load_matrix(args, path)
-        flags.append(flag_from_matrix(m))
-        digests.append(digest)
+    flags = [
+        flag_from_matrix(_load_matrix(args, path))
+        for path in (args.first, args.second, args.third, args.fourth)
+    ]
     quadruple = dihedral_partition(*points)
     verdict = is_positive_quadruple(flags, quadruple)
     out = {
-        "input_sha256": digests,
         "points": [str(p) for p in points],
         "pairs": quadruple.pairs,
         "positive": verdict,
     }
-    lines = [f"positive quadruple: {'yes' if verdict else 'no'}",
-             f"input sha256: {', '.join(digests)}"]
-    return _emit(args, out, lines)
+    return out, [f"positive quadruple: {'yes' if verdict else 'no'}"]
 
 
-def _cmd_curve_check(args: argparse.Namespace) -> int:
+def _cmd_curve_check(args: argparse.Namespace) -> _Output:
     curve = MomentCurve(args.degree)
     points = _parse_points(args.points) if args.points else None
     report = is_positive_curve_sampled(
@@ -294,7 +259,6 @@ def _cmd_curve_check(args: argparse.Namespace) -> int:
         points=points,
         trials=args.trials,
     )
-    out = {"report": report}
     lines = [
         f"degree: {report.degree}",
         f"points: {report.n_points}",
@@ -305,32 +269,27 @@ def _cmd_curve_check(args: argparse.Namespace) -> int:
     ]
     if report.first_failure is not None:
         lines.append(f"first failure at: {', '.join(report.first_failure)}")
-    return _emit(args, out, lines)
+    return {"report": report}, lines
 
 
-def _cmd_convex_check(args: argparse.Namespace) -> int:
+def _cmd_convex_check(args: argparse.Namespace) -> _Output:
     report = convex_curve_check(
         MomentCurve(args.degree),
         trials=args.trials,
         seed=args.seed,
         coeff_bound=args.bound,
     )
-    out = {"report": report}
-    lines = [
+    return {"report": report}, [
         f"degree: {report.degree}",
         f"hyperplanes tested: {report.trials}",
         f"max distinct intersections: {report.max_count}",
         f"bound respected: {report.ok}",
     ]
-    return _emit(args, out, lines)
 
 
-def _cmd_tilde(args: argparse.Namespace) -> int:
-    m, digest = _load_matrix(args, args.matrix)
-    result = tilde(m)
-    out = {"input_sha256": digest, "matrix": result}
-    lines = [format_matrix_grid(result), f"input sha256: {digest}"]
-    return _emit(args, out, lines)
+def _cmd_tilde(args: argparse.Namespace) -> _Output:
+    result = tilde(_load_matrix(args, args.matrix))
+    return {"matrix": result}, [format_matrix_grid(result)]
 
 
 # Commands whose input is exact only: no matrix, or exact circle points.
@@ -416,16 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.digests = []
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        out, lines = args.func(args)
     except TotposError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
+    digests = args.digests  # one per input read, in argument order
+    if digests:
+        out["input_sha256"] = digests[0] if len(digests) == 1 else digests
+        lines.append(f"input sha256: {', '.join(digests)}")
+    if args.json:
+        print(json.dumps(payload(out), indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

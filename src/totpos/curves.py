@@ -48,6 +48,7 @@ class CirclePoint:
 
     @staticmethod
     def at(value: Scalar) -> "CirclePoint":
+        _require_scalar(value)
         return CirclePoint(as_fraction(value))
 
     @staticmethod
@@ -61,6 +62,7 @@ class CirclePoint:
         Right angles hit exact rational parameters; anything else takes
         the exact binary value of the float tangent.
         """
+        _require_scalar(degrees)
         d = as_fraction(degrees) % 360
         table = {
             Fraction(0): Fraction(0),
@@ -213,8 +215,6 @@ def is_positive_quadruple(
     n = f1.n
     if any(f.n != n for f in flags):
         raise InputError("all four flags must share one dimension")
-    if any(not f.rep.is_exact for f in flags):
-        raise InputError("quadruple tests require exact flag representatives")
     if len(set(quadruple.points)) != 4:
         raise InputError("quadruple points must be distinct")
     try:

@@ -62,9 +62,16 @@ _COMPONENT_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Flag:
-    """A complete flag, stored through its canonical representative."""
+    """A complete flag, built from any square invertible matrix whose
+    column-span chain it is and stored through its canonical representative,
+    so equal flags compare equal."""
 
     rep: Matrix
+
+    def __post_init__(self) -> None:
+        if not self.rep.is_square:
+            raise InputError("flags come from square invertible matrices")
+        object.__setattr__(self, "rep", _canonical_rep(self.rep))
 
     @property
     def n(self) -> int:
@@ -99,11 +106,9 @@ def _canonical_rep(g: Matrix) -> Matrix:
 
 
 def flag_from_matrix(g: Matrix) -> Flag:
-    """Flag of the column-span chain of an invertible matrix; the
-    representative is exact, a float matrix read as its dyadic copy."""
-    if not g.is_square:
-        raise InputError("flags come from square invertible matrices")
-    return Flag(_canonical_rep(g))
+    """Flag of the column-span chain of an invertible matrix, ``Flag(g)``;
+    the representative is exact, a float matrix read as its dyadic copy."""
+    return Flag(g)
 
 
 def standard_flag(n: int) -> Flag:
@@ -175,17 +180,15 @@ def in_B_pos_prime(f: Flag) -> UniParams | None:
 def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
     """Basis with w_k spanning the line F1_k intersect F2_{n-k+1}.
 
-    Requires opposed flags with exact representatives; each column is
-    scaled so its bottommost nonzero entry is 1.  The change of basis to
-    this frame sends f1 to the standard flag and f2 to the reversed one.
+    Requires opposed flags; each column is scaled so its bottommost
+    nonzero entry is 1.  The change of basis to this frame sends f1 to the
+    standard flag and f2 to the reversed one.
 
     With A, B the representatives, w0 the reversal and w0 A^-1 B = L D U
     the opposedness test, A w0 L w0 is A times an upper unitriangular
     matrix, and its k-th column, A w0 times column n-k+1 of L, lies in the
     span of the first n-k+1 columns of B U^-1.
     """
-    if not (f1.rep.is_exact and f2.rep.is_exact):
-        raise InputError("adapted bases require exact representatives")
     ldu = _relative_ldu(f1, f2)
     if ldu is None:
         raise DomainError("flags are not opposed; the adapted basis does not exist")

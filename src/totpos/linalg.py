@@ -174,6 +174,8 @@ class Matrix:
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.cols:
             raise InputError("vector length must equal the column count")
+        for x in vector:
+            _require_scalar(x)
         if self._exact and all(is_exact_scalar(x) for x in vector):
             return tuple(row[0] for row in _exact_products(self._entries, [vector]))
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._entries)
@@ -561,6 +563,8 @@ def solve(m: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
         raise InputError("solve requires a square matrix")
     if len(rhs) != m.rows:
         raise InputError("right-hand side length mismatch")
+    for b in rhs:
+        _require_scalar(b)
     return tuple(row[0] for row in _solve_exact(m, [[b] for b in rhs]))
 
 

@@ -51,8 +51,9 @@ def zero_threshold(scale: float) -> float:
 
 
 def is_zero(x: float, scale: float) -> bool:
-    """True when the float x lies inside the zero band at the given scale."""
-    return abs(x) <= zero_threshold(scale)
+    """True when the float x lies inside the zero band at the given scale,
+    or is NaN, which no band excludes."""
+    return not abs(x) > zero_threshold(scale)
 
 
 def magnitude(values: Iterable[Scalar]) -> float:

@@ -57,7 +57,8 @@ def parse_matrix_json(data: Any, exact: bool = True) -> Matrix:
             elif isinstance(cell, bool):
                 raise InputError("matrix entries must be numbers, not booleans")
             elif isinstance(cell, int):
-                parsed.append(Fraction(cell) if exact else float(cell))
+                # the grid's rule, so an int past the float range is refused
+                parsed.append(Fraction(cell) if exact else parse_scalar(str(cell), exact=False))
             elif isinstance(cell, float):
                 # json.loads reads 1e400 as inf and accepts NaN/Infinity
                 if not math.isfinite(cell):

@@ -221,6 +221,14 @@ def test_float_zero_band_saturates_past_float_range():
     assert (result.kind, result.oscillatory_m) == (TPKind.TOTALLY_NONNEGATIVE_ONLY, None)
 
 
+def test_nan_float_minor_is_indeterminate_not_negative():
+    # the order-2 float minor is inf - inf = NaN; the exact copy's is 0
+    m = Matrix([[1e200, 1e200], [1e200, 1e200]])
+    assert classify(m.to_exact()).kind is TPKind.TOTALLY_NONNEGATIVE_ONLY
+    with pytest.warns(StrictnessWarning):
+        assert classify(m).kind is TPKind.TOTALLY_NONNEGATIVE_ONLY
+
+
 def test_float_tp_clearly_positive():
     m = VANDERMONDE.to_float()
     assert is_totally_positive(m)

@@ -217,6 +217,69 @@ def test_synth_params_strict_flag(tmp_path, capsys):
     assert "strictly positive" in capsys.readouterr().err
 
 
+_ECHO_FILES = {
+    "vand": "1 1 1\n1 2 4\n1 3 9\n",
+    "gram": "3 7\n-1 -2\n",
+    "lower": "1 0 0\n1 1 0\n1 2 1\n",
+    "reversal": "0 0 1\n0 1 0\n1 0 0\n",
+    # osculating flags of the degree-2 moment curve at 0, 1/2 and 2
+    "q1": "1 0 0\n1/2 1 0\n1/4 1 1\n",
+    "q2": "1 0 0\n2 1 0\n4 4 1\n",
+    "params": json.dumps(_PARAMS2),
+}
+# Each command that reads inputs; a bare name is an input file.
+_ECHO_COMMANDS = {
+    "classify": ["classify", "vand"],
+    "factor": ["factor", "vand"],
+    "synth": ["synth", "--params", "params"],
+    "spectrum": ["spectrum", "vand"],
+    "canonical-form": ["canonical-form", "gram"],
+    "tilde": ["tilde", "vand"],
+    "flag-pos": ["flag-pos", "lower"],
+    "opposed": ["opposed", "lower", "reversal"],
+    "stable-flags": ["stable-flags", "vand"],
+    "quadruple": ["quadruple", "lower", "q1", "q2", "reversal", "--points", "0,1/2,2,inf"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ECHO_COMMANDS))
+def test_inputs_are_echoed_in_argument_order(tmp_path, capsys, command):
+    paths = {}
+    for name, text in _ECHO_FILES.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    argv = [str(paths[a]) if a in paths else a for a in _ECHO_COMMANDS[command]]
+    digests = [input_digest(_ECHO_FILES[a]) for a in _ECHO_COMMANDS[command] if a in paths]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"input sha256: {', '.join(digests)}"
+    assert main([*argv, "--json"]) == 0
+    echoed = json.loads(capsys.readouterr().out)["input_sha256"]
+    assert echoed == (digests if len(digests) > 1 else digests[0])
+
+
+@pytest.mark.parametrize("argv", [["curve-check", "--degree", "2", "--samples", "5"],
+                                  ["convex-check", "--degree", "2", "--trials", "20"]])
+def test_commands_without_inputs_echo_no_digest(capsys, argv):
+    assert main(argv) == 0
+    assert "sha256" not in capsys.readouterr().out
+    assert main([*argv, "--json"]) == 0
+    assert "input_sha256" not in json.loads(capsys.readouterr().out)
+
+
+def test_seeded_synth_digest_names_the_word(capsys):
+    runs = {}
+    for word in ("standard", "reversed"):
+        assert main(["synth", "--n", "3", "--seed", "7", "--word", word]) == 0
+        runs[word] = capsys.readouterr().out.splitlines()
+    # other matrices from the same seed, so other digests
+    assert runs["standard"][0].split() == ["6", "27/2", "21/2"]
+    assert runs["reversed"][0].split() == ["6", "6", "3"]
+    assert runs["reversed"][-1] == "input sha256: " + input_digest(
+        "seed=7 n=3 relaxed=False word=reversed"
+    )
+    assert runs["standard"][-1] != runs["reversed"][-1]
+
+
 # Each subcommand's positionals and options with their defaults, in order.
 _PARSER = {
     "classify": [("matrix", None), ("--power-cap", None), ("--json", False),
@@ -508,3 +571,46 @@ def test_values_past_the_float_range_are_input_errors(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "outside the float range" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[[1" + "0" * 400 + ", 1], [1, 1]]\n", "1" + "0" * 400 + " 1\n1 1\n"],
+    ids=["json", "grid"],
+)
+def test_integer_past_the_float_range_is_input_error(tmp_path, capsys, text):
+    # JSON and grid integers follow one rule: exit 2 and one error line
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    assert main(["classify", str(path), "--backend", "float"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outside the float range" in err
+    assert err.count("\n") == 1
+    assert main(["classify", str(path)]) == 0
+
+
+_NUMERIC_CELLS = st.one_of(
+    st.integers(-5, 9),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_NUMERIC_JSON = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(_NUMERIC_CELLS, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+).map(json.dumps)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(st.sampled_from(_MATRIX_COMMANDS), _NUMERIC_JSON, st.sampled_from(["exact", "float"]))
+def test_cli_fuzz_numeric_json_exits_cleanly(command, text, backend):
+    # well-formed JSON numbers only, up to 10**400 and every finite float
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(text, encoding="utf-8")
+        _run_cleanly([*command[:1], str(path), *command[1:], "--backend", backend], False)

@@ -72,6 +72,17 @@ def test_flag_requires_invertible():
         flag_from_matrix(Matrix([[1, 2], [2, 4]]))
 
 
+def test_flag_holds_its_canonical_representative():
+    # any representative builds the same flag; none but a square invertible one
+    assert Flag(Matrix([[2, 0], [0, 1]])) == standard_flag(2)
+    assert Flag(Matrix([[2, 1], [4, 1]])).rep == Matrix([[F(1, 2), 1], [1, 0]])
+    assert Flag(Matrix([[0.5, 0.0], [1.0, 3.0]])).rep.is_exact
+    with pytest.raises(SingularityError):
+        Flag(Matrix([[1, 2], [2, 4]]))
+    with pytest.raises(InputError, match="square invertible"):
+        Flag(Matrix([[1, 0, 0], [0, 1, 0]]))
+
+
 def test_standard_and_reversed_flags():
     assert standard_flag(3).rep == Matrix.identity(3)
     assert reversed_flag(3).rep == reversal_permutation(3)

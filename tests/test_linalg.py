@@ -388,7 +388,7 @@ def _old_minor_kinds(m):
         table = dict(level)
         t = 0 if m.is_exact else zero_threshold(minor_scale(scale, k))
         yield k, table, {
-            pos if v > t else neg if not v >= -t else zero if v == 0 else indet
+            pos if v > t else neg if v < -t else zero if v == 0 else indet
             for v in table.values()
         }
 

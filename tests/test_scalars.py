@@ -92,8 +92,46 @@ def test_sign_of_exact_is_strict():
     assert sign_of(F(1, 10**12), math.inf) == 1
 
 
+def test_nan_is_inside_every_band():
+    # NaN is neither side of the band, so it reads as zero, never as negative
+    assert is_zero(math.nan, 1.0) and is_zero(math.nan, math.inf)
+    assert sign_of(math.nan) == 0
+
+
 def test_sign_of_float_flattens_band():
     assert sign_of(1e-12) == 0
     assert sign_of(1e-3) == 1
     assert sign_of(-1e-3) == -1
     assert sign_of(1e-3, 1e6) == 0
+
+
+def _scalar_argument_calls():
+    from totpos.bilinear import BilinearForm
+    from totpos.classify import sign_variation, variation_diminishes_on
+    from totpos.curves import CirclePoint
+    from totpos.linalg import Matrix, solve
+
+    m = Matrix([[1, 1], [1, 2]])
+    return {
+        "sign_variation nan": lambda: sign_variation([math.nan, 1.0]),
+        "sign_variation inf": lambda: sign_variation([math.inf, -1.0]),
+        "solve bool": lambda: solve(m, [True, 1]),
+        "solve str": lambda: solve(m, ["a", 1]),
+        "apply str": lambda: m.apply([1, "2"]),
+        "apply nan": lambda: m.apply([math.nan, 1.0]),
+        "variation_diminishes_on str": lambda: variation_diminishes_on(m, [1, "2"]),
+        "pair first bool": lambda: BilinearForm(m).pair([True, 0], [1, 0]),
+        "pair second str": lambda: BilinearForm(m).pair([1, 0], ["1", 0]),
+        "at bool": lambda: CirclePoint.at(True),
+        "at str": lambda: CirclePoint.at("1/2"),
+        "at nan": lambda: CirclePoint.at(math.nan),
+        "from_angle bool": lambda: CirclePoint.from_angle(True),
+        "from_angle inf": lambda: CirclePoint.from_angle(math.inf),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_scalar_argument_calls()))
+def test_scalar_arguments_follow_the_entry_rule(case):
+    # the matrix entry rule, with its messages, for every scalar argument
+    with pytest.raises(InputError, match="is not a supported scalar|must be finite"):
+        _scalar_argument_calls()[case]()
