@@ -11,7 +11,18 @@ Such bases differ by diagonal matrices, and positive rescalings never
 change those memberships.  A flag in the open cell has a lower
 unitriangular representative with every entry below the diagonal positive,
 so the signs of that representative's first column fix the one sign class
-worth testing.
+worth testing.  The lower unitriangular group fixes the reversed flag and
+moves the standard one onto every flag opposed to it, so this is the
+positive quadruple of Fock and Goncharov (Publ. Math. IHES 2006; Guichard
+and Wienhard, ECM 2016): the side flags come from a totally positive
+element of that group and from the inverse of one, whether or not a point
+is infinity.  They prove that a cyclic configuration is positive iff its
+coordinates for one triangulation are, and that its cyclically ordered
+parts are then positive; a triangle's coordinates read its flags, a
+diagonal's those of the two triangles beside it.  Each fan quadrilateral
+(1, i, i+1, i+2), with the diagonal (1, i+1) as its reference pair, holds
+two fan triangles and the diagonal between them; the k-3 of them cover the
+fan, so when they pass, every quadruple passes.
 
 The model positive curve is the osculating flag curve of the moment curve
 t -> (1, t, t^2, ..., t^m); its flags come from the scaled derivative
@@ -30,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, TotposError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix, reversed_flag
 from .linalg import Matrix, _cleared_line, _is_int, _solve_exact
 from .scalars import Scalar, _require_scalar, as_fraction
@@ -270,7 +281,9 @@ def is_positive_curve_sampled(
     ``points`` win over a table's own samples, which win over a default
     ladder of ``samples`` half-integers.  Exhaustive mode checks all
     4-subsets; random mode draws ``trials`` subsets with a seeded
-    generator.
+    generator.  The k-3 fan quadruples (1, i, i+1, i+2) go first (in random
+    mode if fewer than ``trials``); by Fock-Goncharov every subset passes
+    when they do (module docstring).  Else each subset is tested, none twice.
     """
     if mode not in ("exhaustive", "random"):
         raise InputError(f"unknown sampling mode {mode!r}")
@@ -297,28 +310,30 @@ def is_positive_curve_sampled(
         subsets = [
             tuple(sorted(rng.sample(range(len(pts)), 4))) for _ in range(count)
         ]
-    passed = 0
-    failed = 0
-    first_failure: tuple[str, str, str, str] | None = None
-    for subset in subsets:
-        quad_points = tuple(pts[i] for i in subset)
-        quadruple = dihedral_partition(*quad_points)
-        ok = is_positive_quadruple([flags[p] for p in quad_points], quadruple)
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-            if first_failure is None:
-                first_failure = tuple(str(p) for p in quad_points)
+    verdicts: dict[tuple[int, ...], bool | TotposError] = {}
+
+    def positive(subset: tuple[int, ...]) -> bool:
+        # each subset is tested once; an error is kept and raised in loop order
+        if subset not in verdicts:
+            quad = dihedral_partition(*(pts[i] for i in subset))
+            try:
+                verdicts[subset] = is_positive_quadruple([flags[p] for p in quad.points], quad)
+            except TotposError as exc:
+                verdicts[subset] = exc
+        if isinstance(verdicts[subset], TotposError):
+            raise verdicts[subset]
+        return verdicts[subset]
+
+    fan = [(0, i, i + 1, i + 2) for i in range(1, len(pts) - 2)]
+    try:
+        fan_decides = (mode == "exhaustive" or len(fan) < len(subsets)) and all(map(positive, fan))
+    except TotposError:
+        fan_decides = False
+    failures = [] if fan_decides else [s for s in subsets if not positive(s)]
     return CurveReport(
-        degree=curve.degree,
-        n_points=len(pts),
-        mode=mode,
-        seed=seed,
-        total=len(subsets),
-        passed=passed,
-        failed=failed,
-        first_failure=first_failure,
+        degree=curve.degree, n_points=len(pts), mode=mode, seed=seed, total=len(subsets),
+        passed=len(subsets) - len(failures), failed=len(failures),
+        first_failure=tuple(str(pts[i]) for i in failures[0]) if failures else None,
     )
 
 

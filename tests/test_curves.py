@@ -8,8 +8,10 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from totpos import curves
 from totpos.curves import (
     CirclePoint,
+    CurveReport,
     MomentCurve,
     TableFlagCurve,
     convex_curve_check,
@@ -35,6 +37,7 @@ from totpos.sampling import (
     random_flag,
     random_invertible,
     random_positive_cell_flag,
+    random_tp_matrix,
     random_uni_params,
 )
 from totpos.whitney import TPParameters, UniParams, gauss_ldu, membership_uni, synthesize_uni
@@ -636,3 +639,128 @@ def test_quadruple_matches_the_inverse_then_peel_oracle():
                 assert want is DomainError
             seen.add((kind, want))
     assert {("flipped", False), ("random", True), ("random", False)} <= seen
+
+
+def _loop_oracle(curve, points, mode="exhaustive", seed=0, trials=None):
+    """The curve check as it ran before the fan triangulation: every subset
+    of the sorted points, exhaustive or seeded, tested in order."""
+    pts = sorted(points, key=CirclePoint.sort_key)
+    flags = {p: curve.flag_at(p) for p in pts}
+    if mode == "exhaustive":
+        subsets = list(itertools.combinations(range(len(pts)), 4))
+    else:
+        rng = random.Random(seed)
+        subsets = [tuple(sorted(rng.sample(range(len(pts)), 4))) for _ in range(trials)]
+    passed = failed = 0
+    first_failure = None
+    for subset in subsets:
+        quad_points = tuple(pts[i] for i in subset)
+        ok = is_positive_quadruple([flags[p] for p in quad_points], dihedral_partition(*quad_points))
+        if ok:
+            passed += 1
+        else:
+            failed += 1
+            if first_failure is None:
+                first_failure = tuple(str(p) for p in quad_points)
+    return CurveReport(
+        curve.degree, len(pts), mode, seed, len(subsets), passed, failed, first_failure
+    )
+
+
+def _pushed(g, f):
+    return flag_from_matrix(g @ f.rep)
+
+
+def _curve_tables(n, k, rng):
+    """Seeded flag tables over k circle points in C^n, with their kind: the
+    osculating flags of the moment curve, and that curve edited."""
+    values = sorted(rng.sample(range(-15, 16), k - 1 if rng.random() < 0.4 else k))
+    pts = [CirclePoint.at(F(v, 2)) for v in values]
+    if len(pts) < k:
+        pts.append(CirclePoint.infinity())
+    base = [osculating_flag(MomentCurve(n - 1), p) for p in pts]
+    tp = random_tp_matrix(n, rng)
+    i, j = sorted(rng.sample(range(k), 2))
+    swapped = list(base)
+    swapped[i], swapped[j] = base[j], base[i]
+    edits = {
+        "moment": base,
+        "swapped": swapped,
+        "random": base[:i] + [random_flag(n, rng)] + base[i + 1 :],
+        "tp": [_pushed(tp, f) for f in base],
+        "one pushed": base[:i] + [_pushed(tp, base[i])] + base[i + 1 :],
+        "flipped": base[:i] + [_one_sign_flipped(base[i], rng)] + base[i + 1 :],
+        "not opposed": base[:j] + [base[i]] + base[j + 1 :],
+    }
+    # each kind at every n, on two of the six sizes k
+    for index, (kind, flags) in enumerate(edits.items()):
+        if (index - n - k) % 3 == 0:
+            yield kind, pts, TableFlagCurve(list(zip(pts, flags)))
+
+
+def _report_or_error(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except DomainError as exc:
+        return (type(exc), str(exc))
+
+
+def test_curve_check_matches_the_loop_oracle():
+    rng = random.Random(2006)
+    seen = set()
+    for n in range(2, 7):
+        for k in range(4, 10):
+            for kind, pts, curve in _curve_tables(n, k, rng):
+                seed = rng.randrange(100)
+                for mode, trials in (("exhaustive", None), ("random", max(1, k - 4)), ("random", k + 2)):
+                    if mode == "random" and (n + k) % 2:
+                        continue
+                    want = _report_or_error(_loop_oracle, curve, pts, mode, seed, trials)
+                    got = _report_or_error(
+                        is_positive_curve_sampled, curve, mode=mode, seed=seed, trials=trials
+                    )
+                    assert got == want, (kind, n, k, mode, trials)
+                    if isinstance(want, tuple):
+                        seen.add((kind, mode, "error"))
+                    else:
+                        seen.add((kind, mode, "ok" if "failed=0" in want else "fails"))
+    assert {("moment", "exhaustive", "ok"), ("tp", "random", "ok")} <= seen
+    assert {("swapped", "exhaustive", "fails"), ("flipped", "exhaustive", "fails")} <= seen
+    assert {("random", "random", "fails")} <= seen
+    assert {("one pushed", "exhaustive", "fails"), ("not opposed", "exhaustive", "error")} <= seen
+
+
+@pytest.fixture
+def quadruple_calls(monkeypatch):
+    calls = []
+    original = curves.is_positive_quadruple
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(curves, "is_positive_quadruple", counted)
+    return calls
+
+
+def test_positive_curve_costs_the_fan_only(quadruple_calls):
+    report = is_positive_curve_sampled(MomentCurve(3), samples=9)
+    assert (report.total, report.passed, report.failed) == (126, 126, 0)
+    assert len(quadruple_calls) == 9 - 3
+    quadruple_calls.clear()
+    # fewer trials than fan quadrilaterals: the seeded draws are tested
+    report = is_positive_curve_sampled(MomentCurve(3), samples=9, mode="random", seed=5, trials=4)
+    assert (report.total, report.passed) == (4, 4)
+    assert len(quadruple_calls) == 4
+
+
+def test_failing_curve_tests_each_subset_at_most_once(quadruple_calls):
+    base = MomentCurve(2)
+    pts = [CirclePoint.at(F(v)) for v in range(-3, 4)]
+    flags = [base.flag_at(p) for p in pts]
+    flags[2], flags[4] = flags[4], flags[2]
+    entries = list(zip(pts, flags))
+    report = is_positive_curve_sampled(TableFlagCurve(entries))
+    assert report.failed > 0 and report.total == math.comb(7, 4)
+    assert len(quadruple_calls) <= report.total
+    assert len({tuple(map(str, q.points)) for _, q in quadruple_calls}) == len(quadruple_calls)
