@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DomainError, InputError, TotposError
+from .errors import DomainError, InputError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix, reversed_flag
 from .linalg import Matrix, _cleared_line, _is_int, _solve_exact
 from .scalars import Scalar, _require_scalar, as_fraction
@@ -281,9 +281,8 @@ def is_positive_curve_sampled(
     ``points`` win over a table's own samples, which win over a default
     ladder of ``samples`` half-integers.  Exhaustive mode checks all
     4-subsets; random mode draws ``trials`` subsets with a seeded
-    generator.  The k-3 fan quadruples (1, i, i+1, i+2) go first (in random
-    mode if fewer than ``trials``); by Fock-Goncharov every subset passes
-    when they do (module docstring).  Else each subset is tested, none twice.
+    generator.  Exhaustive mode first tests the k-3 fan quadruples, which
+    decide a positive curve (module docstring).
     """
     if mode not in ("exhaustive", "random"):
         raise InputError(f"unknown sampling mode {mode!r}")
@@ -310,29 +309,29 @@ def is_positive_curve_sampled(
         subsets = [
             tuple(sorted(rng.sample(range(len(pts)), 4))) for _ in range(count)
         ]
-    verdicts: dict[tuple[int, ...], bool | TotposError] = {}
+    verdicts: dict[tuple[int, ...], bool] = {}
 
     def positive(subset: tuple[int, ...]) -> bool:
-        # each subset is tested once; an error is kept and raised in loop order
         if subset not in verdicts:
-            quad = dihedral_partition(*(pts[i] for i in subset))
-            try:
-                verdicts[subset] = is_positive_quadruple([flags[p] for p in quad.points], quad)
-            except TotposError as exc:
-                verdicts[subset] = exc
-        if isinstance(verdicts[subset], TotposError):
-            raise verdicts[subset]
+            quad_points = tuple(pts[i] for i in subset)
+            quadruple = dihedral_partition(*quad_points)
+            verdicts[subset] = is_positive_quadruple([flags[p] for p in quad_points], quadruple)
         return verdicts[subset]
 
     fan = [(0, i, i + 1, i + 2) for i in range(1, len(pts) - 2)]
     try:
-        fan_decides = (mode == "exhaustive" or len(fan) < len(subsets)) and all(map(positive, fan))
-    except TotposError:
+        fan_decides = mode == "exhaustive" and all(map(positive, fan))
+    except DomainError:
         fan_decides = False
     failures = [] if fan_decides else [s for s in subsets if not positive(s)]
     return CurveReport(
-        degree=curve.degree, n_points=len(pts), mode=mode, seed=seed, total=len(subsets),
-        passed=len(subsets) - len(failures), failed=len(failures),
+        degree=curve.degree,
+        n_points=len(pts),
+        mode=mode,
+        seed=seed,
+        total=len(subsets),
+        passed=len(subsets) - len(failures),
+        failed=len(failures),
         first_failure=tuple(str(pts[i]) for i in failures[0]) if failures else None,
     )
 

@@ -743,15 +743,23 @@ def quadruple_calls(monkeypatch):
     return calls
 
 
-def test_positive_curve_costs_the_fan_only(quadruple_calls):
-    report = is_positive_curve_sampled(MomentCurve(3), samples=9)
-    assert (report.total, report.passed, report.failed) == (126, 126, 0)
-    assert len(quadruple_calls) == 9 - 3
-    quadruple_calls.clear()
-    # fewer trials than fan quadrilaterals: the seeded draws are tested
-    report = is_positive_curve_sampled(MomentCurve(3), samples=9, mode="random", seed=5, trials=4)
-    assert (report.total, report.passed) == (4, 4)
-    assert len(quadruple_calls) == 4
+@pytest.mark.parametrize("samples, total", [(8, 70), (9, 126)])
+def test_positive_curve_costs_the_fan_only(quadruple_calls, samples, total):
+    report = is_positive_curve_sampled(MomentCurve(3), samples=samples)
+    assert (report.total, report.passed, report.failed) == (total, total, 0)
+    assert len(quadruple_calls) == samples - 3
+
+
+@pytest.mark.parametrize("trials", [4, 12])
+def test_random_mode_tests_the_seeded_draws_only(quadruple_calls, trials):
+    # more or fewer trials than the 6 fan quadrilaterals: no fan in random mode
+    pts = [CirclePoint.at(F(v)) for v in range(-4, 5)]
+    report = is_positive_curve_sampled(MomentCurve(3), points=pts, mode="random", seed=5, trials=trials)
+    assert (report.total, report.passed) == (trials, trials)
+    rng = random.Random(5)
+    draws = [tuple(sorted(rng.sample(range(9), 4))) for _ in range(trials)]
+    want = list(dict.fromkeys(tuple(pts[i] for i in d) for d in draws))
+    assert [q.points for _, q in quadruple_calls] == want
 
 
 def test_failing_curve_tests_each_subset_at_most_once(quadruple_calls):
