@@ -137,10 +137,10 @@ def tilde(m: Matrix) -> Matrix:
 class CanonicalBasisResult:
     """Output of :func:`canonical_basis`.
 
-    ``basis`` holds one eigenvector per column, matched with
-    ``eigenvalues`` in strictly decreasing order.  ``gram_in_basis`` is the
-    Gram matrix of the input form against that basis; ``z_values[r-1]`` is
-    (-1)^r times its entry (r, r*), and ``chain[r-1] = z_r / z_{r*}``,
+    ``basis`` holds one exact eigenvector per column, matched with
+    ``eigenvalues`` in strictly decreasing order; ``gram_in_basis`` is the
+    input Gram matrix against it, float for a float form.  ``z_values[r-1]``
+    is (-1)^r times its entry (r, r*), and ``chain[r-1] = z_r / z_{r*}``,
     which reproduces the reciprocals of the eigenvalues.
     """
 
@@ -174,16 +174,9 @@ def canonical_basis(form: BilinearForm) -> CanonicalBasisResult:
         raise ConsistencyError(
             "the canonical comparison matrix failed its positivity law"
         ) from None
-    if comparison.is_exact and form.gram.is_exact:
-        # exact basis: the off-anti-diagonal entries then vanish to the
-        # accuracy of the basis itself, not of float64 arithmetic
-        v = refine_eigenbasis(
-            comparison, spectrum.eigenvalues, spectrum.eigenvectors
-        )
-        gram_new = v.transpose() @ form.gram @ v
-    else:
-        v = spectrum.eigenvectors
-        gram_new = v.transpose() @ form.gram.to_float() @ v
+    # an exact basis: off-anti-diagonal entries vanish but for the Gram's rounding
+    v = refine_eigenbasis(comparison, spectrum.eigenvalues, spectrum.eigenvectors)
+    gram_new = v.transpose() @ form.gram @ v
     g = gram_new.to_float()
     anti_scale = max(abs(g[r, n - 1 - r]) for r in range(n))
     if anti_scale == 0.0:

@@ -9,10 +9,9 @@ input).  ``--json`` switches to machine-readable output, and on all but
 ``synth``, ``quadruple``, ``curve-check`` and ``convex-check``,
 ``--backend float`` reads decimals as binary floats.  The library
 eliminates those floats exactly, as the dyadic rationals they are, so
-determinants, factorizations and flags are exact; only the signs of a float
-minor table (the positivity verdicts) are read through the one fixed zero
-band.  Exit codes: 0 success, 1 domain or computation failure, 2 malformed
-input.
+determinants, factorizations, flags and eigenbases are exact; only the
+signs of a float minor table (positivity verdicts) use the one zero band.
+Exit codes: 0 success, 1 domain or computation failure, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .flags import flag_from_matrix, in_B_pos, in_B_pos_prime, opposed, stable_f
 from .linalg import Matrix
 from .sampling import random_tp_parameters
 from .scalars import parse_scalar
-from .serialization import format_matrix_grid, input_digest, parse_matrix, payload
+from .serialization import _load_json, format_matrix_grid, input_digest, parse_matrix, payload
 from .spectra import verify_gk
 from .whitney import TPParameters, factorize, synthesize
 
@@ -98,10 +97,7 @@ def _json_int(value: Any, what: str) -> int:
 
 
 def _params_from_json(text: str) -> TPParameters:
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"bad JSON parameters: {exc}") from None
+    data = _load_json(text, "parameters")
     if not isinstance(data, dict):
         raise InputError("parameter JSON must be an object")
     try:
@@ -377,20 +373,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.digests = []
+    # results may print ints past the digit limit, held on input by parse_scalar
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         out, lines = args.func(args)
+        digests = args.digests  # one per input read, in argument order
+        if digests:
+            out["input_sha256"] = digests[0] if len(digests) == 1 else digests
+            lines.append(f"input sha256: {', '.join(digests)}")
+        if args.json:
+            print(json.dumps(payload(out), indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        return 0
     except TotposError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
-    digests = args.digests  # one per input read, in argument order
-    if digests:
-        out["input_sha256"] = digests[0] if len(digests) == 1 else digests
-        lines.append(f"input sha256: {', '.join(digests)}")
-    if args.json:
-        print(json.dumps(payload(out), indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
-    return 0
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ from .linalg import (
     inverse,
     reversal_permutation,
 )
-from .spectra import _rationalize_columns, gk_spectrum, refine_eigenbasis
+from .spectra import gk_spectrum, refine_eigenbasis
 from .whitney import UniParams, gauss_ldu, membership_uni, standard_word
 
 SigmaMode = Literal["identity", "tilde"]
@@ -275,9 +275,9 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
     input times its twist must be.  The attracting flag collects the
     eigenvectors in decreasing eigenvalue order and lands in the open
     positive cell; the repelling flag takes the increasing order and lands
-    in the primed cell.  Both fixed-point claims are re-verified on the
-    computed flags, as are the cell memberships and the transversal
-    dilation/contraction moduli.
+    in the primed cell; the eigenvectors are refined exactly, for float input
+    on its dyadic copy.  Both fixed-point claims are re-verified on the
+    computed flags, as are the cell memberships and the transversal moduli.
     """
     if not g.is_square:
         raise InputError("stable flags require a square matrix")
@@ -298,10 +298,7 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
         spectrum = gk_spectrum(composite)
     except DomainError:
         raise DomainError(requirement) from None
-    if composite.is_exact:
-        v = refine_eigenbasis(composite, spectrum.eigenvalues, spectrum.eigenvectors)
-    else:
-        v = _rationalize_columns(spectrum.eigenvectors)
+    v = refine_eigenbasis(composite, spectrum.eigenvalues, spectrum.eigenvectors)
     flag = flag_from_matrix(v)
     flag_prime = flag_from_matrix(_reversed_columns(v))
     params = in_B_pos(flag)

@@ -3,8 +3,8 @@
 Every public operation in the library runs on one of two backends.  The exact
 backend uses ``int``/``fractions.Fraction`` entries and decides signs exactly.
 A float is an exact dyadic rational, and every elimination (determinant,
-rank, inverse, solve, kernel, LDU, peel, flag representative) runs on that
-exact value, so it never reads a tolerance.  The zero band
+rank, inverse, solve, kernel, LDU, peel, flag representative, eigenbasis
+refinement) runs on that exact value, never reading a tolerance.  The band
 ``_ZERO_BAND * (1 + |scale|)`` is read in three places only: the sign rule of
 a float minor table (:mod:`totpos.classify`, so float positivity verdicts),
 :func:`totpos.classify.sign_variation`, and
@@ -89,10 +89,11 @@ def sign_of(x: Scalar, scale: float = 1.0) -> int:
     return 1 if x > 0 else -1
 
 
-# Python's default limit on the digits of an int parsed from a string, which
-# already caps mantissas; the same bound on decimal exponents keeps a short
-# token such as "1e100000000" from building an integer of 10**8 digits.
-_MAX_EXPONENT = 4300
+# Python's default limit on the digits of an int parsed from a string, checked
+# here on every input integer (a mantissa, each side of p/q, a JSON integer)
+# so it holds where the interpreter's limit is lifted; the same bound on
+# decimal exponents keeps "1e100000000" from building a 10**8-digit integer.
+_MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\Z")
 
 
@@ -100,8 +101,8 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
     """Parse ``int``, ``p/q`` or decimal notation.
 
     The exact backend maps decimals to the rational they denote, so "0.25"
-    becomes 1/4 with no binary rounding.  Decimal exponents beyond 4300 in
-    magnitude are rejected before any integer is built.
+    becomes 1/4 with no binary rounding.  Over 4300 digits in a mantissa or a
+    side of p/q, or an exponent past 4300, is refused before it is built.
     """
     s = text.strip()
     if not s:
@@ -109,11 +110,14 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
     exponent = _EXPONENT.search(s)
     if exponent is not None:
         digits = exponent.group(1).replace("_", "")
-        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+        if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS:
             raise InputError(
                 f"scalar {text!r} has a decimal exponent beyond "
-                f"{_MAX_EXPONENT} in magnitude"
+                f"{_MAX_DIGITS} in magnitude"
             )
+    mantissa = s if exponent is None else s[: exponent.start()]
+    if any(sum(map(str.isdecimal, side)) > _MAX_DIGITS for side in mantissa.split("/")):
+        raise InputError(f"scalar {s[:20]!r}... has more than {_MAX_DIGITS} digits")
     try:
         value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -72,16 +72,19 @@ def parse_matrix_json(data: Any, exact: bool = True) -> Matrix:
     return Matrix(rows)
 
 
+def _load_json(text: str, what: str) -> Any:
+    """JSON input, its integers held to the digit bound of parse_scalar."""
+    try:
+        return json.loads(text, parse_int=lambda token: int(parse_scalar(token)))
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"bad JSON {what}: {exc}") from None
+
+
 def parse_matrix(text: str, exact: bool = True) -> Matrix:
     """Auto-detect grid versus JSON by the first non-space character."""
     stripped = text.lstrip()
     if stripped.startswith(("[", "{")):
-        try:
-            data = json.loads(stripped)
-        except (ValueError, RecursionError) as exc:
-            # also ints past Python's digit limit and nesting past recursion
-            raise InputError(f"bad JSON matrix: {exc}") from None
-        return parse_matrix_json(data, exact=exact)
+        return parse_matrix_json(_load_json(stripped, "matrix"), exact=exact)
     return parse_matrix_grid(text, exact=exact)
 
 

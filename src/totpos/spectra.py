@@ -409,18 +409,17 @@ def refine_eigenbasis(
 ) -> Matrix:
     """Exact rational eigenbasis from a float one, one solve per column.
 
-    Rationalizes each eigenvector column, then applies a single exact
-    inverse-iteration step shifted by the rational image of the column's
-    float eigenvalue.  The shift sits many orders of magnitude closer to
-    its own eigenvalue than to any neighbor, so one exact solve sharpens
-    the eigendirection far below the float64 error the column starts
-    with.  When a shift is an exact eigenvalue the column is its kernel
-    line, or is kept as rationalized if the kernel is not a line.
+    Rationalizes each column, then applies one exact inverse-iteration step
+    of m, a float m read as its dyadic copy, shifted by the rational image
+    of the column's float eigenvalue.  The shift sits many orders of
+    magnitude closer to its own eigenvalue than to any neighbor, so one
+    exact solve sharpens the eigendirection far below the float64 error the
+    column starts with.  When a shift is an exact eigenvalue the column is
+    its kernel line, or is kept as rationalized if the kernel is not a line.
     """
     if not m.is_square:
         raise InputError("eigenbasis refinement requires a square matrix")
-    if not m.is_exact:
-        raise InputError("eigenbasis refinement requires an exact matrix")
+    m = m.to_exact()
     n = m.rows
     if len(eigenvalues) != n or vectors.rows != n or vectors.cols != n:
         raise InputError("eigenbasis shape does not match the matrix")

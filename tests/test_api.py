@@ -201,3 +201,36 @@ def test_only_the_sign_rules_read_the_zero_band():
 def test_band_walk_sees_imports_and_attributes():
     source = "from .scalars import as_fraction, sign_of\nscalars.is_zero(x, 1.0)\n"
     assert _band_names_used(source) == {"sign_of", "is_zero"}
+
+
+# Float input is eliminated as its dyadic copy, so only the sign rules of a
+# minor table (and the factorization shortcut that exact input alone takes)
+# and the outputs that keep a float result float ask which backend a
+# matrix is on.
+_EXACTNESS_READERS = {
+    "linalg.minor_levels",
+    "classify._minor_kinds",
+    "classify._least_sign",
+    "bilinear._twisted",
+    "serialization.payload",
+}
+
+
+def _exactness_readers(module: str, source: str) -> set[str]:
+    """Top-level functions and methods of a module that read ``.is_exact``."""
+    readers = set()
+    for top in ast.parse(source).body:
+        prefix = f"{module}.{top.name}." if isinstance(top, ast.ClassDef) else f"{module}."
+        for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if any(isinstance(n, ast.Attribute) and n.attr == "is_exact" for n in ast.walk(scope)):
+                readers.add(prefix + getattr(scope, "name", "<module>"))
+    return readers
+
+
+def test_only_band_verdicts_and_float_outputs_read_exactness():
+    package = Path(totpos.__file__).parent
+    readers = set().union(
+        *(_exactness_readers(path.stem, path.read_text(encoding="utf-8"))
+          for path in sorted(package.glob("*.py")))
+    )
+    assert readers <= _EXACTNESS_READERS, sorted(readers - _EXACTNESS_READERS)

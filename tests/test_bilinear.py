@@ -363,3 +363,15 @@ def test_form_maps_match_the_entrywise_oracles():
                     assert all(math.copysign(1.0, x) > 0 for r in got.to_lists() for x in r if x == 0)
                     float_cases += 1
     assert float_cases > 500
+
+
+def test_float_form_is_read_in_the_refined_basis_of_its_dyadic_copy():
+    # seeds whose float copy passes the float TP gates, at n = 2 and 3
+    for seed in (0, 21):
+        form = random_positive_form(2 + seed % 5, random.Random(seed))
+        result = canonical_basis(BilinearForm(form.gram.to_float()))
+        exact = canonical_basis(form)
+        assert result.basis.is_exact and not result.gram_in_basis.is_exact
+        assert all(isinstance(z, float) for z in result.z_values + result.chain)
+        for got, want in zip(result.chain, exact.chain):
+            assert math.isclose(got, want, rel_tol=1e-8)

@@ -14,8 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from totpos import cli
+from totpos.bilinear import A_to_form
 from totpos.cli import main
-from totpos.serialization import input_digest
+from totpos.linalg import Matrix
+from totpos.serialization import format_matrix_grid, input_digest, payload
+from totpos.whitney import factorize
 
 
 @pytest.fixture()
@@ -614,3 +617,67 @@ def test_cli_fuzz_numeric_json_exits_cleanly(command, text, backend):
         path = Path(tmp) / "m.json"
         path.write_text(text, encoding="utf-8")
         _run_cleanly([*command[:1], str(path), *command[1:], "--backend", backend], False)
+
+
+def _huge_tp_matrix(digits):
+    # totally positive: positive entries and determinant x**2 + 1, so its
+    # factor parameters and its twist print about twice the entry digits
+    x = 10 ** (digits - 1) + 3
+    return Matrix([[2 * x, x - 1], [x + 1, x]])
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_exact_results_past_the_digit_limit_print(tmp_path, capsys, as_json):
+    a = 10**2699 + 7
+    m = Matrix([[a, 3], [5, a]])
+    path = tmp_path / "big.txt"
+    with _int_digits(0):
+        path.write_text(format_matrix_grid(m))
+        want = payload(factorize(m))
+    limit = sys.get_int_max_str_digits()
+    assert main(["factor", str(path), *(["--json"] if as_json else [])]) == 0
+    assert sys.get_int_max_str_digits() == limit  # restored on return
+    out = capsys.readouterr().out
+    if as_json:
+        assert json.loads(out)["params"] == want
+    else:
+        assert f"a: {' '.join(want['a'])}" in out.splitlines()
+
+
+@pytest.mark.parametrize("digits", [4290, 4300, 4301, 4310])
+@pytest.mark.parametrize("command", sorted(_ARITHMETIC))
+def test_entries_at_the_digit_bound_exit_cleanly(tmp_path, capsys, command, digits):
+    # a totally positive matrix, and for canonical-form the Gram matrix of
+    # the positive form whose comparison matrix it is
+    m = _huge_tp_matrix(digits)
+    path = tmp_path / "m.txt"
+    with _int_digits(0):
+        path.write_text(format_matrix_grid(A_to_form(m).gram if command == "canonical-form" else m))
+    argv = [command, *[str(path)] * (len(_ARITHMETIC[command]) - 1)]
+    for extra in ([], ["--json"]):
+        code = main([*argv, *extra])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), err
+        if code:
+            assert err.count("\n") == 1 and err.startswith("error: ")
+        elif extra:
+            json.loads(out)
+        if digits > 4300:
+            assert code == 2 and "has more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("form", ["grid", "json", "params"])
+def test_token_past_the_digit_bound_is_one_short_error(tmp_path, capsys, form):
+    huge = "1" + "0" * 4399
+    text = {
+        "grid": f"{huge} 1\n1 1\n",
+        "json": f"[[{huge}, 1], [1, 1]]",
+        "params": f'{{"n": 2, "word": [1], "a": [{huge}, 1], "t": [1], "b": [1]}}',
+    }[form]
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    argv = ["synth", "--params", str(path)] if form == "params" else ["classify", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "more than 4300 digits" in err and len(err) < 100

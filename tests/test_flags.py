@@ -203,6 +203,19 @@ def test_stable_flags_structure():
             assert identity_component_check(g, pair)
 
 
+def test_identity_component_check_refuses_maps_off_the_torus():
+    rng = random.Random(55)
+    g, h = random_tp_matrix(3, rng), random_tp_matrix(3, rng)
+    pair = stable_flags(g)
+    assert identity_component_check(g, pair)
+    # another frame: off-diagonal entries past the relative tolerance
+    assert not identity_component_check(h, pair)
+    # diagonal in the frame, but with negative entries
+    assert not identity_component_check(-g, pair)
+    # no diagonal scale at all
+    assert not identity_component_check(Matrix([[0] * 3] * 3), pair)
+
+
 def test_stable_flags_eigenvalues_descend():
     rng = random.Random(51)
     g = random_tp_matrix(4, rng)

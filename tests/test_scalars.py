@@ -45,6 +45,17 @@ def test_parse_scalar_bounds_decimal_exponent():
                 parse_scalar(text, exact=exact)
 
 
+def test_parse_scalar_bounds_digits():
+    # the digits of a mantissa count together, each side of p/q apart
+    for text in ("7" * 4300, "7" * 2150 + "." + "7" * 2150 + "e-9", "7" * 4300 + "/" + "3" * 4300):
+        assert parse_scalar(text) == F(text)
+    for text in ("7" * 4301, "7" * 2150 + "." + "7" * 2151, "1/" + "3" * 4301, "7_" * 4301):
+        for exact in (True, False):
+            with pytest.raises(InputError, match="more than 4300 digits") as exc:
+                parse_scalar(text, exact=exact)
+            assert len(str(exc.value)) < 80
+
+
 def test_minor_scale_saturates():
     assert minor_scale(0.5, 3) == 1.0
     assert minor_scale(2.0, 3) == 8.0

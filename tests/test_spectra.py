@@ -210,3 +210,18 @@ def test_perron_past_the_square_range_scales_by_a_power_of_two():
     big_root, big_vec = perron(m.scale(Fraction(10**200)))
     assert math.isclose(big_root, root * 1e200, rel_tol=1e-12)
     assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(big_vec, vec))
+
+
+def test_refine_eigenbasis_reads_a_float_matrix_as_its_dyadic_copy():
+    # past n = 3 the float copy of a random TP matrix often fails the float
+    # TP gate, which reads the zero band
+    rng = random.Random(61)
+    for n in (2, 2, 3, 3):
+        m = random_tp_matrix(n, rng).to_float()
+        spectrum = gk_spectrum(m)
+        got, want = (
+            spectra.refine_eigenbasis(a, spectrum.eigenvalues, spectrum.eigenvectors)
+            for a in (m, m.to_exact())
+        )
+        # repr, not ==: it sees entry types as well as values
+        assert got.is_exact and repr(got.to_lists()) == repr(want.to_lists())
