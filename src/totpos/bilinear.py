@@ -105,16 +105,18 @@ def _twisted(m: Matrix, left: bool, right: bool, negate: bool = False) -> Matrix
     reversal: C0 @ m moves row n-1-i of m, negated when n-i is odd, to row i
     (0-based), and m @ C0 column n-1-j, negated when j+1 is odd, to column j.
     A float zero always comes out as 0.0, never -0.0."""
-    n, rows = m.rows, m.to_lists()
+    n = m.rows
     odd_cols = [right and j % 2 == 0 for j in range(n)]
-    out = []
-    for i, row in enumerate(rows[::-1] if left else rows):
-        flip = negate != (left and (n - i) % 2 == 1)
-        cells = row[::-1] if right else row
-        out.append([-x if flip != odd else x for x, odd in zip(cells, odd_cols)])
-    if not m.is_exact:
-        out = [[0.0 + x for x in row] for row in out]
-    return Matrix(out)
+
+    def twist(grid) -> list[list]:
+        out = []
+        for i, row in enumerate(grid[::-1] if left else grid):
+            flip = negate != (left and (n - i) % 2 == 1)
+            cells = row[::-1] if right else row
+            out.append([-x if flip != odd else x for x, odd in zip(cells, odd_cols)])
+        return out if m.is_exact else [[0.0 + x for x in row] for row in out]
+
+    return m._mapped(twist, lambda r, c: (r[::-1] if left else r, c[::-1] if right else c))
 
 
 def tilde(m: Matrix) -> Matrix:

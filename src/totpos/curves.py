@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, InputError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix, reversed_flag
-from .linalg import Matrix, _cleared_line, _is_int, _solve_exact
+from .linalg import Matrix, _cleared, _is_int, _solve_exact
 from .scalars import Scalar, _require_scalar, as_fraction
 
 
@@ -232,14 +232,17 @@ def is_positive_quadruple(
         w = adapted_basis(f1, f3)
     except DomainError:
         raise DomainError("reference flags (positions 1 and 3) must be opposed") from None
-    # rows of w^-1 [A2 | A4]
-    sides = _solve_exact(w, [a + b for a, b in zip(f2.rep.to_lists(), f4.rep.to_lists())])
-    if any(row[0] == 0 for row in sides):
+    # w^-1 [A2 | A4], whose integer form has the signs of its entries
+    sides = _solve_exact(w, f2.rep, f4.rep)
+    signs = [(row[0] > 0) - (row[0] < 0) for row in _cleared(sides)[0]]
+    if 0 in signs:
         return False
-    signs = [1 if row[0] > 0 else -1 for row in sides]
-    rows = [[s * x for x in row] for s, row in zip(signs, sides)]
-    second, fourth = Matrix([r[:n] for r in rows]), Matrix([r[n:] for r in rows])
-    return _cell_params(second, False) is not None and _cell_params(fourth, True) is not None
+    def side(cut: slice) -> Matrix:
+        return sides._mapped(lambda g: [[s * x for x in row[cut]] for s, row in zip(signs, g)],
+                             lambda r, c: (r, c[cut]), (n, n))
+
+    return (_cell_params(side(slice(n)), False) is not None
+            and _cell_params(side(slice(n, None)), True) is not None)
 
 
 @dataclass(frozen=True)
@@ -350,7 +353,7 @@ def sturm_distinct_real_roots(coeffs: Sequence[Scalar]) -> int:
     """
     for x in coeffs:
         _require_scalar(x)
-    p = _cleared_line([as_fraction(x) for x in coeffs])[0]
+    p = _cleared([[as_fraction(x) for x in coeffs]])[0][0]
     while p and p[-1] == 0:
         p.pop()
     if not p:

@@ -6,7 +6,8 @@ left to right, every column is reduced against the pivots already chosen,
 scaled so its bottommost nonzero entry is 1, and earlier pivot rows are
 zeroed.  The representative is computed exactly, a float matrix as the
 dyadic rationals its entries are, so no tolerance decides a pivot: the
-columns are reduced as integers, and each entry is one Fraction.  Two
+columns are reduced as integers, kept as its integer form, and each entry
+is one Fraction built when read.  Two
 matrices generate the same flag exactly when their canonical
 representatives coincide, which turns flag equality into matrix equality.
 
@@ -43,12 +44,7 @@ from .errors import (
     SingularityError,
 )
 from .linalg import (
-    Matrix,
-    _cleared_line,
-    _solve_exact,
-    inverse,
-    reversal_permutation,
-)
+    Matrix, _cleared, _columns, _flipped, _solve_exact, inverse, reversal_permutation)
 from .spectra import gk_spectrum, refine_eigenbasis
 from .whitney import UniParams, gauss_ldu, membership_uni, standard_word
 
@@ -84,12 +80,11 @@ class Flag:
 def _canonical_rep(g: Matrix) -> Matrix:
     """Column echelon representative, reduced on integer columns: column v
     becomes v * u[p] - v[p] * u for each earlier column u with pivot row p,
-    then v over its content, and each entry is read over the pivot entry."""
+    then v over its content, signed to a positive pivot entry: over their
+    pivot entries, the column lcms, these are its form and its Fractions."""
     ints: list[list[int]] = []
     pivots: list[int] = []
-    canon: list[list] = []
-    for col in zip(*g.to_exact().to_lists()):
-        v = _cleared_line(col)[0]
+    for v, _ in _columns(_cleared(g)):
         for p, u in zip(pivots, ints):
             f, e = v[p], u[p]
             if f:
@@ -98,11 +93,12 @@ def _canonical_rep(g: Matrix) -> Matrix:
         if content == 0:
             raise SingularityError("matrix columns are linearly dependent")
         piv = max(i for i, a in enumerate(v) if a)
-        canon.append([0 if i in pivots else Fraction(a, v[piv]) for i, a in enumerate(v)])
-        canon[-1][piv] = 1
-        ints.append([a // content for a in v])
+        ints.append([a // content if v[piv] > 0 else -a // content for a in v])
         pivots.append(piv)
-    return Matrix.from_columns(canon)
+    return Matrix._of((g.rows, g.cols), lambda: list(zip(*[
+        [1 if i == p else 0 if i in pivots[:j] else Fraction(a, v[p]) for i, a in enumerate(v)]
+        for j, (v, p) in enumerate(zip(ints, pivots))])),
+        (list(zip(*ints)), [1] * len(ints), [v[p] for v, p in zip(ints, pivots)]))
 
 
 def flag_from_matrix(g: Matrix) -> Flag:
@@ -128,7 +124,7 @@ def _relative_ldu(f1: Flag, f2: Flag) -> tuple[Matrix, tuple[Fraction, ...], Mat
     if f1.n != f2.n:
         raise InputError("flags must live in the same dimension")
     # w0 @ X reverses the rows of X
-    return gauss_ldu(Matrix(_solve_exact(f1.rep, f2.rep.to_lists())[::-1]))
+    return gauss_ldu(_flipped(_solve_exact(f1.rep, f2.rep), True, False))
 
 
 def opposed(f1: Flag, f2: Flag) -> bool:
@@ -157,7 +153,7 @@ def _cell_params(g: Matrix, primed: bool) -> UniParams | None:
     params = membership_uni(lower, "lower", word)
     if params is None or not params.strict:
         return None
-    return UniParams(n, standard_word(n), "lower", params.c, True)
+    return UniParams(n, standard_word(n), "lower", params.c, True) if primed else params
 
 
 def in_B_pos(f: Flag) -> UniParams | None:
@@ -193,7 +189,7 @@ def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
     if ldu is None:
         raise DomainError("flags are not opposed; the adapted basis does not exist")
     # A times an upper unitriangular matrix: the n lines are independent
-    frame = f1.rep @ Matrix([row[::-1] for row in ldu[0].to_lists()[::-1]])
+    frame = f1.rep @ _flipped(ldu[0], True, True)
     return _bottom_normalized(frame)
 
 
@@ -264,10 +260,6 @@ def _transport_blocks(
     return block_moduli(i < j), block_moduli(i > j), block_moduli(i == j)
 
 
-def _reversed_columns(m: Matrix) -> Matrix:
-    return Matrix([row[::-1] for row in m.to_lists()])
-
-
 def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPair:
     """Fixed flags of the twisted conjugation action of a positive map.
 
@@ -300,7 +292,7 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
         raise DomainError(requirement) from None
     v = refine_eigenbasis(composite, spectrum.eigenvalues, spectrum.eigenvectors)
     flag = flag_from_matrix(v)
-    flag_prime = flag_from_matrix(_reversed_columns(v))
+    flag_prime = flag_from_matrix(_flipped(v, False, True))
     params = in_B_pos(flag)
     if params is None:
         raise ConsistencyError("attracting flag missed the open positive cell")
@@ -320,7 +312,7 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
     image = g @ w_alpha
     residual = max(
         _flag_distance(flag_from_matrix(image), flag),
-        _flag_distance(flag_from_matrix(_reversed_columns(image)), flag_prime),
+        _flag_distance(flag_from_matrix(_flipped(image, False, True)), flag_prime),
     )
     if residual > _STABILITY_TOL:
         raise ConsistencyError(

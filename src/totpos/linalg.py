@@ -9,14 +9,14 @@ strictly increasing convention used throughout the public API.
 
 Every float is an exact dyadic rational, so there is one elimination path:
 determinants, rank, solves, inverses and kernels all come from one
-fraction-free Bareiss elimination of the exact copy of the input (a float
-matrix is read through :meth:`Matrix.to_exact`), run on integers after the
-denominators are cleared along the rows or the columns, whichever costs fewer
-bits; their results are exact on either backend, and the same clearing
-feeds the pivot-free LDU of :mod:`totpos.whitney`.  Exact products, the peel
-and flag representatives run on integer columns, each over the lcm of its
-denominators.  Minors of all orders come from a dynamic program that expands
-each order-k minor along its last row using the order k-1 table, which is far
+fraction-free Bareiss elimination of the exact copy of the input, run on its
+integer form A = diag(R)·M·diag(C), which the LDU, the peel and flag
+representatives read too.  Entries are checked where a matrix enters
+(:class:`Matrix`, :meth:`Matrix.from_columns`, :meth:`Matrix.diagonal`, the
+parsers); a matrix an exact kernel builds skips the check, carries the form
+the kernel holds, so no kernel clears it again, and builds its entries when
+read.  Minors of all orders come from a dynamic program that expands each
+order-k minor along its last row using the order k-1 table, which is far
 cheaper than independent eliminations when a caller needs every minor of
 every order.  On exact input that table runs on integers, after one clearing
 of the denominators, and each order is a read-only view over those integer
@@ -32,7 +32,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, SingularityError
@@ -45,9 +45,10 @@ _MINOR_TABLE_CAP = math.comb(24, 12) - 1
 
 
 class Matrix:
-    """Immutable dense matrix with an exact or float entry domain."""
+    """Immutable dense matrix with an exact or float entry domain; a kernel's
+    output may carry its integer form (A, R, C) and build entries when read."""
 
-    __slots__ = ("rows", "cols", "_entries", "_exact")
+    __slots__ = ("rows", "cols", "_entries", "_exact", "_form", "_lazy")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
         data = tuple(tuple(row) for row in entries)
@@ -65,10 +66,36 @@ class Matrix:
                 data = tuple(tuple(float(x) for x in row) for row in data)
             except OverflowError:
                 raise InputError("an entry lies outside the float range") from None
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_entries", data)
-        object.__setattr__(self, "_exact", exact)
+        self._set(rows=len(data), cols=width, _entries=data, _exact=exact, _form=None)
+
+    @classmethod
+    def _of(cls, shape, entries, form=None, exact: bool = True) -> "Matrix":
+        """A kernel's output, unchecked: its rows and its integer form, each
+        given or as a function that builds it when first read."""
+        return object.__new__(cls)._set(rows=shape[0], cols=shape[1], _exact=exact,
+                                        _lazy={"_entries": entries, "_form": form})
+
+    def __getattr__(self, name: str) -> object:
+        # a kernel's output builds its entries, and its form, when first read
+        if name not in ("_entries", "_form"):
+            raise AttributeError(name)
+        value = self._lazy[name]
+        value = value() if callable(value) else value
+        if value is not None:  # frozen
+            value = tuple(map(tuple, value)) if name == "_entries" else (
+                tuple(map(tuple, value[0])), *map(tuple, value[1:]))
+        self._set(**{name: value})
+        return value
+
+    def _mapped(self, f, scales, shape=None) -> "Matrix":
+        """f of the entries and of a kernel's form, with scales(R, C), each built when read."""
+        return Matrix._of(shape or (self.rows, self.cols), lambda: f(self._entries), lambda: (
+            self._form and (f(self._form[0]), *scales(*self._form[1:]))), self._exact)
+
+    def _set(self, **values: object) -> "Matrix":
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Matrix is immutable")
@@ -136,7 +163,7 @@ class Matrix:
             )
         bt = list(zip(*other._entries))
         if self._exact and other._exact:
-            return Matrix(_exact_products(self._entries, bt))
+            return Matrix._of((self.rows, other.cols), _exact_products(self._entries, bt))
         return Matrix(
             [
                 [sum(a * b for a, b in zip(row, col)) for col in bt]
@@ -145,22 +172,15 @@ class Matrix:
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._entries, other._entries)
-            ]
-        )
+        return self._combined(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._entries, other._entries)
-            ]
-        )
+        return self._combined(other, sub)
+
+    def _combined(self, other: "Matrix", op) -> "Matrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise InputError("shape mismatch")
+        return Matrix([list(map(op, r1, r2)) for r1, r2 in zip(self._entries, other._entries)])
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-x for x in row] for row in self._entries])
@@ -169,7 +189,7 @@ class Matrix:
         return Matrix([[c * x for x in row] for row in self._entries])
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._entries)))
+        return self._mapped(lambda g: list(zip(*g)), lambda r, c: (c, r), (self.cols, self.rows))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.cols:
@@ -181,8 +201,13 @@ class Matrix:
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._entries)
 
     def to_float(self) -> "Matrix":
+        # an int/int true division rounds correctly, as float() of a Fraction
+        rows, r, c = self._form or (self._entries, None, None)
         try:
-            return Matrix([[float(x) for x in row] for row in self._entries])
+            return Matrix._of(
+                (self.rows, self.cols), [[float(x) for x in row] for row in rows] if r is None
+                else [[x / (s * t) for x, t in zip(row, c)] for row, s in zip(rows, r)],
+                exact=False)
         except OverflowError:
             raise InputError("an entry lies outside the float range") from None
 
@@ -197,15 +222,8 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                a == b
-                for r1, r2 in zip(self._entries, other._entries)
-                for a, b in zip(r1, r2)
-            )
-        )
+        # no entry is NaN, so tuple equality is entrywise ==
+        return (self.rows, self.cols, self._entries) == (other.rows, other.cols, other._entries)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self._entries))
@@ -226,15 +244,12 @@ class Matrix:
         )
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def _require_same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("shape mismatch")
 
-
-def _cleared_line(v: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """Integers w and the lcm d of an exact vector's denominators: v = w / d."""
-    d = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
+def _cut(lines, scales) -> tuple[list[list[int]], list[int]]:
+    """Integer lines and their scales, each over their common factor."""
+    g = [math.gcd(s, *line) for s, line in zip(scales, lines)]
+    return ([line if h == 1 else [x // h for x in line] for h, line in zip(g, lines)],
+            [s // h for s, h in zip(scales, g)])
 
 
 def _exact_products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
@@ -242,7 +257,9 @@ def _exact_products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[
     cleared once by the lcm of its denominators, and an entry is one Fraction
     over two lcms, or an int when neither holds a Fraction, as in a sum."""
     def cleared(v):
-        return *_cleared_line(v), any(isinstance(x, Fraction) for x in v)
+        d = math.lcm(*(x.denominator for x in v))
+        return [x.numerator * (d // x.denominator) for x in v], d, any(
+            isinstance(x, Fraction) for x in v)
 
     right = [cleared(col) for col in cols]
     return [
@@ -287,12 +304,21 @@ def submatrix(m: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Matr
 # -- elimination kernels --------------------------------------------------
 
 
-def _cleared(
-    rows: Sequence[Sequence[int | Fraction]],
-) -> tuple[list[list[int]], list[int], list[int]]:
-    """Exact rows M as integers A = diag(R)·M·diag(C), clearing denominators
-    on the side (rows or columns) whose lcms have fewer bits; the other
-    side's scales are all ones.  Returns (A, R, C)."""
+def _cleared(*blocks) -> tuple[Sequence[Sequence[int]], Sequence[int], Sequence[int]]:
+    """Integer form (A, R, C), A = diag(R)·M·diag(C), of the exact blocks
+    M = [M1 | M2 | ...], each a Matrix (whose kernel-built form is read as
+    is) or rows, cleared on the side whose lcms have fewer bits, the other
+    side's scales all ones.  Joined, each row is scaled to its scales' lcm."""
+    if len(blocks) > 1:
+        forms = [_cleared(b) for b in blocks]
+        row_den = [math.lcm(*r) for r in zip(*(f[1] for f in forms))]
+        a = [[x * (r // f[1][i]) for f in forms for x in f[0][i]] for i, r in enumerate(row_den)]
+        return a, row_den, [c for f in forms for c in f[2]]
+    (rows,) = blocks
+    if isinstance(rows, Matrix):
+        if rows._form:
+            return rows._form
+        rows = rows.to_exact()._entries
     row_den = [math.lcm(*(x.denominator for x in row)) for row in rows]
     col_den = [math.lcm(*(x.denominator for x in col)) for col in zip(*rows)]
     if sum(d.bit_length() for d in row_den) <= sum(d.bit_length() for d in col_den):
@@ -306,17 +332,25 @@ def _cleared(
     return a, row_den, col_den
 
 
+def _columns(form) -> list[tuple[list[int], int]]:
+    """Column j of a form's matrix as A's column j times lcm(R)/R_i over lcm(R)·C_j."""
+    a, r, c = form
+    top = math.lcm(*r)
+    return [([x * (top // s) for x, s in zip(col, r)], top * d) for col, d in zip(zip(*a), c)]
+
+
 def _bareiss(
-    rows: Sequence[Sequence[int | Fraction]], reduce: bool = False
-) -> tuple[list[list[int]], list[int], int, list[int], list[int]]:
+    *blocks, reduce: bool = False
+) -> tuple[list[list[int]], list[int], int, Sequence[int], Sequence[int]]:
     """Fraction-free Bareiss (1968) elimination, the one exact kernel.
 
-    Runs on the integers A = diag(R)·M·diag(C) of :func:`_cleared`.  Each
+    Runs on the integer form A = diag(R)·M·diag(C) of :func:`_cleared`.  Each
     update divides exactly by the previous pivot.  Returns (A, pivot
     columns, row permutation sign, R, C): A in echelon form, or with
     ``reduce`` in d·RREF form, every pivot equal to the last one, d.
     """
-    a, row_den, col_den = _cleared(rows)
+    a, row_den, col_den = _cleared(*blocks)
+    a = list(a)
     nrows = len(a)
     pivots: list[int] = []
     sign = 1
@@ -349,7 +383,7 @@ def det(m: Matrix) -> Fraction:
     """Exact determinant, a Fraction; float input is read exactly."""
     if not m.is_square:
         raise InputError("determinant requires a square matrix")
-    a, pivots, sign, row_den, col_den = _bareiss(m.to_exact().to_lists())
+    a, pivots, sign, row_den, col_den = _bareiss(m)
     if len(pivots) < m.rows:
         return Fraction(0)
     return Fraction(sign * a[-1][-1], math.prod(row_den) * math.prod(col_den))
@@ -522,14 +556,14 @@ def compound(m: Matrix, k: int) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    return len(_bareiss(m.to_exact().to_lists())[1])
+    return len(_bareiss(m)[1])
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact matrix inverse; raises SingularityError when none exists."""
     if not m.is_square:
         raise InputError("inverse requires a square matrix")
-    return Matrix(_solve_exact(m, Matrix.identity(m.rows).to_lists()))
+    return _solve_exact(m, Matrix.identity(m.rows))
 
 
 def transpose_inverse(m: Matrix) -> Matrix:
@@ -537,24 +571,22 @@ def transpose_inverse(m: Matrix) -> Matrix:
     return inverse(m).transpose()
 
 
-def _solve_exact(
-    m: Matrix, rhs: Sequence[Sequence[Scalar]]
-) -> list[list[Fraction]]:
-    """Rows of X with m X = rhs, from one reduced elimination of [m | rhs].
-
-    ``rhs`` is given by rows; raises SingularityError if m is singular.
-    """
+def _solve_exact(m: Matrix, *rhs: Matrix) -> Matrix:
+    """X with m X = [rhs...], from one reduced elimination of [m | rhs...],
+    or SingularityError.  With d the common pivot, X[i][k] = A[i][n+k] C_i /
+    (d C_{n+k}): X's form is A's right block times C_i sign(d) over the row
+    scales |d|, each row cut by its common factor, and the block's C."""
     n = m.rows
-    a, pivots, _, _, col_den = _bareiss(
-        [[*row, *map(as_fraction, b)] for row, b in zip(m.to_exact().to_lists(), rhs)],
-        reduce=True,
-    )
+    a, pivots, _, _, col_den = _bareiss(m, *rhs, reduce=True)
     if pivots != list(range(n)):
         raise SingularityError("matrix is singular")
-    return [
-        [Fraction(x * col_den[i], a[i][i] * d) for x, d in zip(a[i][n:], col_den[n:])]
-        for i in range(n)
-    ]
+    d = a[-1][n - 1]
+    return Matrix._of(
+        (n, len(col_den) - n),
+        lambda: [[Fraction(x * col_den[i], a[i][i] * e) for x, e in zip(a[i][n:], col_den[n:])]
+                 for i in range(n)],
+        lambda: (*_cut([[x * col_den[i] * (1 if d > 0 else -1) for x in a[i][n:]]
+                        for i in range(n)], [abs(d)] * n), col_den[n:]))
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -565,12 +597,12 @@ def solve(m: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
         raise InputError("right-hand side length mismatch")
     for b in rhs:
         _require_scalar(b)
-    return tuple(row[0] for row in _solve_exact(m, [[b] for b in rhs]))
+    return _solve_exact(m, Matrix([[as_fraction(b)] for b in rhs])).col_tuple(0)
 
 
 def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Exact kernel basis (possibly empty); float input is read exactly."""
-    a, pivots, _, _, col_den = _bareiss(m.to_exact().to_lists(), reduce=True)
+    a, pivots, _, _, col_den = _bareiss(m, reduce=True)
     free = [c for c in range(m.cols) if c not in pivots]
     basis: list[tuple[Fraction, ...]] = []
     for f in free:
@@ -580,6 +612,14 @@ def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
             v[c] = Fraction(-a[r][f] * col_den[c], a[r][c] * col_den[f])
         basis.append(tuple(v))
     return basis
+
+
+def _flipped(m: Matrix, rows: bool, cols: bool) -> Matrix:
+    """m with the order of its rows and/or its columns reversed."""
+    return m._mapped(
+        lambda g: [row[::-1] if cols else row for row in (g[::-1] if rows else g)],
+        lambda r, c: (r[::-1] if rows else r, c[::-1] if cols else c),
+    )
 
 
 def reversal_permutation(n: int) -> Matrix:

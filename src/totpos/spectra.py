@@ -39,7 +39,7 @@ from .errors import (
     InputError,
     SingularityError,
 )
-from .linalg import Matrix, _cleared_line, _MinorLevel, det, nullspace, solve
+from .linalg import Matrix, _cleared, _MinorLevel, det, nullspace, solve
 
 
 # Read when a routine runs, not bound as defaults, so a test may patch one.
@@ -349,7 +349,7 @@ def verify_gk(m: Matrix) -> GKReport:
     for k in range(n):
         x = _inverse_step(exact, c[k], start) or start
         # the quotient ignores the scale of x, so x may as well be integral
-        x = _cleared_line(x)[0]
+        x = _cleared([x])[0][0]
         quotient = Fraction(sum(p * q for p, q in zip(x, exact.apply(x))), sum(p * p for p in x))
         prod *= float(quotient)
         if abs(spectrum.perron_roots[k] - prod) > _PRODUCT_REL_TOL * abs(
@@ -432,7 +432,7 @@ def refine_eigenbasis(
             columns.append(col)
             continue
         pivot = max(raw, key=abs)
-        columns.append(
-            [(x / pivot).limit_denominator(_MAX_DENOMINATOR) for x in raw]
-        )
+        # an entry that would round to 0 is rounded relative to its own size
+        columns.append([y and (y.limit_denominator(_MAX_DENOMINATOR) or y.limit_denominator(
+            _MAX_DENOMINATOR * math.ceil(1 / abs(y)))) for y in (x / pivot for x in raw)])
     return Matrix.from_columns(columns)

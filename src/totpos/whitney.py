@@ -19,8 +19,8 @@ The peel rule is exact on the image of the parameter map and detects
 non-membership by a failed final identity check.  Every input is factored
 exactly, a float matrix as the dyadic rationals its entries are, so no
 tolerance decides a zero: the elimination is a fraction-free Bareiss pass
-and the peel runs on integer columns, and each pivot, factor entry and
-parameter is one Fraction built from the integers.
+and the peel runs on integer columns; each pivot and parameter is one
+Fraction, and a factor's entries are built from the integers when read.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .errors import DomainError, InputError
-from .linalg import Matrix, _cleared, _cleared_line, _is_int
+from .linalg import Matrix, _cleared, _columns, _cut, _flipped, _is_int
 from .scalars import Scalar, _require_scalar
 
 WordKind = Literal["standard", "reversed"]
@@ -220,7 +220,8 @@ def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Matrix | No
     (R_i P_k) and U[k][j] = a[k][j] C_k / (C_j P_k).
     """
     n = m.rows
-    a, row_den, col_den = _cleared(m.to_exact().to_lists())
+    a, row_den, col_den = _cleared(m)
+    a = [list(row) for row in a]
     diag: list[Fraction] = []
     prev = 1
     for k in range(n):
@@ -233,11 +234,18 @@ def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Matrix | No
             f, tail = a[i][k], a[i][k + 1:]
             a[i][k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(tail, row)]
         prev = pivot
-    lower = [[Fraction(x * row_den[j], row_den[i] * a[j][j]) if i > j else int(i == j)
-              for j, x in enumerate(row)] for i, row in enumerate(a)]
-    upper = [[Fraction(x * col_den[i], col_den[j] * a[i][i]) if j > i else int(i == j)
-              for j, x in enumerate(row)] for i, row in enumerate(a)]
-    return diag, Matrix(lower), Matrix(upper)
+
+    def upper(g, s) -> Matrix:
+        # row i times s_i sign(P_i) is integers over the scales |P|, s, and
+        # then over its common factor with P_i
+        return Matrix._of((n, n), lambda: [[
+            Fraction(x * s[i], s[j] * g[i][i]) if j > i else int(i == j) for j, x in enumerate(row)
+        ] for i, row in enumerate(g)], lambda: (*_cut(
+            [[(x if row[i] > 0 else -x) * s[i] if j >= i else 0 for j, x in enumerate(row)]
+             for i, row in enumerate(g)], [abs(row[i]) for i, row in enumerate(g)]), s))
+
+    # L is the transpose of the upper factor read from A^T and R
+    return diag, upper(list(zip(*a)), row_den).transpose(), upper(a, col_den)
 
 
 def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
@@ -247,7 +255,8 @@ def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
     otherwise.  No row exchanges: the decomposition must respect the
     triangular structure, so a vanishing pivot is a genuine obstruction.
     Pivots and factors are exact, float input included: the elimination
-    runs on integers and each entry is one Fraction built at the end.
+    runs on integers, which each factor carries as its integer form, and
+    builds its entries, one Fraction each off the diagonal, only when read.
     """
     if not m.is_square:
         raise InputError("decomposition requires a square matrix")
@@ -260,7 +269,7 @@ def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
 # -- peels ------------------------------------------------------------------
 
 
-def _peel(m: Matrix, kind: WordKind) -> tuple[Fraction, ...] | None:
+def _peel(m: Matrix | tuple, kind: WordKind) -> tuple[Fraction, ...] | None:
     """Strip the word's lower generators from the right, one column at a time.
 
     Standard word: when the rightmost remaining generator has letter i and
@@ -277,18 +286,19 @@ def _peel(m: Matrix, kind: WordKind) -> tuple[Fraction, ...] | None:
     left to right: Q'[n-j+1, n-i] = c * Q'[n-j+1, n-i+1].  A final identity
     check rejects matrices outside the image of the parameter map.
 
-    Each column is held as integers over one nonzero denominator, so a
-    column operation is one integer combination divided by the column's
-    content, and each parameter is one Fraction.
+    Q is a Matrix or its integer form (A, R, C) of
+    :func:`totpos.linalg._cleared`.  Each column is held as integers over one
+    positive denominator, so a column operation is one integer combination
+    divided by the column's content, and each parameter is one Fraction.
     """
-    n = m.rows
+    a, row_den, col_den = form = m if isinstance(m, tuple) else _cleared(m)
+    n = len(a)
     blocks = _blocks(n, kind)
-    rows = m.to_exact().to_lists()
     if kind == "standard":
-        lines, order = zip(*rows), range(len(blocks) - 1, -1, -1)
+        cols, order = _columns(form), range(len(blocks) - 1, -1, -1)
     else:  # column c of w0 Q^T w0 is row n-1-c of Q read backwards
-        lines, order = [row[::-1] for row in reversed(rows)], range(len(blocks))
-    cols = [_cleared_line(v) for v in lines]
+        rows = _columns((list(zip(*a)), col_den, row_den))
+        cols, order = [(v[::-1], d) for v, d in reversed(rows)], range(len(blocks))
     out: list[Fraction] = [Fraction(0)] * len(blocks)
     for s in order:
         i, j = blocks[s]
@@ -310,17 +320,11 @@ def _peel(m: Matrix, kind: WordKind) -> tuple[Fraction, ...] | None:
     return None
 
 
-def _is_unitriangular(m: Matrix, side: Side) -> bool:
-    n = m.rows
-    for i in range(n):
-        if m[i, i] != 1:
-            return False
-        for j in range(n):
-            if side == "lower" and j > i and m[i, j] != 0:
-                return False
-            if side == "upper" and j < i and m[i, j] != 0:
-                return False
-    return True
+def _is_lower_unitriangular(form) -> bool:
+    """A[i][i] = R_i C_i and A is zero above the diagonal: a lower unitriangular form."""
+    a, r, c = form
+    return all(x == (r[i] * c[i] if i == j else 0)
+               for i, row in enumerate(a) for j, x in enumerate(row[i:], i))
 
 
 def membership_uni(
@@ -340,19 +344,18 @@ def membership_uni(
         raise InputError(f"side must be 'lower' or 'upper', got {side!r}")
     if word not in ("standard", "reversed"):
         raise InputError(f"unknown word kind {word!r}")
-    if not _is_unitriangular(m, side):
-        raise DomainError(f"matrix is not {side} unitriangular")
     n = m.rows
-    if side == "lower":
-        target = m
-        kind = word
-    else:
+    target, kind = m, word
+    if side == "upper":
         # conjugating by the reversal permutation (reversing the rows and
         # the columns) swaps the two sides and the two words while
         # preserving parameter order
-        target = Matrix([row[::-1] for row in reversed(m.to_lists())])
+        target = _flipped(m, True, True)
         kind = "reversed" if word == "standard" else "standard"
-    cs = _peel(target, kind)
+    form = _cleared(target)
+    if not _is_lower_unitriangular(form):
+        raise DomainError(f"matrix is not {side} unitriangular")
+    cs = _peel(form, kind)
     if cs is None:
         return None
     if any(c < 0 for c in cs):

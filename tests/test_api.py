@@ -234,3 +234,34 @@ def test_only_band_verdicts_and_float_outputs_read_exactness():
           for path in sorted(package.glob("*.py")))
     )
     assert readers <= _EXACTNESS_READERS, sorted(readers - _EXACTNESS_READERS)
+
+
+# Private attributes of fractions.Fraction that changed between Python 3.10
+# and 3.12 (the _normalize keyword is gone, _from_coprime_ints is new).
+_PRIVATE_FRACTION_NAMES = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
+
+
+def _private_fraction_names(source: str) -> set[str]:
+    """Private Fraction names a module reads as attributes or passes as keywords."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _PRIVATE_FRACTION_NAMES:
+            used.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg in _PRIVATE_FRACTION_NAMES:
+            used.add(node.arg)
+    return used
+
+
+def test_no_module_touches_private_fraction_attributes():
+    package = Path(totpos.__file__).parent
+    touched = {
+        path.name: sorted(names)
+        for path in sorted(package.glob("*.py"))
+        if (names := _private_fraction_names(path.read_text(encoding="utf-8")))
+    }
+    assert not touched, touched
+
+
+def test_private_fraction_walk_sees_attributes_and_keywords():
+    source = "Fraction(1, 2, _normalize=False)\nq._numerator\nFraction._from_coprime_ints(1, 2)\n"
+    assert _private_fraction_names(source) == {"_normalize", "_numerator", "_from_coprime_ints"}

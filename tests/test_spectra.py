@@ -225,3 +225,13 @@ def test_refine_eigenbasis_reads_a_float_matrix_as_its_dyadic_copy():
         )
         # repr, not ==: it sees entry types as well as values
         assert got.is_exact and repr(got.to_lists()) == repr(want.to_lists())
+
+
+@pytest.mark.parametrize("x", [10**39 + 3, 10**100 + 3])
+@pytest.mark.parametrize("sigma_mode", ["identity", "tilde"])
+def test_refined_entries_far_below_the_largest_keep_their_sign(x, sigma_mode):
+    # an eigenvector entry some 1e-40 of its column's largest used to round
+    # to 0 and put the attracting flag on the cell boundary
+    pair = stable_flags(Matrix([[x, 1], [x + 1, 2 * x]]), sigma_mode)
+    assert pair.params.strict and pair.params_prime.strict
+    assert pair.stability_residual == 0.0
