@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, InputError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix, reversed_flag
-from .linalg import Matrix, _cleared, _is_int, _solve_exact
+from .linalg import Matrix, _cleared, _cleared_line, _is_int, _solve_exact
 from .scalars import Scalar, _require_scalar, as_fraction
 
 
@@ -353,7 +353,7 @@ def sturm_distinct_real_roots(coeffs: Sequence[Scalar]) -> int:
     """
     for x in coeffs:
         _require_scalar(x)
-    p = _cleared([[as_fraction(x) for x in coeffs]])[0][0]
+    p = _cleared_line([as_fraction(x) for x in coeffs])[0]
     while p and p[-1] == 0:
         p.pop()
     if not p:

@@ -6,8 +6,7 @@ left to right, every column is reduced against the pivots already chosen,
 scaled so its bottommost nonzero entry is 1, and earlier pivot rows are
 zeroed.  The representative is computed exactly, a float matrix as the
 dyadic rationals its entries are, so no tolerance decides a pivot: the
-columns are reduced as integers, kept as its integer form, and each entry
-is one Fraction built when read.  Two
+columns are reduced as integers, and each entry is built when read.  Two
 matrices generate the same flag exactly when their canonical
 representatives coincide, which turns flag equality into matrix equality.
 
@@ -80,8 +79,8 @@ class Flag:
 def _canonical_rep(g: Matrix) -> Matrix:
     """Column echelon representative, reduced on integer columns: column v
     becomes v * u[p] - v[p] * u for each earlier column u with pivot row p,
-    then v over its content, signed to a positive pivot entry: over their
-    pivot entries, the column lcms, these are its form and its Fractions."""
+    then v over its content with a positive pivot entry: the form, over the
+    pivot entries (the column lcms), from which each entry is one Fraction."""
     ints: list[list[int]] = []
     pivots: list[int] = []
     for v, _ in _columns(_cleared(g)):

@@ -70,22 +70,9 @@ class Matrix:
 
     @classmethod
     def _of(cls, shape, entries, form=None, exact: bool = True) -> "Matrix":
-        """A kernel's output, unchecked: its rows and its integer form, each
-        given or as a function that builds it when first read."""
-        return object.__new__(cls)._set(rows=shape[0], cols=shape[1], _exact=exact,
-                                        _lazy={"_entries": entries, "_form": form})
-
-    def __getattr__(self, name: str) -> object:
-        # a kernel's output builds its entries, and its form, when first read
-        if name not in ("_entries", "_form"):
-            raise AttributeError(name)
-        value = self._lazy[name]
-        value = value() if callable(value) else value
-        if value is not None:  # frozen
-            value = tuple(map(tuple, value)) if name == "_entries" else (
-                tuple(map(tuple, value[0])), *map(tuple, value[1:]))
-        self._set(**{name: value})
-        return value
+        """A kernel's output, unchecked: rows and integer form, or functions building them."""
+        return object.__new__(_Lazy)._set(rows=shape[0], cols=shape[1], _exact=exact,
+                                          _lazy={"_entries": entries, "_form": form})
 
     def _mapped(self, f, scales, shape=None) -> "Matrix":
         """f of the entries and of a kernel's form, with scales(R, C), each built when read."""
@@ -245,6 +232,22 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+class _Lazy(Matrix):
+    """A kernel's output; only its attribute reads pay for the lazy hook."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> object:
+        if name not in ("_entries", "_form"):
+            raise AttributeError(name)
+        value = f() if callable(f := self._lazy[name]) else f
+        if value is not None:  # frozen
+            value = tuple(map(tuple, value)) if name == "_entries" else (
+                tuple(map(tuple, value[0])), *map(tuple, value[1:]))
+        object.__setattr__(self, name, value)
+        return value
+
+
 def _cut(lines, scales) -> tuple[list[list[int]], list[int]]:
     """Integer lines and their scales, each over their common factor."""
     g = [math.gcd(s, *line) for s, line in zip(scales, lines)]
@@ -252,14 +255,18 @@ def _cut(lines, scales) -> tuple[list[list[int]], list[int]]:
             [s // h for s, h in zip(scales, g)])
 
 
+def _cleared_line(v: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Integers w and the lcm d of an exact vector's denominators: v = w / d."""
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def _exact_products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
     """Dot products of exact rows and columns, summed on integers: each is
     cleared once by the lcm of its denominators, and an entry is one Fraction
     over two lcms, or an int when neither holds a Fraction, as in a sum."""
     def cleared(v):
-        d = math.lcm(*(x.denominator for x in v))
-        return [x.numerator * (d // x.denominator) for x in v], d, any(
-            isinstance(x, Fraction) for x in v)
+        return *_cleared_line(v), any(isinstance(x, Fraction) for x in v)
 
     right = [cleared(col) for col in cols]
     return [
@@ -312,7 +319,8 @@ def _cleared(*blocks) -> tuple[Sequence[Sequence[int]], Sequence[int], Sequence[
     if len(blocks) > 1:
         forms = [_cleared(b) for b in blocks]
         row_den = [math.lcm(*r) for r in zip(*(f[1] for f in forms))]
-        a = [[x * (r // f[1][i]) for f in forms for x in f[0][i]] for i, r in enumerate(row_den)]
+        a = [[x * k for f in forms for k in [r // f[1][i]] for x in f[0][i]]
+             for i, r in enumerate(row_den)]
         return a, row_den, [c for f in forms for c in f[2]]
     (rows,) = blocks
     if isinstance(rows, Matrix):

@@ -236,13 +236,13 @@ def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Matrix | No
         prev = pivot
 
     def upper(g, s) -> Matrix:
-        # row i times s_i sign(P_i) is integers over the scales |P|, s, and
-        # then over its common factor with P_i
+        # row i times s_i sign(P_i): integers over |P| and s, cut by gcds with P
         return Matrix._of((n, n), lambda: [[
             Fraction(x * s[i], s[j] * g[i][i]) if j > i else int(i == j) for j, x in enumerate(row)
         ] for i, row in enumerate(g)], lambda: (*_cut(
-            [[(x if row[i] > 0 else -x) * s[i] if j >= i else 0 for j, x in enumerate(row)]
-             for i, row in enumerate(g)], [abs(row[i]) for i, row in enumerate(g)]), s))
+            [[0] * i + [x * t for x in row[i:]]
+             for i, row in enumerate(g) for t in [s[i] if row[i] > 0 else -s[i]]],
+            [abs(row[i]) for i, row in enumerate(g)]), s))
 
     # L is the transpose of the upper factor read from A^T and R
     return diag, upper(list(zip(*a)), row_den).transpose(), upper(a, col_den)
@@ -255,8 +255,7 @@ def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
     otherwise.  No row exchanges: the decomposition must respect the
     triangular structure, so a vanishing pivot is a genuine obstruction.
     Pivots and factors are exact, float input included: the elimination
-    runs on integers, which each factor carries as its integer form, and
-    builds its entries, one Fraction each off the diagonal, only when read.
+    runs on integers, and each factor builds its entries when they are read.
     """
     if not m.is_square:
         raise InputError("decomposition requires a square matrix")
@@ -286,9 +285,8 @@ def _peel(m: Matrix | tuple, kind: WordKind) -> tuple[Fraction, ...] | None:
     left to right: Q'[n-j+1, n-i] = c * Q'[n-j+1, n-i+1].  A final identity
     check rejects matrices outside the image of the parameter map.
 
-    Q is a Matrix or its integer form (A, R, C) of
-    :func:`totpos.linalg._cleared`.  Each column is held as integers over one
-    positive denominator, so a column operation is one integer combination
+    Q is a Matrix or its integer form.  Each column is held as integers over
+    one denominator, so a column operation is one integer combination
     divided by the column's content, and each parameter is one Fraction.
     """
     a, row_den, col_den = form = m if isinstance(m, tuple) else _cleared(m)
@@ -320,13 +318,6 @@ def _peel(m: Matrix | tuple, kind: WordKind) -> tuple[Fraction, ...] | None:
     return None
 
 
-def _is_lower_unitriangular(form) -> bool:
-    """A[i][i] = R_i C_i and A is zero above the diagonal: a lower unitriangular form."""
-    a, r, c = form
-    return all(x == (r[i] * c[i] if i == j else 0)
-               for i, row in enumerate(a) for j, x in enumerate(row[i:], i))
-
-
 def membership_uni(
     m: Matrix,
     side: Side,
@@ -352,8 +343,10 @@ def membership_uni(
         # preserving parameter order
         target = _flipped(m, True, True)
         kind = "reversed" if word == "standard" else "standard"
-    form = _cleared(target)
-    if not _is_lower_unitriangular(form):
+    a, row_den, col_den = form = _cleared(target)
+    # lower unitriangular: A[i][i] = R_i C_i, and A is zero above the diagonal
+    if not all(x == (row_den[i] * col_den[i] if i == j else 0)
+               for i, row in enumerate(a) for j, x in enumerate(row[i:], i)):
         raise DomainError(f"matrix is not {side} unitriangular")
     cs = _peel(form, kind)
     if cs is None:
