@@ -68,8 +68,8 @@ class Matrix:
                 raise InputError("an entry lies outside the float range") from None
         self._set(rows=len(data), cols=width, _entries=data, _exact=exact, _form=None)
 
-    @classmethod
-    def _of(cls, shape, entries, form=None, exact: bool = True) -> "Matrix":
+    @staticmethod
+    def _of(shape, entries, form=None, exact: bool = True) -> "Matrix":
         """A kernel's output, unchecked: rows and integer form, or functions building them."""
         return object.__new__(_Lazy)._set(rows=shape[0], cols=shape[1], _exact=exact,
                                           _lazy={"_entries": entries, "_form": form})
@@ -233,7 +233,7 @@ class Matrix:
 
 
 class _Lazy(Matrix):
-    """A kernel's output; only its attribute reads pay for the lazy hook."""
+    """A kernel's output, entries and form built on first read: a hook Matrix lacks."""
 
     __slots__ = ()
 
