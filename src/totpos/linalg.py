@@ -87,6 +87,9 @@ class Matrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild a checked matrix from the entries
+        return Matrix, (self._entries,)
+
     # -- basic accessors -------------------------------------------------
 
     @property

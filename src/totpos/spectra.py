@@ -39,7 +39,7 @@ from .errors import (
     InputError,
     SingularityError,
 )
-from .linalg import Matrix, _cleared_line, _MinorLevel, det, nullspace, solve
+from .linalg import Matrix, _cleared_line, _MinorLevel, _solve_exact, det, nullspace
 
 
 # Read when a routine runs, not bound as defaults, so a test may patch one.
@@ -396,11 +396,12 @@ def _inverse_step(
     eigenvector is then the kernel of the shifted matrix, computable without
     error; None when that kernel is not a single line.
     """
-    shifted = m - Matrix.diagonal([Fraction(value)] * m.rows)
+    n, s = m.rows, Fraction(value)
+    m = Matrix._of((n, n), [(*r[:i], r[i] - s, *r[i + 1:]) for i, r in enumerate(m._entries)])
     try:
-        return list(solve(shifted, start))
+        return list(_solve_exact(m, Matrix._of((n, 1), [[b] for b in start])).col_tuple(0))
     except SingularityError:
-        kernel = nullspace(shifted)
+        kernel = nullspace(m)
         return list(kernel[0]) if len(kernel) == 1 else None
 
 

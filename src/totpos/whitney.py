@@ -15,11 +15,11 @@ greedy peel of each unitriangular factor.  One peel serves both words: it
 strips one generator at a time from the right by a column operation, and
 the reversed word is the standard rule applied to the anti-transpose
 w0 X^T w0, which maps each generator x_i to x_{n-i} and reverses products.
-The peel rule is exact on the image of the parameter map and detects
-non-membership by a failed final identity check.  Every input is factored
-exactly, a float matrix as the dyadic rationals its entries are, so no
-tolerance decides a zero: the elimination is a fraction-free Bareiss pass
-and the peel runs on integer columns; each pivot and parameter is one
+The peel rule is exact on the image of the parameter map; a negative
+parameter or a failed identity check shows non-membership.  Every input is
+factored exactly, a float matrix as the dyadic rationals its entries are,
+so no tolerance decides a zero: the elimination is a fraction-free Bareiss
+pass and the peel runs on integer columns; each pivot and parameter is one
 Fraction, and a factor's entries are built from the integers when read.
 """
 
@@ -283,10 +283,12 @@ def _peel(m: Matrix | tuple, kind: WordKind) -> tuple[Fraction, ...] | None:
     gen_x(n-i, c) and reverses products, so the same rule runs on the
     anti-transposed matrix Q', stripping the reversed word's generators from
     left to right: Q'[n-j+1, n-i] = c * Q'[n-j+1, n-i+1].  A final identity
-    check rejects matrices outside the image of the parameter map.
+    check rejects matrices outside the image of the parameter map.  In the
+    nonnegative cone each prefix product, so each x and y, is nonnegative:
+    the peel returns None at the first negative one, a c < 0 among them.
 
     Q is a Matrix or its integer form.  Each column is held as integers over
-    one denominator, so a column operation is one integer combination
+    one positive denominator, so a column operation is one integer combination
     divided by the column's content, and each parameter is one Fraction.
     """
     a, row_den, col_den = form = m if isinstance(m, tuple) else _cleared(m)
@@ -305,7 +307,7 @@ def _peel(m: Matrix | tuple, kind: WordKind) -> tuple[Fraction, ...] | None:
         x, y = u[r], v[r]  # c = (x / d) / (y / e), where 0/0 is 0
         if x == 0:
             continue
-        if y == 0:
+        if x < 0 or y <= 0:
             return None
         h = math.gcd(x, y)
         x, y = x // h, y // h
@@ -327,34 +329,26 @@ def membership_uni(
 
     Returns UniParams whose ``strict`` flag records whether all parameters
     came out positive, or None when the matrix is not a product of
-    nonnegative generators over that word.
+    nonnegative generators over that word, which the peel decides.
     """
     if not m.is_square:
         raise InputError("membership requires a square matrix")
     if side not in ("lower", "upper"):
         raise InputError(f"side must be 'lower' or 'upper', got {side!r}")
-    if word not in ("standard", "reversed"):
-        raise InputError(f"unknown word kind {word!r}")
-    n = m.rows
+    letters = word_for(m.rows, word)  # InputError on an unknown word kind
     target, kind = m, word
     if side == "upper":
         # conjugating by the reversal permutation (reversing the rows and
         # the columns) swaps the two sides and the two words while
         # preserving parameter order
-        target = _flipped(m, True, True)
-        kind = "reversed" if word == "standard" else "standard"
+        target, kind = _flipped(m, True, True), "reversed" if word == "standard" else "standard"
     a, row_den, col_den = form = _cleared(target)
     # lower unitriangular: A[i][i] = R_i C_i, and A is zero above the diagonal
     if not all(x == (row_den[i] * col_den[i] if i == j else 0)
                for i, row in enumerate(a) for j, x in enumerate(row[i:], i)):
         raise DomainError(f"matrix is not {side} unitriangular")
     cs = _peel(form, kind)
-    if cs is None:
-        return None
-    if any(c < 0 for c in cs):
-        return None
-    strict = all(c > 0 for c in cs)
-    return UniParams(n, word_for(n, word), side, cs, strict)
+    return None if cs is None else UniParams(m.rows, letters, side, cs, all(cs))
 
 
 def factorize(m: Matrix, word: WordKind = "standard") -> TPParameters:

@@ -1,7 +1,9 @@
 """Flags, positive cells, opposed pairs, and stable flags of positive maps."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -201,6 +203,19 @@ def test_stable_flags_structure():
                 for v in pair.finite_order_moduli
             )
             assert identity_component_check(g, pair)
+
+
+def test_flags_and_stable_pairs_copy_and_pickle():
+    g = random_tp_matrix(4, random.Random(51))
+    pair = stable_flags(g)
+    for x in (Flag(g), Flag(g.to_float()), pair):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x
+    def typed(f):
+        return f.rep.is_exact, [[(type(x), x) for x in row] for row in f.rep.to_lists()]
+
+    for y in (copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+        assert typed(y.flag) == typed(pair.flag) and typed(y.flag_prime) == typed(pair.flag_prime)
 
 
 def test_identity_component_check_refuses_maps_off_the_torus():

@@ -1,6 +1,8 @@
 """Exact and floating-point linear algebra primitives."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from totpos.classify import _Least, _minor_kinds, _scan_minors, is_variation_diminishing
 from totpos.errors import DomainError, InputError, SingularityError
+from totpos.flags import Flag
 from totpos.linalg import (
     Matrix,
     compound,
@@ -30,6 +33,7 @@ from totpos.linalg import (
 from totpos.sampling import random_tp_matrix
 from totpos.scalars import minor_scale, zero_threshold
 from totpos.spectra import _compound_arrays
+from totpos.whitney import gauss_ldu
 
 
 def _random_fraction_matrix(n, rng, bound=6):
@@ -82,6 +86,26 @@ def test_matrix_is_immutable():
     m = Matrix([[1]])
     with pytest.raises(AttributeError):
         m.rows = 2
+
+
+def _copies(x):
+    return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+
+
+def _entry_types(m):
+    return [[type(x) for x in row] for row in m.to_lists()]
+
+
+def test_matrix_copies_and_pickles():
+    # a kernel-built matrix comes back as a checked one with the same entries
+    m = Matrix([[2, F(1, 3), 0], [F(-5, 7), 4, 1], [1, 1, F(9, 2)]])
+    kernels = [inverse(m), gauss_ldu(m)[0], gauss_ldu(m)[2], Flag(m).rep]
+    for x in [m, *kernels, m.to_float(), inverse(m).to_float()]:
+        for y in _copies(x):
+            assert type(y) is Matrix
+            assert y == x and y.is_exact == x.is_exact
+            assert _entry_types(y) == _entry_types(x)
+    assert {float} == {t for row in _entry_types(m.to_float()) for t in row}
 
 
 def test_matrix_constructors():

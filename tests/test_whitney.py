@@ -328,6 +328,13 @@ def _oracle_membership(m, side, word):
     return UniParams(m.rows, word_for(m.rows, word), side, cs, all(c > 0 for c in cs))
 
 
+def _oracle_cone_peel(kind, m):
+    # the peel stops at a negative parameter: the oracle's parameters when
+    # all are >= 0, else None
+    cs = _ORACLE_PEELS[kind](m)
+    return None if cs is None or any(c < 0 for c in cs) else cs
+
+
 def _outcome(fn, *args):
     # (result, exception type); entry types matter, so results go through repr
     try:
@@ -369,10 +376,34 @@ def test_one_peel_matches_both_oracle_peels():
                         if side == "lower":
                             for kind in ("standard", "reversed"):
                                 assert _outcome(_peel, x, kind) == _outcome(
-                                    _ORACLE_PEELS[kind], exact
+                                    _oracle_cone_peel, kind, exact
                                 )
                         compared += 1
     assert compared > 500
+
+
+def test_a_negative_parameter_is_rejected_where_it_is_peeled():
+    # one parameter turned negative at the first, a middle and the last
+    # position the peel reaches; the upper side peels the flipped word
+    rng = random.Random(808)
+    rejected = 0
+    for n in range(2, 7):
+        for side, gen in (("lower", gen_x), ("upper", gen_y)):
+            for word in ("standard", "reversed"):
+                letters = word_for(n, word)
+                peeled_first = (side == "lower") == (word == "reversed")
+                order = list(range(len(letters)))[:: 1 if peeled_first else -1]
+                for s in dict.fromkeys((order[0], order[len(order) // 2], order[-1])):
+                    cs = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in letters]
+                    cs[s] = -cs[s]
+                    m = Matrix.identity(n)
+                    for i, c in zip(letters, cs):
+                        m = m @ gen(i, c, n)
+                    for x in (m, m.to_float()):
+                        got = _outcome(membership_uni, x, side, word)
+                        assert got == _outcome(_oracle_membership, x.to_exact(), side, word)
+                        rejected += got == (repr(None), None)
+    assert rejected == 2 * sum(4 * len({0, k // 2, k - 1}) for k in (1, 3, 6, 10, 15))
 
 
 def test_relaxed_membership_roundtrips_matrix():
@@ -706,7 +737,7 @@ def test_one_peel_matches_both_oracle_peels_on_heavy_factors():
                                 _oracle_membership, y, side, word
                             )
                         for kind in ("standard", "reversed"):
-                            want = _outcome(_ORACLE_PEELS[kind], x)
+                            want = _outcome(_oracle_cone_peel, kind, x)
                             assert _outcome(_peel, x, kind) == want
                         compared += 1
                         heavy += _bits(x) > 1000
