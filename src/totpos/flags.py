@@ -193,13 +193,18 @@ def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
 
 
 def _bottom_normalized(frame: Matrix) -> Matrix:
-    """Columns of an exact frame scaled to a bottommost nonzero entry of 1."""
+    """Columns of an exact frame scaled to a bottommost nonzero entry of 1.
+    The form holds each column as integers over their content, signed so the
+    bottommost nonzero one is positive and scaled by it; row scales are 1."""
     columns = []
-    for j in range(frame.cols):
-        col = frame.col_tuple(j)
-        bottom = Fraction(next(x for x in reversed(col) if x != 0))
-        columns.append([x / bottom for x in col])
-    return Matrix.from_columns(columns)
+    for v, _ in _columns(_cleared(frame)):
+        bottom = next(x for x in reversed(v) if x)
+        g = math.gcd(*v) if bottom > 0 else -math.gcd(*v)
+        columns.append(([x // g for x in v], bottom // g))
+    ints, bottoms = zip(*columns)
+    return Matrix._of((frame.rows, frame.cols), lambda: [
+        [Fraction(x, d) for x, d in zip(row, bottoms)] for row in zip(*ints)],
+        (list(zip(*ints)), [1] * frame.rows, bottoms))
 
 
 @dataclass(frozen=True)

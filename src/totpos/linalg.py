@@ -13,8 +13,9 @@ fraction-free Bareiss elimination of the exact copy of the input, run on its
 integer form A = diag(R)·M·diag(C), which the LDU, the peel and flag
 representatives read too.  Entries are checked where a matrix enters
 (:class:`Matrix`, :meth:`Matrix.from_columns`, :meth:`Matrix.diagonal`, the
-parsers); a matrix an exact kernel builds skips the check, carries the form
-the kernel holds, so no kernel clears it again, and builds its entries when
+parsers); a matrix an exact kernel builds, an exact product included, skips
+the check, carries the form the kernel holds (a product's from its
+operands' forms), so no kernel clears it again, and builds its entries when
 read.  Minors of all orders come from a dynamic program that expands each
 order-k minor along its last row using the order k-1 table, which is far
 cheaper than independent eliminations when a caller needs every minor of
@@ -46,7 +47,8 @@ _MINOR_TABLE_CAP = math.comb(24, 12) - 1
 
 class Matrix:
     """Immutable dense matrix with an exact or float entry domain; a kernel's
-    output may carry its integer form (A, R, C) and build entries when read."""
+    output, an exact product too, carries its integer form (A, R, C) and
+    builds its entries when read."""
 
     __slots__ = ("rows", "cols", "_entries", "_exact", "_form", "_lazy")
 
@@ -151,9 +153,10 @@ class Matrix:
                 f"shape mismatch for product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        bt = list(zip(*other._entries))
         if self._exact and other._exact:
-            return Matrix._of((self.rows, other.cols), _exact_products(self._entries, bt))
+            return Matrix._of((self.rows, other.cols), lambda: _exact_products(
+                self._entries, list(zip(*other._entries))), lambda: _product_form(self, other))
+        bt = list(zip(*other._entries))
         return Matrix(
             [
                 [sum(a * b for a, b in zip(row, col)) for col in bt]
@@ -236,7 +239,8 @@ class Matrix:
 
 
 class _Lazy(Matrix):
-    """A kernel's output, entries and form built on first read: a hook Matrix lacks."""
+    """A kernel's output, entries and form built on first read: a hook Matrix lacks.
+    A form not built before the entries is not built at all."""
 
     __slots__ = ()
 
@@ -248,6 +252,9 @@ class _Lazy(Matrix):
             value = tuple(map(tuple, value)) if name == "_entries" else (
                 tuple(map(tuple, value[0])), *map(tuple, value[1:]))
         object.__setattr__(self, name, value)
+        del self._lazy[name]  # a builder that has run holds nothing any more
+        if name == "_entries" and callable(self._lazy.get("_form")):
+            self._lazy["_form"] = None  # readers clear the entries; a product drops its operands
         return value
 
 
@@ -262,6 +269,15 @@ def _cleared_line(v: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """Integers w and the lcm d of an exact vector's denominators: v = w / d."""
     d = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _product_form(left: Matrix, right: Matrix) -> tuple[list[list[int]], list[int], Sequence[int]]:
+    """Form of a·b from the operands' forms: with t_j = C_a[j]·R_b[j] and
+    L = lcm(t), (A_a·diag(L/t)·A_b, R_a·L, C_b), each row over its common factor."""
+    (a, r, c), (b, s, e) = _cleared(left), _cleared(right)
+    top = math.lcm(*(t := list(map(mul, c, s))))
+    cols = [[x * (top // y) for x, y in zip(col, t)] for col in zip(*b)]
+    return *_cut([[sum(map(mul, x, y)) for y in cols] for x in a], [x * top for x in r]), e
 
 
 def _exact_products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
@@ -316,9 +332,10 @@ def submatrix(m: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Matr
 
 def _cleared(*blocks) -> tuple[Sequence[Sequence[int]], Sequence[int], Sequence[int]]:
     """Integer form (A, R, C), A = diag(R)·M·diag(C), of the exact blocks
-    M = [M1 | M2 | ...], each a Matrix (whose kernel-built form is read as
-    is) or rows, cleared on the side whose lcms have fewer bits, the other
-    side's scales all ones.  Joined, each row is scaled to its scales' lcm."""
+    M = [M1 | M2 | ...], each a Matrix or rows.  A kernel's form (an exact
+    product's too) is read as is, built if neither it nor the entries are;
+    else entries are cleared on the side whose lcms have fewer bits, the
+    other side's scales all ones.  Joined, each row is scaled to its scales' lcm."""
     if len(blocks) > 1:
         forms = [_cleared(b) for b in blocks]
         row_den = [math.lcm(*r) for r in zip(*(f[1] for f in forms))]

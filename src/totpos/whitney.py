@@ -89,9 +89,10 @@ def _validate_params(
     out = tuple(values)
     for v in out:
         _require_scalar(v)
-        if strict and not v > 0:
+        s = v.numerator if isinstance(v, Fraction) else v  # a Fraction's denominator is > 0
+        if strict and not s > 0:
             raise InputError(f"{label} parameters must be strictly positive, got {v}")
-        if not strict and v < 0:
+        if not strict and s < 0:
             raise InputError(f"{label} parameters must be nonnegative, got {v}")
     return out
 

@@ -10,6 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from totpos import flags as flags_module
+from totpos import linalg as linalg_module
+from totpos import spectra
 from totpos.bilinear import tilde
 from totpos.curves import CirclePoint, MomentCurve, dihedral_partition, is_positive_quadruple
 from totpos.errors import InputError
@@ -223,3 +225,178 @@ def test_public_constructors_check_every_entry(bad):
 def test_parsers_check_every_entry(text, exact):
     with pytest.raises(InputError):
         parse_matrix(text, exact=exact)
+
+
+# -- exact products, normalized frames and refined eigenbases --------------------
+
+
+def _entrywise_product(a, b):
+    """The entrywise oracle: Python sums of entry products, each a Fraction
+    when its row of a or its column of b holds one, else an int."""
+    def fractional(line):
+        return any(isinstance(x, F) for x in line)
+
+    cols = list(zip(*b.to_lists()))
+    return [[F(s) if fractional(row) or fractional(col) else s
+             for col in cols for s in [sum(x * y for x, y in zip(row, col))]]
+            for row in a.to_lists()]
+
+
+def _assert_kernel_output(m, want):
+    """A fresh kernel output: its form represents want, to_float from that
+    form is float() of want bit for bit, and its entries are want, types too."""
+    a, r, c = m._form
+    assert all(type(x) is int and x > 0 for x in (*r, *c))
+    assert [[type(x) for x in row] for row in a] == [[int] * m.cols] * m.rows
+    assert [list(row) for row in a] == [[s * x * t for x, t in zip(row, c)]
+                                        for row, s in zip(want, r)]
+    assert _float_bits(m.to_float()) == [[float(x).hex() for x in row] for row in want]
+    assert repr(m.to_lists()) == repr(want)
+    assert [[type(x) for x in row] for row in m.to_lists()] == [[type(x) for x in row] for row in want]
+    assert m._lazy == {}  # both builders dropped: no operand is held any more
+
+
+def _float_bits(m):
+    return [[float(x).hex() for x in row] for row in m.to_lists()]
+
+
+def _operands(rows, cols, rng):
+    """Exact rows x cols matrices of every kind a product meets: checked
+    int-only and mixed int/Fraction, kernel-built, and a kernel whose
+    entries are already built."""
+    ints = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+    mixed = [[F(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.5 else x for x in row]
+             for row in ints]
+    yield "checked int", Matrix(ints)
+    yield "checked mixed", Matrix(mixed)
+    yield "int product", Matrix(ints) @ Matrix.identity(cols)
+    for label, grid in (("int", ints), ("mixed", mixed)):
+        # identity^-1 [grid] keeps every entry's value; entries are Fractions
+        kernel = _solve_exact(Matrix.identity(rows), Matrix(grid))
+        yield f"kernel {label}", kernel
+        read = _solve_exact(Matrix.identity(rows), Matrix(grid))
+        read.to_lists()
+        yield f"read kernel {label}", read
+    if rows == cols:
+        m = random_invertible(rows, rng)
+        yield "inverse", inverse(m)
+        yield "flag rep", Flag(m).rep
+        ldu = gauss_ldu(Matrix(mixed))
+        if ldu is not None:
+            yield "lower factor", ldu[0]
+    yield "transposed kernel", _solve_exact(Matrix.identity(cols), Matrix(mixed).transpose()).transpose()
+
+
+SHAPES = [(1, 1, 1), (1, 4, 1), (4, 1, 4), (1, 3, 5), (5, 3, 1), (3, 3, 3), (2, 5, 3), (4, 4, 4)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_products_match_the_entrywise_oracle(shape):
+    rows, inner, cols = shape
+    rng = random.Random(hash(shape) % 10**6)
+    seen = set()
+    for left_label, left in _operands(rows, inner, rng):
+        for right_label, right in _operands(inner, cols, rng):
+            want = _entrywise_product(left, right)
+            _assert_kernel_output(left @ right, want)
+            # read entries first: the form then comes from clearing them, and
+            # the product holds no builder, so no operand, any more
+            p = left @ right
+            assert repr(p.to_lists()) == repr(want)
+            assert not any(map(callable, p._lazy.values()))
+            assert _float_bits(p.to_float()) == [[float(x).hex() for x in row] for row in want]
+            # a product of products: a row that holds a Fraction is all Fractions
+            unit = Matrix.identity(cols)
+            _assert_kernel_output((left @ right) @ unit, _entrywise_product(Matrix(want), unit))
+            seen.add((left_label, right_label))
+    assert ("checked int", "checked int") in seen and ("read kernel mixed", "kernel int") in seen
+
+
+def _old_bottom_normalized(frame):
+    """The normalization as a checked build, column by column."""
+    columns = []
+    for j in range(frame.cols):
+        col = frame.col_tuple(j)
+        bottom = F(next(x for x in reversed(col) if x != 0))
+        columns.append([x / bottom for x in col])
+    return Matrix.from_columns(columns)
+
+
+def _old_refine_eigenbasis(m, eigenvalues, vectors):
+    """refine_eigenbasis with its columns built as a checked matrix."""
+    m = m.to_exact()
+    start = spectra._rationalize_columns(vectors)
+    columns = []
+    for j in range(m.rows):
+        col = list(start.col_tuple(j))
+        raw = spectra._inverse_step(m, eigenvalues[j], col)
+        if raw is None:
+            columns.append(col)
+            continue
+        pivot = max(raw, key=abs)
+        top = spectra._MAX_DENOMINATOR
+        columns.append([y and (y.limit_denominator(top) or y.limit_denominator(
+            top * math.ceil(1 / abs(y)))) for y in (x / pivot for x in raw)])
+    return Matrix.from_columns(columns)
+
+
+def _criterion_7_corpus():
+    rng = random.Random(1007)
+    return [random_tp_matrix(n, rng) for n in (2, 3, 4, 5) for _ in range(100)]
+
+
+def test_refined_eigenbases_and_their_frames_match_checked_builds():
+    for g in _criterion_7_corpus():
+        spectrum = gk_spectrum(g)
+        args = (g, spectrum.eigenvalues, spectrum.eigenvectors)
+        old = _old_refine_eigenbasis(*args)
+        want = old.to_lists()
+        _assert_kernel_output(refine_eigenbasis(*args), want)
+        frame = flags_module._bottom_normalized(refine_eigenbasis(*args))
+        _assert_kernel_output(frame, _old_bottom_normalized(old).to_lists())
+
+
+def test_quadruple_frames_match_checked_builds():
+    rng = random.Random(2404)
+    compared = 0
+    for n in (3, 4, 5, 6):
+        for _ in range(6):
+            values = set()
+            while len(values) < 4:
+                values.add(F(rng.randint(-12, 12), rng.randint(1, 3)))
+            curve = MomentCurve(n - 1)
+            quad = [curve.flag_at(CirclePoint(v)) for v in sorted(values)]
+            # the reference pair of a positive and of a corrupted quadruple
+            for f1, f3 in ((quad[0], quad[2]), (quad[0], quad[1])):
+                lower = flags_module._relative_ldu(f1, f3)[0]
+                frame = Matrix((f1.rep @ _flipped(lower, True, True)).to_lists())
+                _assert_kernel_output(adapted_basis(f1, f3), _old_bottom_normalized(frame).to_lists())
+                compared += 1
+    assert compared == 48
+
+
+# -- the saving itself -------------------------------------------------------------
+
+
+def test_stable_flags_and_frames_never_multiply_entrywise(monkeypatch):
+    rng = random.Random(2405)
+    maps = [random_tp_matrix(n, rng) for n in range(2, 7) for _ in range(2)]
+    pairs = []
+    for n in range(2, 7):
+        cell = random_positive_cell_flag(n, rng)
+        primed = Flag(inverse(synthesize_uni(random_uni_params(n, rng, side="lower", strict=True))))
+        pairs += [(cell, primed), (primed, cell)]
+    assert all(opposed(*p) for p in pairs)
+
+    def results():
+        return [flags_module.stable_flags(g) for g in maps], [adapted_basis(*p) for p in pairs]
+
+    want = results()
+
+    def entrywise(*args):
+        pytest.fail("an exact product built its entries")
+
+    monkeypatch.setattr(linalg_module, "_exact_products", entrywise)
+    got = results()
+    assert _typed(got) == _typed(want)
+    assert got == want
