@@ -193,9 +193,8 @@ def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
 
 
 def _bottom_normalized(frame: Matrix) -> Matrix:
-    """Columns of an exact frame scaled to a bottommost nonzero entry of 1.
-    The form holds each column as integers over their content, signed so the
-    bottommost nonzero one is positive and scaled by it; row scales are 1."""
+    """Columns of an exact frame scaled to a bottommost nonzero entry of 1; its form holds
+    each column over its content, signed to a positive bottom, scaled by it; R = 1."""
     columns = []
     for v, _ in _columns(_cleared(frame)):
         bottom = next(x for x in reversed(v) if x)

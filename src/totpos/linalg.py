@@ -13,9 +13,8 @@ fraction-free Bareiss elimination of the exact copy of the input, run on its
 integer form A = diag(R)·M·diag(C), which the LDU, the peel and flag
 representatives read too.  Entries are checked where a matrix enters
 (:class:`Matrix`, :meth:`Matrix.from_columns`, :meth:`Matrix.diagonal`, the
-parsers); a matrix an exact kernel builds, an exact product included, skips
-the check, carries the form the kernel holds (a product's from its
-operands' forms), so no kernel clears it again, and builds its entries when
+parsers); a matrix an exact kernel (a product too) builds skips the check,
+carries its form, so no kernel clears it again, and builds its entries when
 read.  Minors of all orders come from a dynamic program that expands each
 order-k minor along its last row using the order k-1 table, which is far
 cheaper than independent eliminations when a caller needs every minor of
@@ -43,12 +42,13 @@ IndexSet = tuple[int, ...]
 
 # Most minors one exhaustive table may hold: the full table at n = 12.
 _MINOR_TABLE_CAP = math.comb(24, 12) - 1
+# Longest chain of unread kernel outputs each built from the next, as in p = p @ g.
+_CHAIN_CAP = 16
 
 
 class Matrix:
-    """Immutable dense matrix with an exact or float entry domain; a kernel's
-    output, an exact product too, carries its integer form (A, R, C) and
-    builds its entries when read."""
+    """Immutable dense matrix with an exact or float entry domain; a kernel's output,
+    an exact product too, carries its integer form (A, R, C) and builds entries when read."""
 
     __slots__ = ("rows", "cols", "_entries", "_exact", "_form", "_lazy")
 
@@ -71,15 +71,22 @@ class Matrix:
         self._set(rows=len(data), cols=width, _entries=data, _exact=exact, _form=None)
 
     @staticmethod
-    def _of(shape, entries, form=None, exact: bool = True) -> "Matrix":
-        """A kernel's output, unchecked: rows and integer form, or functions building them."""
+    def _of(shape, entries, form=None, exact: bool = True, deps=()) -> "Matrix":
+        """A kernel's output, unchecked: rows and integer form, or functions building them
+        from the matrices deps.  A dep atop _CHAIN_CAP pending ones builds its entries now."""
+        depth = 1  # of the longest chain of unread kernel outputs that ends here
+        for d in deps:  # p @ p lists p twice: once built, it reads depth 0
+            if (k := d._lazy.get("depth", 0) if isinstance(d, _Lazy) else 0) < _CHAIN_CAP:
+                depth = max(depth, k + 1)
+            else:
+                d._entries
         return object.__new__(_Lazy)._set(rows=shape[0], cols=shape[1], _exact=exact,
-                                          _lazy={"_entries": entries, "_form": form})
+                                          _lazy={"_entries": entries, "_form": form, "depth": depth})
 
     def _mapped(self, f, scales, shape=None) -> "Matrix":
         """f of the entries and of a kernel's form, with scales(R, C), each built when read."""
         return Matrix._of(shape or (self.rows, self.cols), lambda: f(self._entries), lambda: (
-            self._form and (f(self._form[0]), *scales(*self._form[1:]))), self._exact)
+            self._form and (f(self._form[0]), *scales(*self._form[1:]))), self._exact, (self,))
 
     def _set(self, **values: object) -> "Matrix":
         for name, value in values.items():
@@ -154,8 +161,8 @@ class Matrix:
                 f"{other.rows}x{other.cols}"
             )
         if self._exact and other._exact:
-            return Matrix._of((self.rows, other.cols), lambda: _exact_products(
-                self._entries, list(zip(*other._entries))), lambda: _product_form(self, other))
+            return Matrix._of((self.rows, other.cols), lambda: _exact_products(self._entries, list(
+                zip(*other._entries))), lambda: _product_form(self, other), True, (self, other))
         bt = list(zip(*other._entries))
         return Matrix(
             [
@@ -247,14 +254,16 @@ class _Lazy(Matrix):
     def __getattr__(self, name: str) -> object:
         if name not in ("_entries", "_form"):
             raise AttributeError(name)
-        value = f() if callable(f := self._lazy[name]) else f
+        value = f() if callable(f := (lazy := self._lazy)[name]) else f
         if value is not None:  # frozen
             value = tuple(map(tuple, value)) if name == "_entries" else (
                 tuple(map(tuple, value[0])), *map(tuple, value[1:]))
         object.__setattr__(self, name, value)
-        del self._lazy[name]  # a builder that has run holds nothing any more
-        if name == "_entries" and callable(self._lazy.get("_form")):
-            self._lazy["_form"] = None  # readers clear the entries; a product drops its operands
+        del lazy[name]  # a builder that has run holds nothing any more
+        if name == "_entries":  # readers clear the entries; no builder is left to read deps
+            del lazy["depth"]
+            if callable(lazy.get("_form")):
+                lazy["_form"] = None
         return value
 
 
@@ -331,11 +340,10 @@ def submatrix(m: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Matr
 
 
 def _cleared(*blocks) -> tuple[Sequence[Sequence[int]], Sequence[int], Sequence[int]]:
-    """Integer form (A, R, C), A = diag(R)·M·diag(C), of the exact blocks
-    M = [M1 | M2 | ...], each a Matrix or rows.  A kernel's form (an exact
-    product's too) is read as is, built if neither it nor the entries are;
-    else entries are cleared on the side whose lcms have fewer bits, the
-    other side's scales all ones.  Joined, each row is scaled to its scales' lcm."""
+    """Integer form (A, R, C), A = diag(R)·M·diag(C), of the exact blocks M = [M1 | M2 | ...],
+    each a Matrix or rows.  A kernel's form (a product's too) is read as is, built if neither
+    it nor the entries are; else entries are cleared on the side whose lcms have fewer bits,
+    the other side's scales all ones.  Joined, each row is scaled to its scales' lcm."""
     if len(blocks) > 1:
         forms = [_cleared(b) for b in blocks]
         row_den = [math.lcm(*r) for r in zip(*(f[1] for f in forms))]

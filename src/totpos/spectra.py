@@ -436,9 +436,4 @@ def refine_eigenbasis(
         # an entry that would round to 0 is rounded relative to its own size
         columns.append([y and (y.limit_denominator(_MAX_DENOMINATOR) or y.limit_denominator(
             _MAX_DENOMINATOR * math.ceil(1 / abs(y)))) for y in (x / pivot for x in raw)])
-
-    def form():  # each column cleared by its own lcm
-        ints, dens = zip(*map(_cleared_line, columns))
-        return list(zip(*ints)), [1] * n, dens
-
-    return Matrix._of((n, n), lambda: list(zip(*columns)), form)
+    return Matrix._of((n, n), list(zip(*columns)))

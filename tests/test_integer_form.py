@@ -2,8 +2,10 @@
 when read, and identical to those of a checked copy of the same input."""
 
 import dataclasses
+import gc
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -44,7 +46,7 @@ from totpos.sampling import (
 )
 from totpos.serialization import parse_matrix
 from totpos.spectra import gk_spectrum, refine_eigenbasis
-from totpos.whitney import factorize, gauss_ldu, membership_uni, synthesize_uni
+from totpos.whitney import factorize, gauss_ldu, gen_x, gen_y, membership_uni, synthesize_uni
 
 
 def _entries_built(m):
@@ -312,6 +314,44 @@ def test_products_match_the_entrywise_oracle(shape):
     assert ("checked int", "checked int") in seen and ("read kernel mixed", "kernel int") in seen
 
 
+def _left_fold(factors):
+    p = factors[0]
+    for g in factors[1:]:
+        p = p @ g
+    return p
+
+
+def test_long_unread_product_chains_build_without_recursion():
+    n = 4
+    factors = [(gen_x, gen_y)[k % 2](k % (n - 1) + 1, F(1, 2 + k % 3), n) for k in range(1000)]
+    want = factors[0].to_lists()
+    for g in factors[1:]:
+        want = _entrywise_product(Matrix(want), g)
+    assert det(_left_fold(factors)) == 1 and rank(_left_fold(factors)) == n
+    assert repr(_left_fold(factors).to_lists()) == repr(want)
+    assert _float_bits(_left_fold(factors).to_float()) == [[float(x).hex() for x in row]
+                                                           for row in want]
+    p = _left_fold(factors)
+    p._form
+    assert repr(p.to_lists()) == repr(want) and p._lazy == {}
+    # repeated squaring shares each factor
+    p = gen_x(1, F(1, 2), n)
+    for _ in range(40):
+        p = p @ p
+    assert p[1, 0] == 2**39 and p.to_float()[1, 0] == 2.0**39
+    # no chain of unread products is longer than linalg._CHAIN_CAP, so a product
+    # read only through its form holds no more than that many factors
+    tracemalloc.start()
+    try:
+        p = _left_fold(factors[:300])
+        det(p)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
+
+
 def _old_bottom_normalized(frame):
     """The normalization as a checked build, column by column."""
     columns = []
@@ -351,7 +391,9 @@ def test_refined_eigenbases_and_their_frames_match_checked_builds():
         args = (g, spectrum.eigenvalues, spectrum.eigenvectors)
         old = _old_refine_eigenbasis(*args)
         want = old.to_lists()
-        _assert_kernel_output(refine_eigenbasis(*args), want)
+        refined = refine_eigenbasis(*args)
+        assert repr(refined.to_lists()) == repr(want)
+        assert [[type(x) for x in row] for row in refined.to_lists()] == [[F] * g.rows] * g.rows
         frame = flags_module._bottom_normalized(refine_eigenbasis(*args))
         _assert_kernel_output(frame, _old_bottom_normalized(old).to_lists())
 
