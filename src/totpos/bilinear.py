@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .classify import _Least, _scan_minors, is_totally_positive
 from .errors import ConsistencyError, DomainError, InputError
-from .linalg import Matrix, transpose_inverse
+from .linalg import Matrix, _is_int, _require_order, transpose_inverse
 from .scalars import _require_scalar
 from .spectra import gk_spectrum, refine_eigenbasis
 
@@ -31,8 +31,8 @@ _OFF_ANTI_DIAGONAL_TOL = 1e-9
 
 def star(r: int, n: int) -> int:
     """Complementary index n + 1 - r."""
-    if not 1 <= r <= n:
-        raise InputError(f"index must lie in [1, {n}], got {r}")
+    if not (_is_int(r) and _is_int(n) and 1 <= r <= n):
+        raise InputError(f"index must be an int in [1, {n!r}], got {r!r}")
     return n + 1 - r
 
 
@@ -52,6 +52,8 @@ class BilinearForm:
 
     def pair(self, u, v):
         """Evaluate <u, v> = u^T * gram * v."""
+        if len(u) != self.n:
+            raise InputError("vector length must equal the form's size")
         for x in u:
             _require_scalar(x)
         return sum(
@@ -95,8 +97,7 @@ def form_family_positive(form: BilinearForm) -> bool:
 
 def c0_matrix(n: int) -> Matrix:
     """The twist matrix: column r is (-1)^r e_{n+1-r}."""
-    if n < 1:
-        raise InputError("twist matrix needs n >= 1")
+    _require_order(n, "the twist matrix's size")
     return _twisted(Matrix.identity(n), True, False)
 
 

@@ -239,7 +239,7 @@ def is_positive_quadruple(
         return False
     def side(cut: slice) -> Matrix:
         return sides._mapped(lambda g: [[s * x for x in row[cut]] for s, row in zip(signs, g)],
-                             lambda r, c: (r, c[cut]), (n, n))
+                             lambda r, c: (r, c[cut]))
 
     return (_cell_params(side(slice(n)), False) is not None
             and _cell_params(side(slice(n, None)), True) is not None)

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .errors import (
 from .linalg import (
     Matrix, _cleared, _columns, _flipped, _solve_exact, inverse, reversal_permutation)
 from .spectra import gk_spectrum, refine_eigenbasis
-from .whitney import UniParams, gauss_ldu, membership_uni, standard_word
+from .whitney import UniParams, _ldu, membership_uni, standard_word
 
 SigmaMode = Literal["identity", "tilde"]
 
@@ -80,7 +79,8 @@ def _canonical_rep(g: Matrix) -> Matrix:
     """Column echelon representative, reduced on integer columns: column v
     becomes v * u[p] - v[p] * u for each earlier column u with pivot row p,
     then v over its content with a positive pivot entry: the form, over the
-    pivot entries (the column lcms), from which each entry is one Fraction."""
+    pivot entries (the column lcms); the ints are the 1 on each pivot and the
+    0s on the pivot rows before it, every other entry is a Fraction."""
     ints: list[list[int]] = []
     pivots: list[int] = []
     for v, _ in _columns(_cleared(g)):
@@ -94,10 +94,9 @@ def _canonical_rep(g: Matrix) -> Matrix:
         piv = max(i for i, a in enumerate(v) if a)
         ints.append([a // content if v[piv] > 0 else -a // content for a in v])
         pivots.append(piv)
-    return Matrix._of((g.rows, g.cols), lambda: list(zip(*[
-        [1 if i == p else 0 if i in pivots[:j] else Fraction(a, v[p]) for i, a in enumerate(v)]
-        for j, (v, p) in enumerate(zip(ints, pivots))])),
-        (list(zip(*ints)), [1] * len(ints), [v[p] for v, p in zip(ints, pivots)]))
+    # row i, the pivot of column j, holds ints from column j on
+    return Matrix._of(form=(list(zip(*ints)), [1] * len(ints), [v[p] for v, p in zip(ints, pivots)]),
+                      ints=[[0] * j + [1] * (g.cols - j) for j in map(pivots.index, range(g.rows))])
 
 
 def flag_from_matrix(g: Matrix) -> Flag:
@@ -114,16 +113,17 @@ def reversed_flag(n: int) -> Flag:
     return Flag(reversal_permutation(n))
 
 
-def _relative_ldu(f1: Flag, f2: Flag) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
-    """Pivot-free LDU of w0 A^-1 B (A, B the representatives, w0 the
-    reversal); None exactly when the flags are not opposed.  A^-1 moves the
-    pair to the standard flag and the flag of A^-1 B, and e_1..e_k with the
-    first n-k columns of A^-1 B span everything iff the last n-k rows of
-    those columns, the order n-k leading block of w0 A^-1 B, are independent."""
+def _relative_ldu(f1: Flag, f2: Flag) -> Callable[[], Matrix] | None:
+    """The function building the lower factor L of the pivot-free LDU of
+    w0 A^-1 B (A, B the representatives, w0 the reversal); None exactly when
+    the flags are not opposed.  A^-1 moves the pair to the standard flag and
+    the flag of A^-1 B, and e_1..e_k with the first n-k columns of A^-1 B
+    span everything iff the last n-k rows of those columns, the order n-k
+    leading block of w0 A^-1 B, are independent."""
     if f1.n != f2.n:
         raise InputError("flags must live in the same dimension")
     # w0 @ X reverses the rows of X
-    return gauss_ldu(_flipped(_solve_exact(f1.rep, f2.rep), True, False))
+    return _ldu(_flipped(_solve_exact(f1.rep, f2.rep), True, False))[1]
 
 
 def opposed(f1: Flag, f2: Flag) -> bool:
@@ -143,10 +143,10 @@ def _cell_params(g: Matrix, primed: bool) -> UniParams | None:
     L^-1 has the standard-word parameters c exactly when its twist
     (-1)^(n+1) C0 L^T C0 has the reversed-word parameters c.
     """
-    ldu = gauss_ldu(g)
-    if ldu is None:
+    lower = _ldu(g)[1]
+    if lower is None:
         return None
-    n, lower, word = g.rows, ldu[0], "standard"
+    n, lower, word = g.rows, lower(), "standard"
     if primed:
         lower, word = _twisted(lower.transpose(), True, True, n % 2 == 0), "reversed"
     params = membership_uni(lower, "lower", word)
@@ -184,11 +184,11 @@ def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
     matrix, and its k-th column, A w0 times column n-k+1 of L, lies in the
     span of the first n-k+1 columns of B U^-1.
     """
-    ldu = _relative_ldu(f1, f2)
-    if ldu is None:
+    lower = _relative_ldu(f1, f2)
+    if lower is None:
         raise DomainError("flags are not opposed; the adapted basis does not exist")
     # A times an upper unitriangular matrix: the n lines are independent
-    frame = f1.rep @ _flipped(ldu[0], True, True)
+    frame = f1.rep @ _flipped(lower(), True, True)
     return _bottom_normalized(frame)
 
 
@@ -201,9 +201,8 @@ def _bottom_normalized(frame: Matrix) -> Matrix:
         g = math.gcd(*v) if bottom > 0 else -math.gcd(*v)
         columns.append(([x // g for x in v], bottom // g))
     ints, bottoms = zip(*columns)
-    return Matrix._of((frame.rows, frame.cols), lambda: [
-        [Fraction(x, d) for x, d in zip(row, bottoms)] for row in zip(*ints)],
-        (list(zip(*ints)), [1] * frame.rows, bottoms))
+    return Matrix._of(form=(list(zip(*ints)), [1] * frame.rows, bottoms),
+                      ints=[[0] * frame.cols] * frame.rows)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ fraction-free Bareiss elimination of the exact copy of the input, run on its
 integer form A = diag(R)·M·diag(C), which the LDU, the peel and flag
 representatives read too.  Entries are checked where a matrix enters
 (:class:`Matrix`, :meth:`Matrix.from_columns`, :meth:`Matrix.diagonal`, the
-parsers); a matrix an exact kernel (a product too) builds skips the check,
-carries its form, so no kernel clears it again, and builds its entries when
-read.  Minors of all orders come from a dynamic program that expands each
+parsers); a matrix an exact kernel (a product too) builds skips the check and
+stores its form, with a grid marking its int entries, so no kernel clears it
+again; its entries are built from the form when read, each A[i][j] / (R[i]·C[j]).
+Minors of all orders come from a dynamic program that expands each
 order-k minor along its last row using the order k-1 table, which is far
 cheaper than independent eliminations when a caller needs every minor of
 every order.  On exact input that table runs on integers, after one clearing
@@ -42,15 +43,13 @@ IndexSet = tuple[int, ...]
 
 # Most minors one exhaustive table may hold: the full table at n = 12.
 _MINOR_TABLE_CAP = math.comb(24, 12) - 1
-# Longest chain of unread kernel outputs each built from the next, as in p = p @ g.
-_CHAIN_CAP = 16
 
 
 class Matrix:
     """Immutable dense matrix with an exact or float entry domain; a kernel's output,
-    an exact product too, carries its integer form (A, R, C) and builds entries when read."""
+    an exact product too, stores its integer form (A, R, C) and builds entries when read."""
 
-    __slots__ = ("rows", "cols", "_entries", "_exact", "_form", "_lazy")
+    __slots__ = ("rows", "cols", "_entries", "_exact", "_form", "_ints")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
         data = tuple(tuple(row) for row in entries)
@@ -71,22 +70,24 @@ class Matrix:
         self._set(rows=len(data), cols=width, _entries=data, _exact=exact, _form=None)
 
     @staticmethod
-    def _of(shape, entries, form=None, exact: bool = True, deps=()) -> "Matrix":
-        """A kernel's output, unchecked: rows and integer form, or functions building them
-        from the matrices deps.  A dep atop _CHAIN_CAP pending ones builds its entries now."""
-        depth = 1  # of the longest chain of unread kernel outputs that ends here
-        for d in deps:  # p @ p lists p twice: once built, it reads depth 0
-            if (k := d._lazy.get("depth", 0) if isinstance(d, _Lazy) else 0) < _CHAIN_CAP:
-                depth = max(depth, k + 1)
-            else:
-                d._entries
-        return object.__new__(_Lazy)._set(rows=shape[0], cols=shape[1], _exact=exact,
-                                          _lazy={"_entries": entries, "_form": form, "depth": depth})
+    def _of(entries=None, exact: bool = True, form=None, ints=None) -> "Matrix":
+        """A kernel's output, unchecked: its rows, or its integer form and a grid
+        whose nonzero cells mark the int entries, all frozen."""
+        if form is None:
+            entries = tuple(map(tuple, entries))
+            return object.__new__(Matrix)._set(rows=len(entries), cols=len(entries[0]),
+                                               _entries=entries, _exact=exact, _form=None)
+        a, r, c = form
+        return object.__new__(_Lazy)._set(rows=len(r), cols=len(c), _exact=True, _form=(
+            tuple(map(tuple, a)), tuple(r), tuple(c)), _ints=tuple(map(tuple, ints)))
 
-    def _mapped(self, f, scales, shape=None) -> "Matrix":
-        """f of the entries and of a kernel's form, with scales(R, C), each built when read."""
-        return Matrix._of(shape or (self.rows, self.cols), lambda: f(self._entries), lambda: (
-            self._form and (f(self._form[0]), *scales(*self._form[1:]))), self._exact, (self,))
+    def _mapped(self, f, scales) -> "Matrix":
+        """f of the entries, or of a kernel's form and grid, its scales mapped by scales(R, C);
+        f rearranges the cells and may change their signs, which keeps a grid's marks."""
+        if self._form is None:
+            return Matrix._of(f(self._entries), self._exact)
+        a, r, c = self._form
+        return Matrix._of(form=(f(a), *scales(r, c)), ints=f(self._ints))
 
     def _set(self, **values: object) -> "Matrix":
         for name, value in values.items():
@@ -134,8 +135,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        if n < 1:
-            raise InputError("identity needs n >= 1")
+        _require_order(n, "the identity's size")
         return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
@@ -150,6 +150,8 @@ class Matrix:
         if not columns:
             raise InputError("need at least one column")
         n = len(columns[0])
+        if any(len(col) != n for col in columns):
+            raise InputError("ragged columns: all columns must have equal length")
         return Matrix([[col[i] for col in columns] for i in range(n)])
 
     # -- algebra ---------------------------------------------------------
@@ -161,8 +163,12 @@ class Matrix:
                 f"{other.rows}x{other.cols}"
             )
         if self._exact and other._exact:
-            return Matrix._of((self.rows, other.cols), lambda: _exact_products(self._entries, list(
-                zip(*other._entries))), lambda: _product_form(self, other), True, (self, other))
+            # an entry is an int when its row of self and its column of other hold no Fraction
+            left, right = (m._ints if m._form else [[not isinstance(x, Fraction) for x in row]
+                                                    for row in m._entries] for m in (self, other))
+            cols = [all(k) for k in zip(*right)]
+            return Matrix._of(form=_product_form(self, other),
+                              ints=[[r and c for c in cols] for r in map(all, left)])
         bt = list(zip(*other._entries))
         return Matrix(
             [
@@ -189,25 +195,20 @@ class Matrix:
         return Matrix([[c * x for x in row] for row in self._entries])
 
     def transpose(self) -> "Matrix":
-        return self._mapped(lambda g: list(zip(*g)), lambda r, c: (c, r), (self.cols, self.rows))
+        return self._mapped(lambda g: list(zip(*g)), lambda r, c: (c, r))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.cols:
             raise InputError("vector length must equal the column count")
-        for x in vector:
-            _require_scalar(x)
-        if self._exact and all(is_exact_scalar(x) for x in vector):
-            return tuple(row[0] for row in _exact_products(self._entries, [vector]))
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._entries)
+        return (self @ Matrix([[x] for x in vector])).col_tuple(0)
 
     def to_float(self) -> "Matrix":
         # an int/int true division rounds correctly, as float() of a Fraction
         rows, r, c = self._form or (self._entries, None, None)
         try:
-            return Matrix._of(
-                (self.rows, self.cols), [[float(x) for x in row] for row in rows] if r is None
-                else [[x / (s * t) for x, t in zip(row, c)] for row, s in zip(rows, r)],
-                exact=False)
+            return Matrix._of([[float(x) for x in row] for row in rows] if r is None else
+                              [[x / (s * t) for x, t in zip(row, c)] for row, s in zip(rows, r)],
+                              exact=False)
         except OverflowError:
             raise InputError("an entry lies outside the float range") from None
 
@@ -246,24 +247,22 @@ class Matrix:
 
 
 class _Lazy(Matrix):
-    """A kernel's output, entries and form built on first read: a hook Matrix lacks.
-    A form not built before the entries is not built at all."""
+    """A kernel's output that stores its form and builds its entries on first
+    read.  The hook lives here, not on Matrix: a class with __getattr__ reads
+    every attribute more slowly."""
 
     __slots__ = ()
 
     def __getattr__(self, name: str) -> object:
-        if name not in ("_entries", "_form"):
+        """The entries of a kernel's output, built on first read from its form:
+        A[i][j] / (R[i]·C[j]), an int where the grid marks one, else a Fraction."""
+        if name != "_entries":
             raise AttributeError(name)
-        value = f() if callable(f := (lazy := self._lazy)[name]) else f
-        if value is not None:  # frozen
-            value = tuple(map(tuple, value)) if name == "_entries" else (
-                tuple(map(tuple, value[0])), *map(tuple, value[1:]))
+        a, r, c = self._form
+        value = tuple(
+            tuple(x // (s * t) if k else Fraction(x, s * t) for x, t, k in zip(row, c, ks))
+            for row, s, ks in zip(a, r, self._ints))
         object.__setattr__(self, name, value)
-        del lazy[name]  # a builder that has run holds nothing any more
-        if name == "_entries":  # readers clear the entries; no builder is left to read deps
-            del lazy["depth"]
-            if callable(lazy.get("_form")):
-                lazy["_form"] = None
         return value
 
 
@@ -289,20 +288,6 @@ def _product_form(left: Matrix, right: Matrix) -> tuple[list[list[int]], list[in
     return *_cut([[sum(map(mul, x, y)) for y in cols] for x in a], [x * top for x in r]), e
 
 
-def _exact_products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
-    """Dot products of exact rows and columns, summed on integers: each is
-    cleared once by the lcm of its denominators, and an entry is one Fraction
-    over two lcms, or an int when neither holds a Fraction, as in a sum."""
-    def cleared(v):
-        return *_cleared_line(v), any(isinstance(x, Fraction) for x in v)
-
-    right = [cleared(col) for col in cols]
-    return [
-        [Fraction(s, d * e) if f or g else s for b, e, g in right for s in [sum(map(mul, a, b))]]
-        for a, d, f in map(cleared, rows)
-    ]
-
-
 # -- index sets ----------------------------------------------------------
 
 
@@ -325,8 +310,8 @@ def index_set(indices: Iterable[int], bound: int) -> IndexSet:
 
 def ksubsets(n: int, k: int) -> tuple[IndexSet, ...]:
     """All 1-based k-subsets of [1, n] in lexicographic order."""
-    if not 1 <= k <= n:
-        raise InputError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    if not (_is_int(n) and _is_int(k) and 1 <= k <= n):
+        raise InputError(f"k must satisfy 1 <= k <= n in ints, got k={k!r}, n={n!r}")
     return tuple(itertools.combinations(range(1, n + 1), k))
 
 
@@ -341,9 +326,9 @@ def submatrix(m: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Matr
 
 def _cleared(*blocks) -> tuple[Sequence[Sequence[int]], Sequence[int], Sequence[int]]:
     """Integer form (A, R, C), A = diag(R)·M·diag(C), of the exact blocks M = [M1 | M2 | ...],
-    each a Matrix or rows.  A kernel's form (a product's too) is read as is, built if neither
-    it nor the entries are; else entries are cleared on the side whose lcms have fewer bits,
-    the other side's scales all ones.  Joined, each row is scaled to its scales' lcm."""
+    each a Matrix or rows.  A kernel's form (a product's too) is read as is; other entries
+    are cleared on the side whose lcms have fewer bits, the other side's scales all ones.
+    Joined, each row is scaled to its scales' lcm."""
     if len(blocks) > 1:
         forms = [_cleared(b) for b in blocks]
         row_den = [math.lcm(*r) for r in zip(*(f[1] for f in forms))]
@@ -611,18 +596,16 @@ def _solve_exact(m: Matrix, *rhs: Matrix) -> Matrix:
     """X with m X = [rhs...], from one reduced elimination of [m | rhs...],
     or SingularityError.  With d the common pivot, X[i][k] = A[i][n+k] C_i /
     (d C_{n+k}): X's form is A's right block times C_i sign(d) over the row
-    scales |d|, each row cut by its common factor, and the block's C."""
+    scales |d|, each row cut by its common factor, and the block's C; every
+    entry is a Fraction."""
     n = m.rows
     a, pivots, _, _, col_den = _bareiss(m, *rhs, reduce=True)
     if pivots != list(range(n)):
         raise SingularityError("matrix is singular")
-    d = a[-1][n - 1]
-    return Matrix._of(
-        (n, len(col_den) - n),
-        lambda: [[Fraction(x * col_den[i], a[i][i] * e) for x, e in zip(a[i][n:], col_den[n:])]
-                 for i in range(n)],
-        lambda: (*_cut([[x * col_den[i] * (1 if d > 0 else -1) for x in a[i][n:]]
-                        for i in range(n)], [abs(d)] * n), col_den[n:]))
+    d, k = a[-1][n - 1], len(col_den) - n
+    return Matrix._of(form=(*_cut([[x * col_den[i] * (1 if d > 0 else -1) for x in a[i][n:]]
+                                   for i in range(n)], [abs(d)] * n), col_den[n:]),
+                      ints=[[0] * k] * n)
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -660,6 +643,7 @@ def _flipped(m: Matrix, rows: bool, cols: bool) -> Matrix:
 
 def reversal_permutation(n: int) -> Matrix:
     """Permutation matrix sending basis vector e_i to e_{n+1-i}."""
+    _require_order(n, "the permutation's size")
     return Matrix(
         [[1 if j == n - 1 - i else 0 for j in range(n)] for i in range(n)]
     )

@@ -396,10 +396,10 @@ def _inverse_step(
     eigenvector is then the kernel of the shifted matrix, computable without
     error; None when that kernel is not a single line.
     """
-    n, s = m.rows, Fraction(value)
-    m = Matrix._of((n, n), [(*r[:i], r[i] - s, *r[i + 1:]) for i, r in enumerate(m._entries)])
+    s = Fraction(value)
+    m = Matrix._of([(*r[:i], r[i] - s, *r[i + 1:]) for i, r in enumerate(m._entries)])
     try:
-        return list(_solve_exact(m, Matrix._of((n, 1), [[b] for b in start])).col_tuple(0))
+        return list(_solve_exact(m, Matrix._of([[b] for b in start])).col_tuple(0))
     except SingularityError:
         kernel = nullspace(m)
         return list(kernel[0]) if len(kernel) == 1 else None
@@ -436,4 +436,4 @@ def refine_eigenbasis(
         # an entry that would round to 0 is rounded relative to its own size
         columns.append([y and (y.limit_denominator(_MAX_DENOMINATOR) or y.limit_denominator(
             _MAX_DENOMINATOR * math.ceil(1 / abs(y)))) for y in (x / pivot for x in raw)])
-    return Matrix._of((n, n), list(zip(*columns)))
+    return Matrix._of(list(zip(*columns)))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .errors import DomainError, InputError
 from .linalg import Matrix, _cleared, _columns, _cut, _flipped, _is_int
@@ -41,8 +41,8 @@ Side = Literal["lower", "upper"]
 def _blocks(n: int, kind: WordKind) -> tuple[tuple[int, int], ...]:
     """(letter, block) pairs of a word; block j holds 1..n-j in the standard
     word and n-1..j in the reversed one.  Words and peels both read it."""
-    if n < 1:
-        raise InputError("word size needs n >= 1")
+    if not _is_int(n) or n < 1:
+        raise InputError(f"word size needs an int n >= 1, got {n!r}")
     if kind == "standard":
         return tuple([(i, j) for j in range(1, n) for i in range(1, n - j + 1)])
     if kind == "reversed":
@@ -66,8 +66,8 @@ def reversed_word(n: int) -> tuple[int, ...]:
 
 def _generator(i: int, a: Scalar, n: int, at: tuple[int, int]) -> Matrix:
     """Identity of size n plus ``a`` at 0-based entry ``at``, for index i."""
-    if not 1 <= i <= n - 1:
-        raise InputError(f"generator index must lie in [1, {n - 1}], got {i}")
+    if not (_is_int(i) and _is_int(n) and 1 <= i <= n - 1):
+        raise InputError(f"generator index must be an int in [1, n-1], got {i!r} with n={n!r}")
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     rows[at[0]][at[1]] = a
     return Matrix(rows)
@@ -205,12 +205,14 @@ def synthesize(p: TPParameters) -> Matrix:
 # -- Gauss decomposition ---------------------------------------------------
 
 
-def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Matrix | None, Matrix | None]:
+def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Callable[[], Matrix] | None,
+                                                     Callable[[], Matrix] | None]:
     """Pivot-free exact elimination M = L * diag(d) * U, one pivot at a time.
 
-    Returns (d, L, U).  Stops at the first zero pivot, or with ``positive``
-    at the first negative one too; d then ends with that pivot and L and U
-    are None.  The k-th leading principal minor is d_1 ... d_k.
+    Returns (d, L, U), L and U as functions that build the factor, since most
+    callers read one factor or none.  Stops at the first zero pivot, or with
+    ``positive`` at the first negative one too; d then ends with that pivot
+    and L and U are None.  The k-th leading principal minor is d_1 ... d_k.
 
     A pivot-free Bareiss pass runs on the integers A = diag(R) M diag(C) of
     :func:`totpos.linalg._cleared`.  Before step k, a[i][j] (i, j >= k) is
@@ -237,16 +239,16 @@ def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Matrix | No
         prev = pivot
 
     def upper(g, s) -> Matrix:
-        # row i times s_i sign(P_i): integers over |P| and s, cut by gcds with P
-        return Matrix._of((n, n), lambda: [[
-            Fraction(x * s[i], s[j] * g[i][i]) if j > i else int(i == j) for j, x in enumerate(row)
-        ] for i, row in enumerate(g)], lambda: (*_cut(
+        # row i times s_i sign(P_i): integers over |P| and s, cut by gcds with P;
+        # the entries on and below the diagonal are the ints 1 and 0
+        return Matrix._of(form=(*_cut(
             [[0] * i + [x * t for x in row[i:]]
              for i, row in enumerate(g) for t in [s[i] if row[i] > 0 else -s[i]]],
-            [abs(row[i]) for i, row in enumerate(g)]), s))
+            [abs(row[i]) for i, row in enumerate(g)]), s),
+            ints=[[1] * (i + 1) + [0] * (n - 1 - i) for i in range(n)])
 
     # L is the transpose of the upper factor read from A^T and R
-    return diag, upper(list(zip(*a)), row_den).transpose(), upper(a, col_den)
+    return diag, lambda: upper(list(zip(*a)), row_den).transpose(), lambda: upper(a, col_den)
 
 
 def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
@@ -263,7 +265,7 @@ def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
     diag, lower, upper = _ldu(m)
     if lower is None:
         return None
-    return lower, tuple(diag), upper
+    return lower(), tuple(diag), upper()
 
 
 # -- peels ------------------------------------------------------------------

@@ -71,6 +71,12 @@ def test_pairing_matches_gram():
     assert form.pair([1, 1], [1, 1]) == 3 + 7 - 1 - 2
 
 
+@pytest.mark.parametrize("u, v", [([1], [1, 2]), ([1, 2, 3], [1, 2]), ([1, 2], [1])])
+def test_pairing_checks_both_lengths(u, v):
+    with pytest.raises(InputError):
+        BilinearForm(Matrix.identity(2)).pair(u, v)
+
+
 def test_positive_form_detection():
     assert is_totally_positive_form(BilinearForm(GRAM))
     assert not is_totally_positive_form(BilinearForm(Matrix.identity(2)))

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction as F
@@ -12,7 +13,6 @@ from fractions import Fraction as F
 import pytest
 
 from totpos import flags as flags_module
-from totpos import linalg as linalg_module
 from totpos import spectra
 from totpos.bilinear import tilde
 from totpos.curves import CirclePoint, MomentCurve, dihedral_partition, is_positive_quadruple
@@ -62,16 +62,19 @@ def _entries_built(m):
 
 
 def test_cell_tests_and_frames_never_build_the_upper_factor(monkeypatch):
-    uppers = []
-    real = flags_module.gauss_ldu
+    factored, built = [], []
+    real = flags_module._ldu
 
-    def spy(m):
-        ldu = real(m)
-        if ldu is not None:
-            uppers.append(ldu[2])
-        return ldu
+    def spy(m, positive=False):
+        diag, lower, upper = real(m, positive)
+        factored.append(lower is not None)
 
-    monkeypatch.setattr(flags_module, "gauss_ldu", spy)
+        def track(label, build):
+            return build and (lambda: built.append(label) or build())
+
+        return diag, track("lower", lower), track("upper", upper)
+
+    monkeypatch.setattr(flags_module, "_ldu", spy)
     rng = random.Random(2207)
     verdicts = []
     for n in range(2, 7):
@@ -79,12 +82,15 @@ def test_cell_tests_and_frames_never_build_the_upper_factor(monkeypatch):
         unit = synthesize_uni(random_uni_params(n, rng, side="lower", strict=True))
         primed = Flag(inverse(unit))
         other = random_flag(n, rng)
+        before = len(built)
+        verdicts += [opposed(cell, primed), not opposed(cell, cell)]
+        opposed(other, cell)
+        assert len(built) == before  # opposedness builds no factor
         verdicts += [
             in_B_pos(cell) is not None,
             in_B_pos_prime(primed) is not None,
-            opposed(cell, primed),
         ]
-        in_B_pos(other), in_B_pos_prime(other), opposed(other, cell)
+        in_B_pos(other), in_B_pos_prime(other)
         adapted_basis(cell, primed)
         curve = MomentCurve(n - 1)
         points = [CirclePoint.at(F(v, 2)) for v in (-3, -1, 1, 3)]
@@ -95,8 +101,8 @@ def test_cell_tests_and_frames_never_build_the_upper_factor(monkeypatch):
             not is_positive_quadruple([quad[0], quad[2], quad[1], quad[3]], q),
         ]
     assert all(verdicts)
-    assert len(uppers) > 50
-    assert not any(_entries_built(u) for u in uppers)
+    assert factored.count(True) > 50
+    assert "lower" in built and "upper" not in built
 
 
 def test_a_read_upper_factor_builds_its_entries():
@@ -255,7 +261,22 @@ def _assert_kernel_output(m, want):
     assert _float_bits(m.to_float()) == [[float(x).hex() for x in row] for row in want]
     assert repr(m.to_lists()) == repr(want)
     assert [[type(x) for x in row] for row in m.to_lists()] == [[type(x) for x in row] for row in want]
-    assert m._lazy == {}  # both builders dropped: no operand is held any more
+    _assert_holds_no_operand(m)
+
+
+def _assert_holds_no_operand(m):
+    """m's slots hold numbers in nested tuples: no operand and no function that
+    reads one.  Slots are read as slots: reading _entries would build them."""
+    def leaves(v):
+        return [x for y in v for x in leaves(y)] if isinstance(v, tuple) else [v]
+
+    held = []
+    for name in Matrix.__slots__:
+        try:
+            held += leaves(getattr(Matrix, name).__get__(m))
+        except AttributeError:  # not built yet
+            pass
+    assert all(type(x) in (int, bool, F) for x in held)
 
 
 def _float_bits(m):
@@ -301,11 +322,12 @@ def test_products_match_the_entrywise_oracle(shape):
         for right_label, right in _operands(inner, cols, rng):
             want = _entrywise_product(left, right)
             _assert_kernel_output(left @ right, want)
-            # read entries first: the form then comes from clearing them, and
-            # the product holds no builder, so no operand, any more
+            # read entries first, then floats from the form: the product holds
+            # no operand before or after
             p = left @ right
+            _assert_holds_no_operand(p)
             assert repr(p.to_lists()) == repr(want)
-            assert not any(map(callable, p._lazy.values()))
+            _assert_holds_no_operand(p)
             assert _float_bits(p.to_float()) == [[float(x).hex() for x in row] for row in want]
             # a product of products: a row that holds a Fraction is all Fractions
             unit = Matrix.identity(cols)
@@ -332,15 +354,15 @@ def test_long_unread_product_chains_build_without_recursion():
     assert _float_bits(_left_fold(factors).to_float()) == [[float(x).hex() for x in row]
                                                            for row in want]
     p = _left_fold(factors)
-    p._form
-    assert repr(p.to_lists()) == repr(want) and p._lazy == {}
+    det(p)
+    assert repr(p.to_lists()) == repr(want)
+    _assert_holds_no_operand(p)
     # repeated squaring shares each factor
     p = gen_x(1, F(1, 2), n)
     for _ in range(40):
         p = p @ p
     assert p[1, 0] == 2**39 and p.to_float()[1, 0] == 2.0**39
-    # no chain of unread products is longer than linalg._CHAIN_CAP, so a product
-    # read only through its form holds no more than that many factors
+    # a product stores only its form, so a chain read only through it holds no factor
     tracemalloc.start()
     try:
         p = _left_fold(factors[:300])
@@ -410,7 +432,7 @@ def test_quadruple_frames_match_checked_builds():
             quad = [curve.flag_at(CirclePoint(v)) for v in sorted(values)]
             # the reference pair of a positive and of a corrupted quadruple
             for f1, f3 in ((quad[0], quad[2]), (quad[0], quad[1])):
-                lower = flags_module._relative_ldu(f1, f3)[0]
+                lower = flags_module._relative_ldu(f1, f3)()
                 frame = Matrix((f1.rep @ _flipped(lower, True, True)).to_lists())
                 _assert_kernel_output(adapted_basis(f1, f3), _old_bottom_normalized(frame).to_lists())
                 compared += 1
@@ -434,11 +456,28 @@ def test_stable_flags_and_frames_never_multiply_entrywise(monkeypatch):
         return [flags_module.stable_flags(g) for g in maps], [adapted_basis(*p) for p in pairs]
 
     want = results()
+    products = []
+    real = Matrix.__matmul__
 
-    def entrywise(*args):
-        pytest.fail("an exact product built its entries")
+    def spy(a, b):
+        products.append(p := real(a, b))
+        return p
 
-    monkeypatch.setattr(linalg_module, "_exact_products", entrywise)
+    monkeypatch.setattr(Matrix, "__matmul__", spy)
     got = results()
+    exact = [p for p in products if p.is_exact]
+    assert len(exact) >= 2 * len(maps) + len(pairs)
+    assert not any(_entries_built(p) for p in exact)
     assert _typed(got) == _typed(want)
     assert got == want
+
+
+def test_products_and_views_hold_no_operand():
+    a = Matrix([[1, F(1, 2)], [3, 4]])
+    b = inverse(Matrix([[2, 1], [1, 1]]))
+    counts = sys.getrefcount(a), sys.getrefcount(b)
+    p = a @ b
+    det(p)
+    t = b.transpose()
+    assert (sys.getrefcount(a), sys.getrefcount(b)) == counts
+    assert p.to_lists() == [[F(1, 2), 0], [-1, 5]] and t.to_lists() == [[1, -1], [-1, 2]]

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totpos import bilinear, flags, whitney
 from totpos.classify import _Least, _minor_kinds, _scan_minors, is_variation_diminishing
 from totpos.errors import DomainError, InputError, SingularityError
 from totpos.flags import Flag
@@ -119,6 +120,39 @@ def test_matrix_ragged_rows_rejected():
         Matrix([[1, 2], [3]])
     with pytest.raises(InputError):
         Matrix([])
+
+
+@pytest.mark.parametrize("columns", [[[1], [1, 2]], [[1, 2], [1]]])
+def test_ragged_columns_rejected(columns):
+    with pytest.raises(InputError, match="ragged columns"):
+        Matrix.from_columns(columns)
+
+
+# every builder that takes a size or an index, given a float or a bool
+NON_INT_SIZES = {
+    "identity float": lambda: Matrix.identity(2.0),
+    "identity bool": lambda: Matrix.identity(True),
+    "ksubsets": lambda: ksubsets(3.0, 2),
+    "ksubsets k": lambda: ksubsets(3, 2.0),
+    "reversal_permutation": lambda: reversal_permutation(2.0),
+    "c0_matrix": lambda: bilinear.c0_matrix(2.0),
+    "star": lambda: bilinear.star(1.0, 3),
+    "star n": lambda: bilinear.star(1, 3.0),
+    "standard_flag": lambda: flags.standard_flag(2.0),
+    "reversed_flag": lambda: flags.reversed_flag(2.5),
+    "word_for": lambda: whitney.word_for(2.0, "standard"),
+    "standard_word bool": lambda: whitney.standard_word(True),
+    "gen_x size": lambda: whitney.gen_x(1, 1, 2.0),
+    "gen_x letter": lambda: whitney.gen_x(1.0, 1, 3),
+    "gen_y bool": lambda: whitney.gen_y(True, 1, 3),
+    "random_tp_matrix": lambda: random_tp_matrix(2.0, random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_INT_SIZES))
+def test_sizes_and_indices_must_be_ints(name):
+    with pytest.raises(InputError):
+        NON_INT_SIZES[name]()
 
 
 def test_matmul_frozen():
