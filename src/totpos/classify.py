@@ -150,8 +150,8 @@ def _factored_least(m: Matrix) -> _Least | None:
     pivots, lower, upper = _ldu(m, positive=True)
     if lower is None:
         return _Least.NEGATIVE if pivots[-1] < 0 or det(m) != 0 else None
-    low = membership_uni(lower(), "lower")
-    up = membership_uni(upper(), "upper") if low is not None else None
+    low = membership_uni(lower, "lower")
+    up = membership_uni(upper, "upper") if low is not None else None
     if up is None:
         return _Least.NEGATIVE
     return _Least.POSITIVE if low.strict and up.strict else _Least.ZERO

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from fractions import Fraction
+from typing import Literal
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import (
 from .linalg import (
     Matrix, _cleared, _columns, _flipped, _solve_exact, inverse, reversal_permutation)
 from .spectra import gk_spectrum, refine_eigenbasis
-from .whitney import UniParams, _ldu, membership_uni, standard_word
+from .whitney import UniParams, gauss_ldu, membership_uni, standard_word
 
 SigmaMode = Literal["identity", "tilde"]
 
@@ -113,17 +114,17 @@ def reversed_flag(n: int) -> Flag:
     return Flag(reversal_permutation(n))
 
 
-def _relative_ldu(f1: Flag, f2: Flag) -> Callable[[], Matrix] | None:
-    """The function building the lower factor L of the pivot-free LDU of
-    w0 A^-1 B (A, B the representatives, w0 the reversal); None exactly when
-    the flags are not opposed.  A^-1 moves the pair to the standard flag and
+def _relative_ldu(f1: Flag, f2: Flag) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
+    """Pivot-free LDU of w0 A^-1 B (A, B the representatives, w0 the
+    reversal), each factor built when first read; None exactly when the
+    flags are not opposed.  A^-1 moves the pair to the standard flag and
     the flag of A^-1 B, and e_1..e_k with the first n-k columns of A^-1 B
     span everything iff the last n-k rows of those columns, the order n-k
     leading block of w0 A^-1 B, are independent."""
     if f1.n != f2.n:
         raise InputError("flags must live in the same dimension")
     # w0 @ X reverses the rows of X
-    return _ldu(_flipped(_solve_exact(f1.rep, f2.rep), True, False))[1]
+    return gauss_ldu(_flipped(_solve_exact(f1.rep, f2.rep), True, False))
 
 
 def opposed(f1: Flag, f2: Flag) -> bool:
@@ -143,10 +144,10 @@ def _cell_params(g: Matrix, primed: bool) -> UniParams | None:
     L^-1 has the standard-word parameters c exactly when its twist
     (-1)^(n+1) C0 L^T C0 has the reversed-word parameters c.
     """
-    lower = _ldu(g)[1]
-    if lower is None:
+    ldu = gauss_ldu(g)
+    if ldu is None:
         return None
-    n, lower, word = g.rows, lower(), "standard"
+    n, lower, word = g.rows, ldu[0], "standard"
     if primed:
         lower, word = _twisted(lower.transpose(), True, True, n % 2 == 0), "reversed"
     params = membership_uni(lower, "lower", word)
@@ -184,11 +185,11 @@ def adapted_basis(f1: Flag, f2: Flag) -> Matrix:
     matrix, and its k-th column, A w0 times column n-k+1 of L, lies in the
     span of the first n-k+1 columns of B U^-1.
     """
-    lower = _relative_ldu(f1, f2)
-    if lower is None:
+    ldu = _relative_ldu(f1, f2)
+    if ldu is None:
         raise DomainError("flags are not opposed; the adapted basis does not exist")
     # A times an upper unitriangular matrix: the n lines are independent
-    frame = f1.rep @ _flipped(lower(), True, True)
+    frame = f1.rep @ _flipped(ldu[0], True, True)
     return _bottom_normalized(frame)
 
 

@@ -200,7 +200,10 @@ class Matrix:
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.cols:
             raise InputError("vector length must equal the column count")
-        return (self @ Matrix([[x] for x in vector])).col_tuple(0)
+        column = Matrix([[x] for x in vector])
+        if self._exact and column._exact:
+            return (self @ column).col_tuple(0)
+        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._entries)
 
     def to_float(self) -> "Matrix":
         # an int/int true division rounds correctly, as float() of a Fraction
@@ -248,14 +251,20 @@ class Matrix:
 
 class _Lazy(Matrix):
     """A kernel's output that stores its form and builds its entries on first
-    read.  The hook lives here, not on Matrix: a class with __getattr__ reads
-    every attribute more slowly."""
+    read; an LDU factor, which most callers never read, builds its form and
+    grid on first read too, as those of the output _build returns.  The hook
+    lives here, not on Matrix: a class with __getattr__ reads every attribute
+    more slowly."""
 
-    __slots__ = ()
+    __slots__ = ("_build",)
 
     def __getattr__(self, name: str) -> object:
         """The entries of a kernel's output, built on first read from its form:
         A[i][j] / (R[i]·C[j]), an int where the grid marks one, else a Fraction."""
+        if name in ("_form", "_ints"):
+            built = self._build()
+            self._set(_form=built._form, _ints=built._ints, _build=None)
+            return getattr(self, name)
         if name != "_entries":
             raise AttributeError(name)
         a, r, c = self._form

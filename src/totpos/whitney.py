@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .errors import DomainError, InputError
-from .linalg import Matrix, _cleared, _columns, _cut, _flipped, _is_int
+from .linalg import Matrix, _cleared, _columns, _cut, _flipped, _is_int, _Lazy, _require_order
 from .scalars import Scalar, _require_scalar
 
 WordKind = Literal["standard", "reversed"]
@@ -41,8 +41,7 @@ Side = Literal["lower", "upper"]
 def _blocks(n: int, kind: WordKind) -> tuple[tuple[int, int], ...]:
     """(letter, block) pairs of a word; block j holds 1..n-j in the standard
     word and n-1..j in the reversed one.  Words and peels both read it."""
-    if not _is_int(n) or n < 1:
-        raise InputError(f"word size needs an int n >= 1, got {n!r}")
+    _require_order(n, "the word size")
     if kind == "standard":
         return tuple([(i, j) for j in range(1, n) for i in range(1, n - j + 1)])
     if kind == "reversed":
@@ -205,12 +204,11 @@ def synthesize(p: TPParameters) -> Matrix:
 # -- Gauss decomposition ---------------------------------------------------
 
 
-def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Callable[[], Matrix] | None,
-                                                     Callable[[], Matrix] | None]:
+def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Matrix | None, Matrix | None]:
     """Pivot-free exact elimination M = L * diag(d) * U, one pivot at a time.
 
-    Returns (d, L, U), L and U as functions that build the factor, since most
-    callers read one factor or none.  Stops at the first zero pivot, or with
+    Returns (d, L, U), each factor built when first read, since most callers
+    read one factor or none.  Stops at the first zero pivot, or with
     ``positive`` at the first negative one too; d then ends with that pivot
     and L and U are None.  The k-th leading principal minor is d_1 ... d_k.
 
@@ -247,8 +245,12 @@ def _ldu(m: Matrix, positive: bool = False) -> tuple[list[Fraction], Callable[[]
             [abs(row[i]) for i, row in enumerate(g)]), s),
             ints=[[1] * (i + 1) + [0] * (n - 1 - i) for i in range(n)])
 
+    def factor(build) -> Matrix:  # built when first read
+        return object.__new__(_Lazy)._set(rows=n, cols=n, _exact=True, _build=build)
+
     # L is the transpose of the upper factor read from A^T and R
-    return diag, lambda: upper(list(zip(*a)), row_den).transpose(), lambda: upper(a, col_den)
+    return (diag, factor(lambda: upper(list(zip(*a)), row_den).transpose()),
+            factor(lambda: upper(a, col_den)))
 
 
 def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
@@ -265,7 +267,7 @@ def gauss_ldu(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...], Matrix] | None:
     diag, lower, upper = _ldu(m)
     if lower is None:
         return None
-    return lower(), tuple(diag), upper()
+    return lower, tuple(diag), upper
 
 
 # -- peels ------------------------------------------------------------------

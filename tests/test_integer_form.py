@@ -49,32 +49,33 @@ from totpos.spectra import gk_spectrum, refine_eigenbasis
 from totpos.whitney import factorize, gauss_ldu, gen_x, gen_y, membership_uni, synthesize_uni
 
 
-def _entries_built(m):
-    # the slot itself, not Matrix.__getattr__, which would build them
+def _slot_set(m, name):
+    # the slot itself, not the __getattr__ of a kernel output, which would build it
     try:
-        Matrix._entries.__get__(m)
+        getattr(Matrix, name).__get__(m)
     except AttributeError:
         return False
     return True
+
+
+def _entries_built(m):
+    return _slot_set(m, "_entries")
 
 
 # -- the upper factor nobody reads ---------------------------------------------
 
 
 def test_cell_tests_and_frames_never_build_the_upper_factor(monkeypatch):
-    factored, built = [], []
-    real = flags_module._ldu
+    factors = []
+    real = flags_module.gauss_ldu
 
-    def spy(m, positive=False):
-        diag, lower, upper = real(m, positive)
-        factored.append(lower is not None)
+    def spy(m):
+        ldu = real(m)
+        if ldu is not None:
+            factors.append(ldu)
+        return ldu
 
-        def track(label, build):
-            return build and (lambda: built.append(label) or build())
-
-        return diag, track("lower", lower), track("upper", upper)
-
-    monkeypatch.setattr(flags_module, "_ldu", spy)
+    monkeypatch.setattr(flags_module, "gauss_ldu", spy)
     rng = random.Random(2207)
     verdicts = []
     for n in range(2, 7):
@@ -82,10 +83,11 @@ def test_cell_tests_and_frames_never_build_the_upper_factor(monkeypatch):
         unit = synthesize_uni(random_uni_params(n, rng, side="lower", strict=True))
         primed = Flag(inverse(unit))
         other = random_flag(n, rng)
-        before = len(built)
+        before = len(factors)
         verdicts += [opposed(cell, primed), not opposed(cell, cell)]
         opposed(other, cell)
-        assert len(built) == before  # opposedness builds no factor
+        # opposedness builds no factor
+        assert not any(_slot_set(f, "_form") for ldu in factors[before:] for f in ldu[::2])
         verdicts += [
             in_B_pos(cell) is not None,
             in_B_pos_prime(primed) is not None,
@@ -101,8 +103,9 @@ def test_cell_tests_and_frames_never_build_the_upper_factor(monkeypatch):
             not is_positive_quadruple([quad[0], quad[2], quad[1], quad[3]], q),
         ]
     assert all(verdicts)
-    assert factored.count(True) > 50
-    assert "lower" in built and "upper" not in built
+    assert len(factors) > 50
+    assert any(_slot_set(lower, "_form") for lower, _, _ in factors)
+    assert not any(_slot_set(upper, "_form") or _entries_built(upper) for _, _, upper in factors)
 
 
 def test_a_read_upper_factor_builds_its_entries():
@@ -432,7 +435,7 @@ def test_quadruple_frames_match_checked_builds():
             quad = [curve.flag_at(CirclePoint(v)) for v in sorted(values)]
             # the reference pair of a positive and of a corrupted quadruple
             for f1, f3 in ((quad[0], quad[2]), (quad[0], quad[1])):
-                lower = flags_module._relative_ldu(f1, f3)()
+                lower = flags_module._relative_ldu(f1, f3)[0]
                 frame = Matrix((f1.rep @ _flipped(lower, True, True)).to_lists())
                 _assert_kernel_output(adapted_basis(f1, f3), _old_bottom_normalized(frame).to_lists())
                 compared += 1

@@ -209,6 +209,13 @@ def test_products_match_the_sum_of_products_loop(kinds):
     assert repr(Matrix([[2]]).apply([3])) == "(6,)"
 
 
+def test_exact_rows_apply_to_mixed_vectors_by_exact_then_float_sums():
+    # the exact terms are summed exactly; the float term joins the sum as a float
+    row = Matrix([[F(1, 10)] * 4])
+    assert repr(row.apply([1, 1, 1, 0.5])) == "(0.35,)"
+    assert repr(row.apply([1, 1, 1, F(1, 2)])) == "(Fraction(7, 20),)"
+
+
 def test_arithmetic_operators():
     a = Matrix([[1, 2], [3, 4]])
     assert a + a == a.scale(2)
