@@ -181,6 +181,8 @@ def canonical_basis(form: BilinearForm) -> CanonicalBasisResult:
     v = refine_eigenbasis(comparison, spectrum.eigenvalues, spectrum.eigenvectors)
     gram_new = v.transpose() @ form.gram @ v
     g = gram_new.to_float()
+    if any(g[r, n - 1 - r] == 0.0 and gram_new[r, n - 1 - r] for r in range(n)):
+        raise InputError("the Gram matrix in the canonical basis lies outside the float range")
     anti_scale = max(abs(g[r, n - 1 - r]) for r in range(n))
     if anti_scale == 0.0:
         raise ConsistencyError("anti-diagonal of the transformed Gram vanished")

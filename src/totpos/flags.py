@@ -250,6 +250,8 @@ def _transport_blocks(
     """
     n = m.rows
     a = np.array(m.to_float().to_lists(), dtype=np.float64)
+    if not np.max(np.abs(a)) >= np.finfo(np.float64).tiny:
+        raise InputError("the frame map lies outside the float range")
     op = np.einsum("ai,jb->abij", a, np.linalg.inv(a))
     if sigma_mode == "tilde":
         op = -op.swapaxes(2, 3)

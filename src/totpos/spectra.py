@@ -10,6 +10,12 @@ Rayleigh-quotient iteration in extended precision using a local Gaussian
 solver, and cross-checks the compound identities against Rayleigh quotients
 taken exactly over the input.
 
+:func:`refine_eigenbasis` runs on integers: one integer form of the matrix
+per call, one fraction-free elimination per shifted solve, one
+continued-fraction rounding per entry; a shift that is an exact eigenvalue
+takes the :func:`totpos.linalg.nullspace` line, and :func:`verify_gk` reads
+the same step.
+
 :func:`gk_spectrum` owns the spectral law itself: it returns only when the
 eigenvalues are positive and separated by the gap tolerance and every
 eigenpair residual is within tolerance, and raises ConvergenceError
@@ -33,13 +39,9 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import _is_positive, _scan_minors
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InputError,
-    SingularityError,
-)
-from .linalg import Matrix, _cleared_line, _MinorLevel, _solve_exact, det, nullspace
+from .errors import ConvergenceError, DomainError, InputError
+from .linalg import Matrix, _bareiss, _cleared, _cleared_line, _MinorLevel, det, nullspace
+from .scalars import Scalar, _require_scalar
 
 
 # Read when a routine runs, not bound as defaults, so a test may patch one.
@@ -51,8 +53,9 @@ _GAP_TOL = 1e-8
 _PRODUCT_REL_TOL = 1e-7
 _DET_REL_TOL = 1e-9
 _MAX_DENOMINATOR = 10**30
-# Largest |entry| the power iteration takes as it is; past it, it runs on
-# the matrix scaled by a power of two, so no square leaves the float range.
+# Largest |entry| the power iteration takes as it is, and the reciprocal the
+# least nonzero one; outside, it runs on the matrix scaled by a power of two,
+# so no square leaves the float range.
 _POWER_RANGE = 2.0**500
 
 
@@ -154,8 +157,8 @@ def _power_perron(a: np.ndarray) -> tuple[float, np.ndarray]:
     if n == 1:
         return float(a[0, 0]), np.ones(1)
     top = float(np.max(np.abs(a)))
-    if top > _POWER_RANGE:
-        # squares would overflow: iterate on a / 2**e, exact, and scale back
+    if top > _POWER_RANGE or 0 < top < 1 / _POWER_RANGE:
+        # squares would overflow or underflow: iterate on a / 2**e, exact, and scale back
         e = math.frexp(top)[1]
         root, vec = _power_perron(np.ldexp(a, -e))
         return math.ldexp(root, e), vec
@@ -342,14 +345,14 @@ def verify_gk(m: Matrix) -> GKReport:
     failures: list[str] = []
     c = spectrum.eigenvalues
     exact = m.to_exact()
+    form = _cleared(exact)
     n = m.rows
     start = [10 + (3 * i * i + i) % 7 for i in range(n)]
     compound_ok = True
     prod = 1.0
     for k in range(n):
-        x = _inverse_step(exact, c[k], start) or start
-        # the quotient ignores the scale of x, so x may as well be integral
-        x = _cleared_line(x)[0]
+        # the quotient ignores the scale of x, so the integer step serves
+        x = _inverse_step(form, c[k], start) or start
         quotient = Fraction(sum(p * q for p, q in zip(x, exact.apply(x))), sum(p * p for p in x))
         prod *= float(quotient)
         if abs(spectrum.perron_roots[k] - prod) > _PRODUCT_REL_TOL * abs(
@@ -380,29 +383,56 @@ def verify_gk(m: Matrix) -> GKReport:
     )
 
 
+def _limited(n: int, d: int, bound: int) -> tuple[int, int]:
+    """Fraction(n, d).limit_denominator(bound) as its coprime pair (p, q), q > 0,
+    read off the continued fraction of n/d, which need not be in lowest terms:
+    Euclid's quotients and the tie test do not see a common factor of n and d."""
+    if d < 0:
+        n, d = -n, -d
+    top = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while d:
+        k, r = divmod(n, d)
+        if q0 + k * q1 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + k * p1, q0 + k * q1
+        n, d = d, r
+    else:
+        return p1, q1
+    # the fraction lies between the convergent p1/q1 and the semiconvergent, and
+    # is nearer p1/q1, or as near, when 2·d·(q0 + k·q1) <= its denominator
+    k = (bound - q0) // q1
+    if 2 * d * (q0 + k * q1) <= top:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _rationalize_columns(v: Matrix) -> Matrix:
     """Each float entry as the nearest rational with denominator <= 10^12."""
-    return Matrix(
-        [[Fraction(float(x)).limit_denominator(10**12) for x in row] for row in v.to_lists()]
-    )
+    return Matrix._of([[Fraction(*_limited(*float(x).as_integer_ratio(), 10**12)) for x in row]
+                       for row in v._entries])
 
 
-def _inverse_step(
-    m: Matrix, value: float, start: list[Fraction] | list[int]
-) -> list[Fraction] | None:
-    """One exact inverse-iteration step: solve (m - value I) x = start.
+def _inverse_step(form, value: Scalar, w: list[int]) -> list[int] | None:
+    """One exact inverse-iteration step: a nonzero integer multiple z of the x with
+    (m - value I) x = w, m given by its form (A, R, C) and value = p/q.
 
-    A singular shifted matrix means the shift is an exact eigenvalue, whose
-    eigenvector is then the kernel of the shifted matrix, computable without
-    error; None when that kernel is not a single line.
+    Reads z_i = C_i·y_i off one reduced elimination of [q·A - p·diag(R_i·C_i) | R·w],
+    whose right column is a multiple of y = diag(C)^-1·x.  A singular shifted matrix
+    means the shift is an exact eigenvalue, whose eigenvector is then the kernel of
+    the shifted matrix, computable without error; None when that kernel is not a line.
     """
-    s = Fraction(value)
-    m = Matrix._of([(*r[:i], r[i] - s, *r[i + 1:]) for i, r in enumerate(m._entries)])
-    try:
-        return list(_solve_exact(m, Matrix._of([[b] for b in start])).col_tuple(0))
-    except SingularityError:
-        kernel = nullspace(m)
-        return list(kernel[0]) if len(kernel) == 1 else None
+    a, r, c = form
+    n = len(r)
+    p, q = Fraction(value).as_integer_ratio()
+    shifted = [[q * x for x in row] for row in a]
+    for i, row in enumerate(shifted):
+        row[i] -= p * r[i] * c[i]
+    e, pivots, *_ = _bareiss([[*row, s * x] for row, s, x in zip(shifted, r, w)], reduce=True)
+    if pivots == list(range(n)):
+        return [t * row[n] for t, row in zip(c, e)]
+    kernel = nullspace(Matrix._of(shifted))
+    return [t * x for t, x in zip(c, _cleared_line(kernel[0])[0])] if len(kernel) == 1 else None
 
 
 def refine_eigenbasis(
@@ -415,25 +445,36 @@ def refine_eigenbasis(
     of the column's float eigenvalue.  The shift sits many orders of
     magnitude closer to its own eigenvalue than to any neighbor, so one
     exact solve sharpens the eigendirection far below the float64 error the
-    column starts with.  When a shift is an exact eigenvalue the column is
-    its kernel line, or is kept as rationalized if the kernel is not a line.
+    column starts with.  The step runs on integers: m is cleared once, each
+    solve gives an integer multiple z of the solution, and entry i is z_i / z_P,
+    P the first largest |z_i|, rounded from the integer pair to denominator
+    <= 10^30, or relative to its own size if that gives 0.  When a shift is
+    an exact eigenvalue the column is its kernel line from
+    :func:`totpos.linalg.nullspace`, or is kept as rationalized if the
+    kernel is not a line.  Eigenvalues follow the entry rule: an int,
+    Fraction or finite float, else InputError.
     """
     if not m.is_square:
         raise InputError("eigenbasis refinement requires a square matrix")
-    m = m.to_exact()
     n = m.rows
     if len(eigenvalues) != n or vectors.rows != n or vectors.cols != n:
         raise InputError("eigenbasis shape does not match the matrix")
+    for value in eigenvalues:
+        _require_scalar(value)
+    form = _cleared(m.to_exact())
     start = _rationalize_columns(vectors)
-    columns: list[list[Fraction]] = []
+    top = _MAX_DENOMINATOR
+    columns = []
     for j in range(n):
-        col = list(start.col_tuple(j))
-        raw = _inverse_step(m, eigenvalues[j], col)
-        if raw is None:
+        col = start.col_tuple(j)
+        z = _inverse_step(form, eigenvalues[j], _cleared_line(col)[0])
+        if z is None:
             columns.append(col)
             continue
-        pivot = max(raw, key=abs)
+        pivot = max(z, key=abs)
         # an entry that would round to 0 is rounded relative to its own size
-        columns.append([y and (y.limit_denominator(_MAX_DENOMINATOR) or y.limit_denominator(
-            _MAX_DENOMINATOR * math.ceil(1 / abs(y)))) for y in (x / pivot for x in raw)])
+        rounded = [_limited(x, pivot, top) for x in z]
+        columns.append([Fraction(*(y if y[0] or not x else
+                                   _limited(x, pivot, top * -(-abs(pivot) // abs(x)))))
+                        for x, y in zip(z, rounded)])
     return Matrix._of(list(zip(*columns)))

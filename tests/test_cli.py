@@ -5,8 +5,10 @@ import contextlib
 import io
 import json
 import math
+import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from totpos import cli
 from totpos.bilinear import A_to_form
 from totpos.cli import main
 from totpos.linalg import Matrix
+from totpos.sampling import random_tp_matrix
 from totpos.serialization import format_matrix_grid, input_digest, payload
 from totpos.whitney import factorize
 
@@ -372,6 +375,22 @@ def test_stable_flags_one_by_one_is_input_error(tmp_path, capsys, backend, sigma
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "1x1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["stable-flags", "canonical-form"])
+def test_results_below_the_float_range_are_input_errors(tmp_path, capsys, command):
+    m = random_tp_matrix(4, random.Random(5)).scale(Fraction(1, 10**400))
+    args = [command, str(tmp_path / "tiny.txt")]
+    if command == "canonical-form":
+        m = A_to_form(m).gram
+    else:
+        args += ["--sigma", "tilde"]
+    (tmp_path / "tiny.txt").write_text(
+        "\n".join(" ".join(f"{x.numerator}/{x.denominator}" for x in row) for row in m.to_lists()))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outside the float range" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_minor_table_cap_is_input_error(tmp_path, capsys):

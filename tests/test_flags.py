@@ -28,7 +28,7 @@ from totpos.flags import (
     stable_flags,
     standard_flag,
 )
-from totpos.linalg import Matrix, det, inverse, rank, reversal_permutation
+from totpos.linalg import Matrix, det, inverse, rank, reversal_permutation, submatrix
 from totpos.sampling import (
     random_flag,
     random_invertible,
@@ -612,3 +612,58 @@ def test_twisted_primed_peel_matches_the_inverse_oracle(monkeypatch):
         assert repr(_cell_params(g, p)) == repr(want), (g, p)
         primed += p and want is not None
     assert primed > 150
+
+
+def _plucker_cell(g, primed):
+    """Lusztig's rule, which peels nothing: the flag of g lies in the open positive cell
+    exactly when, for each k < n, the k x k minors of g on columns 1..k over every row
+    set I are nonzero and of one sign; the primed cell reads each minor times (-1)^sum(I)."""
+    n = g.rows
+    for k in range(1, n):
+        signs = set()
+        for rows in itertools.combinations(range(1, n + 1), k):
+            m = det(submatrix(g, rows, range(1, k + 1))) * (-1 if primed and sum(rows) % 2 else 1)
+            signs.add((m > 0) - (m < 0))
+        if signs not in ({1}, {-1}):
+            return False
+    return True
+
+
+def _near_boundary(g, rng):
+    """g with one entry moved: to 0, across its sign, or by a little."""
+    rows = g.to_lists()
+    i, j = rng.randrange(g.rows), rng.randrange(g.cols)
+    rows[i][j] = rng.choice([0, -rows[i][j], rows[i][j] + F(rng.choice([-1, 1]), rng.randint(1, 1000))])
+    return Matrix(rows)
+
+
+def test_cell_tests_match_the_flag_minor_rule():
+    rng = random.Random(1313)
+    reps = []
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(8):
+            # zero parameters put a flag on the boundary; inverses lie on the primed side
+            for strict in (True, False):
+                u = synthesize_uni(random_uni_params(n, rng, side="lower", strict=strict))
+                for g in (u, inverse(u)):
+                    reps += [g, _near_boundary(g, rng)]
+            reps.append(random_flag(n, rng).rep)
+    reps += [g.to_float() for g in reps[::3]]
+    # the flags of criteria 6-8: stable pairs of TP maps in both modes
+    for n in (2, 3, 4, 5):
+        g = random_tp_matrix(n, rng)
+        for sigma_mode in ("identity", "tilde"):
+            pair = stable_flags(g, sigma_mode)
+            reps += [pair.flag.rep, pair.flag_prime.rep]
+    verdicts = {(p, v): 0 for p in (False, True) for v in (False, True)}
+    for g in reps:
+        try:
+            f = flag_from_matrix(g)
+        except SingularityError:
+            continue
+        for cell, primed in ((in_B_pos, False), (in_B_pos_prime, True)):
+            inside = cell(f) is not None
+            assert inside == _plucker_cell(f.rep, primed), (g, primed)
+            verdicts[primed, inside] += 1
+    # each cell answers both ways, many times
+    assert min(verdicts.values()) > 100

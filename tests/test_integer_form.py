@@ -16,7 +16,7 @@ from totpos import flags as flags_module
 from totpos import spectra
 from totpos.bilinear import tilde
 from totpos.curves import CirclePoint, MomentCurve, dihedral_partition, is_positive_quadruple
-from totpos.errors import InputError
+from totpos.errors import InputError, SingularityError
 from totpos.flags import (
     Flag,
     adapted_basis,
@@ -28,6 +28,7 @@ from totpos.flags import (
 )
 from totpos.linalg import (
     Matrix,
+    _cleared,
     _flipped,
     _solve_exact,
     compound,
@@ -387,14 +388,26 @@ def _old_bottom_normalized(frame):
     return Matrix.from_columns(columns)
 
 
+def _old_inverse_step(m, value, start):
+    """One exact inverse-iteration step on Fractions: solve (m - value I) x = start,
+    or the kernel line of a singular shift, None when the kernel is not a line."""
+    s = F(value)
+    m = Matrix([[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.to_lists())])
+    try:
+        return list(_solve_exact(m, Matrix([[b] for b in start])).col_tuple(0))
+    except SingularityError:
+        kernel = nullspace(m)
+        return list(kernel[0]) if len(kernel) == 1 else None
+
+
 def _old_refine_eigenbasis(m, eigenvalues, vectors):
-    """refine_eigenbasis with its columns built as a checked matrix."""
+    """refine_eigenbasis on Fractions, with its columns built as a checked matrix."""
     m = m.to_exact()
-    start = spectra._rationalize_columns(vectors)
+    start = Matrix([[F(float(x)).limit_denominator(10**12) for x in row] for row in vectors.to_lists()])
     columns = []
     for j in range(m.rows):
         col = list(start.col_tuple(j))
-        raw = spectra._inverse_step(m, eigenvalues[j], col)
+        raw = _old_inverse_step(m, eigenvalues[j], col)
         if raw is None:
             columns.append(col)
             continue
@@ -421,6 +434,45 @@ def test_refined_eigenbases_and_their_frames_match_checked_builds():
         assert [[type(x) for x in row] for row in refined.to_lists()] == [[F] * g.rows] * g.rows
         frame = flags_module._bottom_normalized(refine_eigenbasis(*args))
         _assert_kernel_output(frame, _old_bottom_normalized(old).to_lists())
+
+
+def _refinement_corpus():
+    """Canonical comparison matrices at n = 2..8 (odd n: the middle eigenvalue 1 is an
+    exact shift), both stable-flag composites, and entries 1e-40 and 1e-100 of their
+    column's largest."""
+    rng = random.Random(2026)
+    corpus = []
+    for n in range(2, 9):
+        g = random_tp_matrix(n, rng)
+        a = g.transpose()
+        corpus += [tilde(a) @ a, g, g @ tilde(g)]
+    return corpus + [Matrix([[x, 1], [x + 1, 2 * x]]) for x in (10**39 + 3, 10**100 + 3)]
+
+
+def _rayleigh(m, x):
+    return sum(p * q for p, q in zip(x, m.apply(x))) / F(sum(p * p for p in x))
+
+
+def test_refinement_on_integers_matches_the_fraction_path(monkeypatch):
+    kernels = []
+    monkeypatch.setattr(spectra, "nullspace", lambda m: kernels.append(m.rows) or nullspace(m))
+    for exact in _refinement_corpus():
+        spectrum = gk_spectrum(exact)
+        # the float copy too, refined as its dyadic copy with the same float eigenbasis
+        for m in (exact, exact.to_float()):
+            args = (m, spectrum.eigenvalues, spectrum.eigenvectors)
+            got, want = refine_eigenbasis(*args).to_lists(), _old_refine_eigenbasis(*args).to_lists()
+            assert repr(got) == repr(want)
+            assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+        # verify_gk's Rayleigh quotients, which ignore the scale of the step
+        start = [10 + (3 * i * i + i) % 7 for i in range(exact.rows)]
+        for value in spectrum.eigenvalues:
+            new, old = (x or start for x in (spectra._inverse_step(_cleared(exact), value, start),
+                                             _old_inverse_step(exact, value, start)))
+            assert _rayleigh(exact, new) == _rayleigh(exact, old)
+    # the singular shift 1 of each odd-n comparison matrix and tilde composite, in the
+    # refinement and the step; their float copies' dyadic values lack it
+    assert sorted(kernels) == [n for n in (3, 5, 7) for _ in range(4)]
 
 
 def test_quadruple_frames_match_checked_builds():

@@ -212,6 +212,76 @@ def test_perron_past_the_square_range_scales_by_a_power_of_two():
     assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(big_vec, vec))
 
 
+def test_perron_below_the_square_range_scales_by_a_power_of_two():
+    # entries near 10**-200 have squares below the float range
+    m = random_tp_matrix(4, random.Random(5))
+    root, vec = perron(m)
+    small_root, small_vec = perron(m.scale(Fraction(1, 10**200)))
+    assert math.isclose(small_root, root * 1e-200, rel_tol=1e-12)
+    assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(small_vec, vec))
+
+
+def test_power_iteration_on_a_zero_matrix_degenerates():
+    # no power of two rescales 0; an exact matrix whose float copy underflows to 0 too
+    with pytest.raises(ConvergenceError, match="degenerated"):
+        spectra._power_perron(np.zeros((3, 3)))
+    with pytest.raises(ConvergenceError, match="degenerated"):
+        perron(random_tp_matrix(4, random.Random(5)).scale(Fraction(1, 10**400)))
+
+
+def test_results_below_the_float_range_are_input_errors():
+    # the canonical comparison matrix and the tilde composite ignore the scale,
+    # but the Gram matrix in the basis and the frame map underflow to 0
+    m = random_tp_matrix(4, random.Random(5))
+    tiny = m.scale(Fraction(1, 10**400))
+    with pytest.raises(InputError, match="outside the float range"):
+        stable_flags(tiny, sigma_mode="tilde")
+    with pytest.raises(InputError, match="outside the float range"):
+        canonical_basis(A_to_form(tiny))
+    small = m.scale(Fraction(1, 10**300))
+    assert stable_flags(small, sigma_mode="tilde").eigenvalues == stable_flags(m, "tilde").eigenvalues
+    assert canonical_basis(A_to_form(small)).basis == canonical_basis(A_to_form(m)).basis
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, None, True, "3"])
+def test_refine_eigenbasis_eigenvalues_follow_the_entry_rule(value):
+    m = Matrix([[2, 1], [1, 2]])
+    spectrum = gk_spectrum(m)
+    with pytest.raises(InputError):
+        spectra.refine_eigenbasis(m, (spectrum.eigenvalues[0], value), spectrum.eigenvectors)
+
+
+def _farey_tie(rng, bound):
+    """A fraction halfway between two neighbors of the Farey sequence of order bound."""
+    d = rng.randint(2, bound)
+    c = rng.randrange(1, d)
+    while math.gcd(c, d) != 1:
+        c = rng.randrange(1, d)
+    b = pow(c, -1, d)
+    b += (bound - b) // d * d  # the left neighbor of c/d with the largest denominator
+    a = (b * c - 1) // d
+    return Fraction(a, b) / 2 + Fraction(c, d) / 2
+
+
+def test_limited_rounds_integer_pairs_as_limit_denominator():
+    rng = random.Random(26)
+    cases = []
+    for _ in range(400):
+        bound = rng.choice([1, 2, 7, 10**3, 10**12, 10**30, rng.randint(1, 10**40)])
+        n, d = rng.randint(-10**60, 10**60), rng.randint(1, 10**rng.randint(1, 60))
+        g = rng.choice([1, -1, rng.randint(2, 10**30), -rng.randint(2, 10**30)])
+        cases.append((n * g, d * g, bound))  # unreduced, either sign
+        small = rng.randint(1, bound)  # a denominator at most the bound
+        cases.append((rng.randint(-10**6, 10**6) * g, small * g, bound))
+        if bound > 2:
+            tie = _farey_tie(rng, min(bound, 10**9))
+            cases.append((tie.numerator * g, tie.denominator * g, min(bound, 10**9)))
+    cases += [(0, 5, 1), (0, -5, 10**30), (7, 2, 1), (-7, 2, 1), (1, 3, 1), (2, 3, 1)]
+    for n, d, bound in cases:
+        want = Fraction(n, d).limit_denominator(bound)
+        assert spectra._limited(n, d, bound) == (want.numerator, want.denominator), (n, d, bound)
+
+
 def test_refine_eigenbasis_reads_a_float_matrix_as_its_dyadic_copy():
     # past n = 3 the float copy of a random TP matrix often fails the float
     # TP gate, which reads the zero band
