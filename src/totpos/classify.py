@@ -27,7 +27,13 @@ gets each minor correctly rounded to a float from the same rows.  The table
 holds at most the minors of the full table at n = 12; a larger scan, such
 as any float verdict past n = 12, raises InputError.
 ``classify`` decides all three kinds from one sign and then asks only about
-the powers for the oscillatory exponent.
+the powers for the oscillatory exponent.  By Gantmacher and Krein (1950),
+a totally nonnegative matrix has a totally positive power exactly when it
+is invertible and every entry a(i, i+1) and a(i+1, i) is positive, and then
+its (n-1)-th power is totally positive.  So a matrix that fails this
+criterion gets no exponent without any power being formed; the search
+runs over the powers of one that passes, each of them invertible, so the
+factorization decides each exact power in O(n^3).
 """
 
 from __future__ import annotations
@@ -231,8 +237,11 @@ def is_variation_diminishing(m: Matrix) -> bool:
 def is_oscillatory(m: Matrix, m_max: int | None = None) -> int | None:
     """Least power making the matrix totally positive, or None.
 
-    Only totally nonnegative matrices qualify; the search is capped at
-    ``m_max`` (default n - 1, the classical sufficient bound, floored at 1).
+    Only totally nonnegative matrices qualify, and among them, by the
+    Gantmacher-Krein criterion, only invertible ones whose entries a(i, i+1)
+    and a(i+1, i) are all positive; for those the search is capped at
+    ``m_max`` (default n - 1, floored at 1), and the (n-1)-th power is
+    always totally positive, so the default cap never misses the exponent.
     """
     if not m.is_square:
         raise InputError("oscillatory classification is defined for square matrices")
@@ -243,8 +252,11 @@ def classify(m: Matrix, m_max: int | None = None) -> TPClass:
     """Three-way classification with the oscillatory exponent attached.
 
     One least minor sign of ``m`` decides the kind.  A totally nonnegative
-    ``m`` is already known not to be totally positive, so the exponent
-    search asks only about its powers, from the square up to ``m_max``; an
+    ``m`` is already known not to be totally positive.  Unless it is
+    invertible (det, exact on a float matrix's dyadic copy, is nonzero) with
+    every entry a(i, i+1) and a(i+1, i) positive, no power of it is totally
+    positive (Gantmacher-Krein) and the exponent is None; otherwise the
+    search asks about its powers, from the square up to ``m_max``.  An
     ``m_max`` that is not an int >= 1 raises InputError before any work.
     """
     if m_max is not None:
@@ -256,6 +268,9 @@ def classify(m: Matrix, m_max: int | None = None) -> TPClass:
         return TPClass(TPKind.TOTALLY_POSITIVE, 1)
     if least is _Least.NEGATIVE:
         return TPClass(TPKind.NEITHER, None)
+    # the Gantmacher-Krein criterion: otherwise no power is totally positive
+    if not all(m[i, i + 1] > 0 < m[i + 1, i] for i in range(m.rows - 1)) or det(m) == 0:
+        return TPClass(TPKind.TOTALLY_NONNEGATIVE_ONLY, None)
     cap = m_max if m_max is not None else max(m.rows - 1, 1)
     power = m
     for exponent in range(2, cap + 1):

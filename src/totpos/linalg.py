@@ -475,14 +475,18 @@ class _MinorLevel(Mapping):
     def floats(self) -> list[list[float]]:
         """The minors row by row, each correctly rounded to a float: on
         scaled rows an int/int true division, which CPython rounds
-        correctly, as it does ``float()`` of an int or a Fraction; past the
-        float range, InputError."""
+        correctly, as it does ``float()`` of an int or a Fraction.  Past the
+        float range, InputError; so too when every nonzero minor of the order
+        rounds to 0.0, which would leave no sign to read."""
         s = self.scale
         try:
-            return [list(map(float, row)) if s == 1 else [v / s for v in row]
-                    for row in self.rows]
+            out = [list(map(float, row)) if s == 1 else [v / s for v in row]
+                   for row in self.rows]
         except OverflowError:
             raise InputError("a minor lies outside the float range") from None
+        if not any(map(any, out)) and any(map(any, self.rows)):
+            raise InputError("a minor lies outside the float range")
+        return out
 
 
 def _is_int(k: object) -> bool:

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from totpos import linalg, monoid_generate_check
 from totpos.bilinear import A_to_form, canonical_basis, form_to_A, tilde
 from totpos.classify import (
+    TPClass,
     TPKind,
     _factored_least,
     _is_positive,
     _Least,
+    _least_sign,
     _scan_minors,
     classify,
     is_oscillatory,
@@ -215,9 +217,19 @@ def test_float_zero_band_saturates_past_float_range():
     assert monoid_generate_check(m)
     big_diagonal = Matrix.diagonal([1e100, 1.0, 1.0, 1.0])
     assert classify(big_diagonal).kind is TPKind.TOTALLY_NONNEGATIVE_ONLY
-    # the square of this one leaves the float range, which a matrix refuses
-    with pytest.warns(StrictnessWarning):
+    # a diagonal has no power that is totally positive (Gantmacher-Krein), so
+    # its square, which would leave the float range, is never formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = classify(Matrix.diagonal([1e200, 1.0, 1.0]))
+    assert (result.kind, result.oscillatory_m) == (TPKind.TOTALLY_NONNEGATIVE_ONLY, None)
+    # a tridiagonal with a positive band passes the criterion; its square
+    # leaves the float range, which a matrix refuses, so strict positivity of
+    # the powers is indeterminate
+    big = 1e200
+    with pytest.warns(StrictnessWarning) as caught:
+        result = classify(Matrix([[big, 1, 0], [1, big, 1], [0, 1, big]]))
+    assert len(caught) == 1
     assert (result.kind, result.oscillatory_m) == (TPKind.TOTALLY_NONNEGATIVE_ONLY, None)
 
 
@@ -699,3 +711,74 @@ def test_m_max_is_checked_before_any_work(m_max):
             is_oscillatory(m, m_max)
     assert classify(TRIDIAG, 1).oscillatory_m is None
     assert is_oscillatory(TRIDIAG, 2) == 2
+
+
+def _ungated_class(m, m_max=None):
+    # oracle: classify's search before the Gantmacher-Krein criterion, which
+    # forms every power up to the cap whatever the matrix
+    least = _least_sign(m, strict=False)
+    if _is_positive(least):
+        return TPKind.TOTALLY_POSITIVE, 1
+    if least is _Least.NEGATIVE:
+        return TPKind.NEITHER, None
+    power = m
+    for exponent in range(2, (m_max or max(m.rows - 1, 1)) + 1):
+        try:
+            power = power @ m
+        except InputError:
+            break
+        if _is_positive(_least_sign(power, strict=True)):
+            return TPKind.TOTALLY_NONNEGATIVE_ONLY, exponent
+    return TPKind.TOTALLY_NONNEGATIVE_ONLY, None
+
+
+def _singular_family(n):
+    # B C, with B the n x (n-1) Vandermonde matrix on nodes 1..n and C the
+    # transpose of the one on nodes 2..n+1: singular, with every minor of
+    # order below n positive (Cauchy-Binet), so totally nonnegative
+    b = Matrix([[i**j for j in range(n - 1)] for i in range(1, n + 1)])
+    c = Matrix([[k**j for k in range(2, n + 2)] for j in range(n - 1)])
+    return b @ c
+
+
+def test_gated_exponent_matches_the_ungated_power_search():
+    rng = random.Random(2027)
+    corpus = [random_tn_matrix(n, rng) for n in range(2, 7) for _ in range(40)]
+    corpus += [Matrix([[1] * n for _ in range(n)]) for n in (2, 3, 4)]
+    exponents = set()
+    for exact in corpus:
+        for m in (exact, exact.to_float()):
+            for m_max in range(1, m.rows + 1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", StrictnessWarning)
+                    result = classify(m, m_max)
+                    want = _ungated_class(m, m_max)
+                assert (result.kind, result.oscillatory_m) == want, (m.to_lists(), m_max)
+                exponents.add(want[1])
+    for n in range(4, 9):
+        result = classify(_singular_family(n))
+        assert (result.kind, result.oscillatory_m) == _ungated_class(_singular_family(n))
+    # the corpus holds oscillatory and non-oscillatory TN-only matrices
+    assert {None, 1, 2, 3} <= exponents
+
+
+def test_no_power_is_formed_when_the_criterion_fails(monkeypatch):
+    singular = [_singular_family(n) for n in range(8, 12)]
+    # invertible and TN, but a(2,3) = a(3,2) = 0, or a zero band below or
+    # above the diagonal; and singular with positive bands
+    split = Matrix([[1, 1, 0], [1, 2, 0], [0, 0, 1]])
+    upper = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    ones = Matrix([[1] * 3 for _ in range(3)])
+
+    def refuse(a, b):
+        raise AssertionError("a power was formed")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    for m in singular:
+        assert classify(m) == TPClass(TPKind.TOTALLY_NONNEGATIVE_ONLY, None)
+    for m in (split, upper, upper.transpose(), ones, ones.to_float(), split.to_float()):
+        assert classify(m, 10**6).oscillatory_m is None
+        assert is_oscillatory(m, 10**6) is None
+    # the criterion holds on the tridiagonal, whose square is formed
+    with pytest.raises(AssertionError, match="a power was formed"):
+        classify(TRIDIAG, 10**6)

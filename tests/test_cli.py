@@ -595,6 +595,18 @@ def test_values_past_the_float_range_are_input_errors(tmp_path, capsys, command)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_minors_below_the_float_range_are_input_errors(tmp_path, capsys, fmt):
+    # the entries fit in a float, but every order-2 minor rounds to 0.0
+    path = tmp_path / "tiny.txt"
+    path.write_text("1e-200 1e-200 1e-200\n1e-200 2e-200 4e-200\n1e-200 3e-200 9e-200\n")
+    assert main(["spectrum", str(path), *fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "a minor lies outside the float range" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "text",
     ["[[1" + "0" * 400 + ", 1], [1, 1]]\n", "1" + "0" * 400 + " 1\n1 1\n"],

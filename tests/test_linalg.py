@@ -497,6 +497,25 @@ def _table_read_cases():
     return exact + tp + floats + [m.to_float() for m in tp]
 
 
+def test_table_floats_refuse_an_order_that_rounds_to_zero():
+    # every nonzero order-2 minor rounds to 0.0, as a minor past the float
+    # range rounds to inf: neither leaves a float with the minor's sign
+    tiny = random_tp_matrix(4, random.Random(5)).scale(F(1, 10**200))
+    levels = minor_levels(tiny)
+    assert max(map(max, next(levels)[1].floats())) > 0
+    with pytest.raises(InputError, match="a minor lies outside the float range"):
+        next(levels)[1].floats()
+    # an order whose minors are all exactly zero, or where some minor keeps
+    # its float, reads as before
+    assert [t.floats() for _, t in minor_levels(Matrix([[0, 0], [0, 0]]))] == [
+        [[0.0] * 2] * 2, [[0.0]]
+    ]
+    mixed = Matrix([[F(1, 10**200), 0], [0, 1]])
+    assert [t.floats() for _, t in minor_levels(mixed)][1] == [[1e-200]]
+    with pytest.raises(InputError, match="a minor lies outside the float range"):
+        [t.floats() for _, t in minor_levels(Matrix.diagonal([F(1, 10**200)] * 2))]
+
+
 @pytest.mark.filterwarnings("ignore::totpos.errors.StrictnessWarning")
 def test_minor_table_reads_match_the_exact_minors():
     seen = set()

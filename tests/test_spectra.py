@@ -202,6 +202,21 @@ def test_compounds_past_the_float_range_are_input_errors():
                 pass  # any library error but a bare OverflowError
 
 
+@pytest.mark.parametrize("digits", [200, 300])
+def test_compounds_below_the_float_range_are_input_errors(digits):
+    # the entries fit, but every order-2 minor rounds to 0.0, which would
+    # leave the Perron ladder an all-zero compound; the twisted and form
+    # routes and the Perron root ignore the scale and answer
+    m = random_tp_matrix(4, random.Random(5)).scale(Fraction(1, 10**digits))
+    underflowing = {"gk_spectrum", "verify_gk", "stable_flags identity"}
+    for name, call in _spectral_entry_points(m).items():
+        if name in underflowing:
+            with pytest.raises(InputError, match="a minor lies outside the float range"):
+                call()
+        else:
+            call()
+
+
 def test_perron_past_the_square_range_scales_by_a_power_of_two():
     # entries near 10**200 have squares past the float range; the root is
     # scale-equivariant, and the iteration runs on the matrix over 2**e
