@@ -263,13 +263,6 @@ class CurveReport:
         return self.failed == 0 and self.total > 0
 
 
-def _default_points(samples: int) -> tuple[CirclePoint, ...]:
-    # symmetric half-integer ladder, all distinct and exact
-    return tuple(
-        CirclePoint(Fraction(2 * j - (samples - 1), 2)) for j in range(samples)
-    )
-
-
 def is_positive_curve_sampled(
     curve,
     samples: int = 8,
@@ -282,10 +275,11 @@ def is_positive_curve_sampled(
 
     ``curve`` is any object with ``degree`` and ``flag_at``;  explicit
     ``points`` win over a table's own samples, which win over a default
-    ladder of ``samples`` half-integers.  Exhaustive mode checks all
-    4-subsets; random mode draws ``trials`` subsets with a seeded
-    generator.  Exhaustive mode first tests the k-3 fan quadruples, which
-    decide a positive curve (module docstring).
+    ladder of ``samples`` half-integers.  Exhaustive mode counts all C(k, 4)
+    subsets; random mode draws ``trials`` subsets from a seeded generator,
+    each as it is tested.  Exhaustive mode first tests the k-3 fan
+    quadruples, which decide a positive curve (module docstring).  The
+    report lists no subsets; it keeps the first failure.
     """
     if mode not in ("exhaustive", "random"):
         raise InputError(f"unknown sampling mode {mode!r}")
@@ -295,7 +289,8 @@ def is_positive_curve_sampled(
         else:
             if not _is_int(samples) or samples < 4:
                 raise InputError(f"samples must be an int >= 4, got {samples!r}")
-            points = _default_points(samples)
+            # symmetric half-integer ladder, all distinct and exact
+            points = [CirclePoint(Fraction(2 * j - (samples - 1), 2)) for j in range(samples)]
     pts = sorted(set(points), key=CirclePoint.sort_key)
     if len(pts) != len(points):
         raise InputError("sample points must be distinct")
@@ -303,15 +298,14 @@ def is_positive_curve_sampled(
         raise InputError("need at least four sample points")
     flags = {p: curve.flag_at(p) for p in pts}
     if mode == "exhaustive":
-        subsets = list(itertools.combinations(range(len(pts)), 4))
+        total = math.comb(len(pts), 4)
+        subsets = itertools.combinations(range(len(pts)), 4)
     else:
-        count = trials if trials is not None else 100
-        if not _is_int(count) or count < 1:
-            raise InputError(f"need an int count of at least one trial, got {count!r}")
+        total = trials if trials is not None else 100
+        if not _is_int(total) or total < 1:
+            raise InputError(f"need an int count of at least one trial, got {total!r}")
         rng = random.Random(seed)
-        subsets = [
-            tuple(sorted(rng.sample(range(len(pts)), 4))) for _ in range(count)
-        ]
+        subsets = (tuple(sorted(rng.sample(range(len(pts)), 4))) for _ in range(total))
     verdicts: dict[tuple[int, ...], bool] = {}
 
     def positive(subset: tuple[int, ...]) -> bool:
@@ -326,16 +320,18 @@ def is_positive_curve_sampled(
         fan_decides = mode == "exhaustive" and all(map(positive, fan))
     except DomainError:
         fan_decides = False
-    failures = [] if fan_decides else [s for s in subsets if not positive(s)]
+    misses = (s for s in (() if fan_decides else subsets) if not positive(s))
+    first = next(misses, None)
+    failed = sum(1 for _ in misses) + (first is not None)
     return CurveReport(
         degree=curve.degree,
         n_points=len(pts),
         mode=mode,
         seed=seed,
-        total=len(subsets),
-        passed=len(subsets) - len(failures),
-        failed=len(failures),
-        first_failure=tuple(str(pts[i]) for i in failures[0]) if failures else None,
+        total=total,
+        passed=total - failed,
+        failed=failed,
+        first_failure=tuple(str(pts[i]) for i in first) if first else None,
     )
 
 
@@ -441,9 +437,9 @@ def convex_curve_check(
     n = curve.n
     worst = 0
     for _ in range(trials):
-        h = [Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(n)]
-        while all(x == 0 for x in h):
-            h = [Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(n)]
+        h = [0] * n
+        while not any(h):
+            h = [rng.randint(-coeff_bound, coeff_bound) for _ in range(n)]
         worst = max(worst, hyperplane_intersection_count(curve, h))
     return ConvexReport(
         degree=curve.degree,

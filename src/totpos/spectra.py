@@ -267,7 +267,7 @@ def gk_spectrum(m: Matrix) -> Spectrum:
             )
     if values[-1] <= 0:
         raise ConvergenceError("computed eigenvalues are not all positive")
-    a64 = np.array(m.to_float().to_lists(), dtype=np.float64)
+    a64 = compounds[0]
     ald = a64.astype(np.longdouble)
     anorm = float(np.sqrt(np.sum(a64 * a64)))
     columns: list[np.ndarray] = []

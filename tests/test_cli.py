@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from totpos import cli
 from totpos.bilinear import A_to_form
 from totpos.cli import main
+from totpos.curves import CirclePoint, MomentCurve, TableFlagCurve
+from totpos.flags import flag_from_matrix
 from totpos.linalg import Matrix
 from totpos.sampling import random_tp_matrix
 from totpos.serialization import format_matrix_grid, input_digest, payload
@@ -712,3 +714,37 @@ def test_token_past_the_digit_bound_is_one_short_error(tmp_path, capsys, form):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "more than 4300 digits" in err and len(err) < 100
+
+
+def test_a_dash_reads_the_matrix_from_stdin(monkeypatch, capsys):
+    text = "1 1 1\n1 2 4\n1 3 9\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["classify", "-", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["kind"] == "TotallyPositive" and data["input_sha256"] == input_digest(text)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["synth"], "synth needs either --params or --n"),
+     (["curve-check", "--degree", "2", "--points", "0,,1,2"], "empty circle point token"),
+     (["quadruple", "v", "v", "v", "v", "--points", "0,1,2"], "--points needs exactly four")],
+    ids=["synth-no-source", "empty-point", "three-points"],
+)
+def test_argument_errors_exit_2_with_one_line(vandermonde, capsys, argv, message):
+    assert main([vandermonde if a == "v" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_curve_check_text_names_the_first_failure(monkeypatch, capsys):
+    # no moment curve fails, so the command is handed a table curve with one
+    # flag sign-flipped (the failing table of tests/test_curves.py)
+    pts = [CirclePoint.at(v) for v in range(4)]
+    flags = [MomentCurve(2).flag_at(p) for p in pts]
+    flags[1] = flag_from_matrix(Matrix.diagonal([-1, 1, 1]) @ flags[1].rep)
+    monkeypatch.setattr(cli, "MomentCurve", lambda degree: TableFlagCurve(list(zip(pts, flags))))
+    assert main(["curve-check", "--degree", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "failed: 1\nok: False\nfirst failure at: 0, 1, 2, 3\n" in out

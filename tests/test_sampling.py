@@ -42,3 +42,8 @@ def test_relaxed_parameters_hit_zero():
     p = random_tp_parameters(5, rng, strict=False)
     assert not p.strict
     assert any(x == 0 for x in p.a + p.b)  # zero rate 1/4 over 20 draws
+
+
+def test_nonzero_vector_redraws_an_all_zero_draw():
+    assert random.Random(23).randint(-9, 9) == 0  # the first draw of a 1-vector
+    assert random_nonzero_vector(1, random.Random(23)) != [0]

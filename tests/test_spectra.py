@@ -320,3 +320,39 @@ def test_refined_entries_far_below_the_largest_keep_their_sign(x, sigma_mode):
     pair = stable_flags(Matrix([[x, 1], [x + 1, 2 * x]]), sigma_mode)
     assert pair.params.strict and pair.params_prime.strict
     assert pair.stability_residual == 0.0
+
+
+def test_refine_eigenbasis_keeps_a_column_whose_kernel_is_not_a_line():
+    # each shift is an exact eigenvalue of the identity, whose kernel is the plane
+    vectors = Matrix([[0.6, 0.8], [0.8, -0.6]])
+    got = spectra.refine_eigenbasis(Matrix.identity(2), (1, 1), vectors)
+    assert repr(got.to_lists()) == repr([[Fraction(3, 5), Fraction(4, 5)],
+                                         [Fraction(4, 5), Fraction(-3, 5)]])
+
+
+@pytest.mark.parametrize(
+    "diagonal, theta", [((2.0, 3.0), 2.0), ((1e-310, 3.0), 0.0)], ids=["singular", "overflowing"]
+)
+def test_rayleigh_refine_jitters_a_shift_it_cannot_solve(monkeypatch, diagonal, theta):
+    # a - theta I is singular, or its solve overflows to inf: either way the
+    # shift moves up by the jitter, and the iteration still finds e1
+    shifts = []
+    solve = spectra._solve_dense
+
+    def spy(a, b):
+        shifts.append(3.0 - a[1, 1])
+        return solve(a, b)
+
+    monkeypatch.setattr(spectra, "_solve_dense", spy)
+    with np.errstate(over="ignore"):
+        _, vec, res = spectra._rayleigh_refine(np.diag(diagonal), theta, np.array([1.0, 1.0]))
+    assert shifts[0] == theta < shifts[1]
+    assert abs(vec[1]) < 1e-12 < abs(vec[0]) and res < 1e-13
+
+
+def test_rayleigh_refine_returns_its_best_pair_when_the_cap_runs_out(monkeypatch):
+    monkeypatch.setattr(spectra, "_REFINE_CAP", 0)
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    theta, vec, res = spectra._rayleigh_refine(a, 2.5, np.array([3.0, 4.0]))
+    assert theta == 2.5 and list(vec) == [0.6, 0.8]
+    assert res == spectra._residual(a, 2.5, vec)
