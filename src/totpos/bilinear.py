@@ -142,7 +142,7 @@ class CanonicalBasisResult:
 
     ``basis`` holds one exact eigenvector per column, matched with
     ``eigenvalues`` in strictly decreasing order; ``gram_in_basis`` is the
-    input Gram matrix against it, float for a float form.  ``z_values[r-1]``
+    input Gram matrix against it, exact on both backends.  ``z_values[r-1]``
     is (-1)^r times its entry (r, r*), and ``chain[r-1] = z_r / z_{r*}``,
     which reproduces the reciprocals of the eigenvalues.
     """
@@ -161,10 +161,12 @@ def canonical_basis(form: BilinearForm) -> CanonicalBasisResult:
     Builds the canonical totally positive matrix attached to the form,
     tilde(A) A with A the transpose of the comparison matrix, takes its
     eigenbasis, and returns the form's Gram matrix in that basis together
-    with the signed anti-diagonal profile.  Raises DomainError when the
-    form is not totally positive, and ConsistencyError when an internal
-    identity fails beyond tolerance.
+    with the signed anti-diagonal profile.  A float Gram matrix is read as
+    its dyadic copy.  Raises DomainError when the form is not totally
+    positive, and ConsistencyError when an internal identity fails beyond
+    tolerance.
     """
+    form = BilinearForm(form.gram.to_exact())
     n = form.n
     a = form_to_A(form)
     if not is_totally_positive(a):

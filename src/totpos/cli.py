@@ -7,17 +7,18 @@ in argument order, so results can be tied back to inputs (a seeded
 ``synth`` digests its options; ``curve-check`` and ``convex-check`` read no
 input).  ``--json`` switches to machine-readable output, and on all but
 ``synth``, ``quadruple``, ``curve-check`` and ``convex-check``,
-``--backend float`` reads decimals as binary floats.  The library
-eliminates those floats exactly, as the dyadic rationals they are, so
-determinants, factorizations, flags and eigenbases are exact; only the
-signs of a float minor table (positivity verdicts) use the one zero band.
-Exit codes: 0 success, 1 domain or computation failure, 2 malformed input.
+``--backend float`` reads decimals as binary floats.  Only the signs of
+a float minor table (positivity verdicts) use the one zero band; every
+other result, spectra and flags included, is that of the dyadic copy the
+floats are.  Exit codes: 0 success, 1 domain or computation failure or an
+output pipe closed by its reader (no traceback), 2 malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -383,10 +384,14 @@ def main(argv: list[str] | None = None) -> int:
         if digests:
             out["input_sha256"] = digests[0] if len(digests) == 1 else digests
             lines.append(f"input sha256: {', '.join(digests)}")
-        if args.json:
-            print(json.dumps(payload(out), indent=2, sort_keys=True))
-        else:
-            print("\n".join(lines))
+        text = json.dumps(payload(out), indent=2, sort_keys=True) if args.json else "\n".join(lines)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left: what is unwritten goes to devnull, so the exit flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         return 0
     except TotposError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,8 +49,8 @@ from .whitney import UniParams, gauss_ldu, membership_uni, standard_word
 
 SigmaMode = Literal["identity", "tilde"]
 
-# How far a stable flag's representative may move under the action, and the
-# off-diagonal bound, relative to the diagonal, of a map on the positive torus.
+# How far a stable flag's representative may move under the action, relative to
+# its largest entry, and the off-diagonal bound, relative to the diagonal, of a map on the positive torus.
 _STABILITY_TOL = 1e-6
 _COMPONENT_REL_TOL = 1e-8
 
@@ -232,8 +232,10 @@ class StableFlagPair:
 
 
 def _flag_distance(a: Flag, b: Flag) -> float:
-    diff = a.rep.to_float() - b.rep.to_float()
-    return max(abs(float(x)) for row in diff.to_lists() for x in row)
+    """Largest entrywise gap of the rounded representatives over their largest |entry|."""
+    x, y = a.rep.to_float().to_lists(), b.rep.to_float().to_lists()
+    gap = max(abs(p - q) for r, s in zip(x, y) for p, q in zip(r, s))
+    return gap / max(abs(p) for row in x + y for p in row)
 
 
 def _transport_blocks(
@@ -272,15 +274,16 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
     input times its twist must be.  The attracting flag collects the
     eigenvectors in decreasing eigenvalue order and lands in the open
     positive cell; the repelling flag takes the increasing order and lands
-    in the primed cell; the eigenvectors are refined exactly, for float input
-    on its dyadic copy.  Both fixed-point claims are re-verified on the
-    computed flags, as are the cell memberships and the transversal moduli.
+    in the primed cell; the eigenvectors are refined exactly, and a float map
+    is read as its dyadic copy.  Both fixed-point claims are re-verified on
+    the computed flags, as are the cell memberships and the transversal moduli.
     """
     if not g.is_square:
         raise InputError("stable flags require a square matrix")
     n = g.rows
     if n < 2:
         raise InputError(f"stable flags need n >= 2, got a {n}x{n} matrix")
+    g = g.to_exact()
     if sigma_mode == "identity":
         composite = g
         requirement = "identity mode requires a totally positive matrix"
@@ -326,8 +329,8 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
         )
     if sigma_mode == "tilde":
         # the tangent action is y -> -m y^T m^-1 with m = w^-1 g tilde(w) C0
-        w_alpha = _twisted(w_alpha, False, True)
-    dilation, contraction, finite = _transport_blocks(w_inv @ g @ w_alpha, sigma_mode)
+        image = _twisted(image, False, True)
+    dilation, contraction, finite = _transport_blocks(w_inv @ image, sigma_mode)
     margin = min(
         min(float(c) for c in params.c),
         min(float(c) for c in params_prime.c),
@@ -350,11 +353,11 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
 def identity_component_check(g: Matrix, pair: StableFlagPair) -> bool:
     """True when the map is diagonal with positive entries in the frame
     adapted to its stable pair, i.e. lies on the positive torus through the
-    identity rather than a twisted component."""
+    identity rather than a twisted component: one exact solve, rounded once."""
     if not g.is_square:
         raise InputError("component check requires a square matrix")
     w = adapted_basis(pair.flag, pair.flag_prime)
-    d = inverse(w).to_float() @ g.to_float() @ w.to_float()
+    d = _solve_exact(w, g.to_exact() @ w).to_float()
     n = d.rows
     diag = [float(d[i, i]) for i in range(n)]
     scale = max(abs(x) for x in diag)

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import _is_positive, _scan_minors
+from .classify import _Least, _scan_minors
 from .errors import ConvergenceError, DomainError, InputError
 from .linalg import Matrix, _bareiss, _cleared, _cleared_line, _MinorLevel, det, nullspace
 from .scalars import Scalar, _require_scalar
@@ -210,9 +210,9 @@ def perron(m: Matrix) -> tuple[float, tuple[float, ...]]:
 def _compound_arrays(m: Matrix) -> list[np.ndarray]:
     """Float arrays of every compound order 1..n of a totally positive matrix.
 
-    The minor table that certifies total positivity is the one the arrays
-    are read from: each entry is one correctly rounded quotient of the
-    table's integer row value by its scale d**k, so no exact minor is
+    The exact minor table that certifies total positivity is the one the
+    arrays are read from: each entry is one correctly rounded quotient of
+    the table's integer row value by its scale d**k, so no exact minor is
     built.  Raises DomainError when the certificate fails.
     """
     out: list[np.ndarray] = []
@@ -220,7 +220,7 @@ def _compound_arrays(m: Matrix) -> list[np.ndarray]:
     def keep(k: int, table: _MinorLevel) -> None:
         out.append(np.array(table.floats(), dtype=np.float64))
 
-    if not _is_positive(_scan_minors(m, strict=True, on_level=keep)):
+    if _scan_minors(m, strict=True, on_level=keep) is not _Least.POSITIVE:
         raise DomainError("matrix is not totally positive")
     return out
 
@@ -241,15 +241,16 @@ def gk_spectrum(m: Matrix) -> Spectrum:
 
     Eigenvalues come from ratios of consecutive compound Perron roots;
     eigenvectors come from shifted inverse iteration refined per eigenpair.
-    One minor table both certifies total positivity and supplies the
-    compounds.  Raises DomainError when the input is not totally positive
-    and ConvergenceError when two eigenvalues are too close to separate at
-    the gap tolerance, or an eigenpair residual exceeds its tolerance.
+    One exact minor table, of a float matrix's dyadic copy, both certifies
+    total positivity and supplies the compounds.  Raises DomainError when
+    the input is not totally positive and ConvergenceError when two
+    eigenvalues are too close to separate at the gap tolerance, or an
+    eigenpair residual exceeds its tolerance.
     """
     if not m.is_square:
         raise InputError("spectral analysis requires a square matrix")
     n = m.rows
-    compounds = _compound_arrays(m)
+    compounds = _compound_arrays(m.to_exact())
     roots: list[float] = []
     for arr in compounds:
         root, _ = _power_perron(arr)
@@ -338,14 +339,14 @@ def verify_gk(m: Matrix) -> GKReport:
     product of Rayleigh quotients x^T M x / x^T x, taken exactly over the
     exact matrix, with x from one exact inverse-iteration step shifted by
     each eigenvalue: two genuinely different computations of the same
-    quantity.  Raises DomainError and ConvergenceError as
-    :func:`gk_spectrum` does.
+    quantity.  A float matrix is read as its dyadic copy.  Raises
+    DomainError and ConvergenceError as :func:`gk_spectrum` does.
     """
+    m = m.to_exact()
     spectrum = gk_spectrum(m)
     failures: list[str] = []
     c = spectrum.eigenvalues
-    exact = m.to_exact()
-    form = _cleared(exact)
+    form = _cleared(m)
     n = m.rows
     start = [10 + (3 * i * i + i) % 7 for i in range(n)]
     compound_ok = True
@@ -353,7 +354,7 @@ def verify_gk(m: Matrix) -> GKReport:
     for k in range(n):
         # the quotient ignores the scale of x, so the integer step serves
         x = _inverse_step(form, c[k], start) or start
-        quotient = Fraction(sum(p * q for p, q in zip(x, exact.apply(x))), sum(p * p for p in x))
+        quotient = Fraction(sum(p * q for p, q in zip(x, m.apply(x))), sum(p * p for p in x))
         prod *= float(quotient)
         if abs(spectrum.perron_roots[k] - prod) > _PRODUCT_REL_TOL * abs(
             spectrum.perron_roots[k]
@@ -461,7 +462,7 @@ def refine_eigenbasis(
         raise InputError("eigenbasis shape does not match the matrix")
     for value in eigenvalues:
         _require_scalar(value)
-    form = _cleared(m.to_exact())
+    form = _cleared(m)
     start = _rationalize_columns(vectors)
     top = _MAX_DENOMINATOR
     columns = []

@@ -372,12 +372,15 @@ def test_form_maps_match_the_entrywise_oracles():
 
 
 def test_float_form_is_read_in_the_refined_basis_of_its_dyadic_copy():
-    # seeds whose float copy passes the float TP gates, at n = 2 and 3
+    # the float Gram matrix is read as its dyadic copy, the basis and the
+    # Gram matrix in it exact; the chain stays close to the exact form's
     for seed in (0, 21):
         form = random_positive_form(2 + seed % 5, random.Random(seed))
-        result = canonical_basis(BilinearForm(form.gram.to_float()))
+        gram = form.gram.to_float()
+        result = canonical_basis(BilinearForm(gram))
         exact = canonical_basis(form)
-        assert result.basis.is_exact and not result.gram_in_basis.is_exact
+        assert result.basis.is_exact and result.gram_in_basis.is_exact
+        assert repr(result) == repr(canonical_basis(BilinearForm(gram.to_exact())))
         assert all(isinstance(z, float) for z in result.z_values + result.chain)
         for got, want in zip(result.chain, exact.chain):
             assert math.isclose(got, want, rel_tol=1e-8)

@@ -5,7 +5,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -748,3 +750,20 @@ def test_curve_check_text_names_the_first_failure(monkeypatch, capsys):
     assert main(["curve-check", "--degree", "2"]) == 0
     out = capsys.readouterr().out
     assert "failed: 1\nok: False\nfirst failure at: 0, 1, 2, 3\n" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_output_pipe_exits_1_without_a_traceback(tmp_path, unbuffered):
+    # the twist of a 100x100 bidiagonal ones matrix prints 130 KB, more than a pipe holds
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(" ".join("1" if j in (i, i + 1) else "0" for j in range(100))
+                              for i in range(100)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-m", "totpos.cli", "tilde", str(path), "--json"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=60) == 1

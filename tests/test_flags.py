@@ -231,6 +231,25 @@ def test_identity_component_check_refuses_maps_off_the_torus():
     assert not identity_component_check(Matrix([[0] * 3] * 3), pair)
 
 
+def test_identity_component_check_reads_the_frame_map_exactly():
+    # g·g is diagonal in g's frame; float products of the frame and the map
+    # once cancelled it off the torus
+    g = random_tp_matrix(6, random.Random(0))
+    pair = stable_flags(g)
+    assert identity_component_check(g @ g, pair)
+    assert identity_component_check(g.to_float(), pair)
+
+
+def test_stability_residual_is_relative_to_the_representatives():
+    # a Vandermonde matrix with a corner of 10**20 is totally positive; its
+    # representatives hold entries near 10**20 that agree to rounding, which
+    # an absolute gap read as a move of about 1.6e4
+    rows = [[i**j for j in range(4)] for i in range(1, 5)]
+    rows[3][3] = 10**20
+    pair = stable_flags(Matrix(rows))
+    assert pair.stability_residual < 1e-15
+
+
 def test_stable_flags_eigenvalues_descend():
     rng = random.Random(51)
     g = random_tp_matrix(4, rng)
@@ -299,7 +318,8 @@ def test_stable_frame_matches_adapted_basis_oracle(sigma_mode):
             w = adapted_basis(pair.flag, pair.flag_prime)
             w_inv = inverse(w)
             w_alpha = w if sigma_mode == "identity" else tilde(w) @ c0_matrix(n)
-            assert _transport_blocks(w_inv @ m @ w_alpha, sigma_mode) == (
+            # stable_flags reads a float map as its dyadic copy
+            assert _transport_blocks(w_inv @ m.to_exact() @ w_alpha, sigma_mode) == (
                 pair.dilation_moduli,
                 pair.contraction_moduli,
                 pair.finite_order_moduli,

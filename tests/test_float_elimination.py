@@ -2,7 +2,9 @@
 exact dyadic rationals its entries are.
 
 Every elimination routine answers on a float matrix exactly as it does on
-that matrix's exact copy, near-singular and zero-band-edge inputs included.
+that matrix's exact copy, near-singular and zero-band-edge inputs included,
+and so do the spectra, the stable flags, the component check and the
+canonical bases built on them; only the positivity verdicts read the band.
 The float partial-pivot sweep and Gauss-Jordan loops that once ran on float
 input are kept here as oracles: on well-conditioned input the exact answers
 agree with them to float accuracy.
@@ -11,11 +13,14 @@ agree with them to float accuracy.
 import random
 from fractions import Fraction as F
 
-from totpos.errors import SingularityError
-from totpos.flags import flag_from_matrix, in_B_pos, in_B_pos_prime
+from totpos.bilinear import BilinearForm, canonical_basis
+from totpos.errors import InputError, SingularityError, TotposError
+from totpos.flags import (
+    flag_from_matrix, identity_component_check, in_B_pos, in_B_pos_prime, stable_flags)
 from totpos.linalg import Matrix, det, inverse, nullspace, rank, solve, transpose_inverse
-from totpos.sampling import random_tp_matrix, random_uni_params
+from totpos.sampling import random_positive_form, random_tp_matrix, random_uni_params
 from totpos.scalars import zero_threshold
+from totpos.spectra import gk_spectrum, verify_gk
 from totpos.whitney import factorize, gauss_ldu, membership_uni, synthesize_uni
 
 _REL_TOL = 1e-9
@@ -126,7 +131,7 @@ def _square_inputs():
 
 
 def test_float_elimination_is_elimination_of_the_exact_copy():
-    compared = 0
+    compared = spectral = 0
     for m in _square_inputs():
         assert not m.is_exact
         x = m.to_exact()
@@ -141,10 +146,22 @@ def test_float_elimination_is_elimination_of_the_exact_copy():
             (factorize, ()),
             (factorize, ("reversed",)),
             (flag_from_matrix, ()),
+            (gk_spectrum, ()),
+            (verify_gk, ()),
+            (stable_flags, ("identity",)),
+            (stable_flags, ("tilde",)),
         ):
             assert _outcome(fn, m, *args) == _outcome(fn, x, *args), (fn.__name__, m)
             compared += 1
         assert _outcome(solve, m, rhs) == _outcome(solve, x, rhs)
+        assert _outcome(canonical_basis, BilinearForm(m)) == _outcome(canonical_basis, BilinearForm(x))
+        try:
+            pair = stable_flags(x)
+        except TotposError:
+            pass
+        else:
+            assert identity_component_check(m, pair) is identity_component_check(x, pair)
+            spectral += 1
         if _outcome(flag_from_matrix, m)[1] is None:
             # both cell tests on the flag of the float matrix and of its copy
             f, g = flag_from_matrix(m), flag_from_matrix(x)
@@ -152,6 +169,26 @@ def test_float_elimination_is_elimination_of_the_exact_copy():
                 assert repr(cell(f)) == repr(cell(g))
         assert isinstance(det(m), F)
     assert compared > 2000
+    assert spectral > 40
+
+
+def test_float_tp_copies_take_the_spectral_results_of_their_dyadic_copies():
+    # float copies whose float minor tables put a minor in the zero band, so
+    # that gk_spectrum's gate once refused them
+    for n in range(2, 7):
+        g = random_tp_matrix(n, random.Random(58)).to_float()
+        for mode in ("identity", "tilde"):
+            assert repr(stable_flags(g, mode)) == repr(stable_flags(g.to_exact(), mode))
+    for s in range(100):
+        gram = random_positive_form(2 + s % 5, random.Random(s)).gram.to_float()
+        want = canonical_basis(BilinearForm(gram.to_exact()))
+        assert repr(canonical_basis(BilinearForm(gram))) == repr(want)
+    # scaled past the range of its minors, a float copy is refused as its exact copy is
+    g = random_tp_matrix(4, random.Random(3)).to_float()
+    for scale in (1e290, 1e-290, 1e-200):
+        m = Matrix([[x * scale for x in row] for row in g.to_lists()])
+        assert _outcome(gk_spectrum, m) == _outcome(gk_spectrum, m.to_exact()) == (
+            None, (InputError, "a minor lies outside the float range"))
 
 
 def test_float_peel_is_the_peel_of_the_exact_copy():
