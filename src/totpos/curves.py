@@ -306,21 +306,21 @@ def is_positive_curve_sampled(
             raise InputError(f"need an int count of at least one trial, got {total!r}")
         rng = random.Random(seed)
         subsets = (tuple(sorted(rng.sample(range(len(pts)), 4))) for _ in range(total))
-    verdicts: dict[tuple[int, ...], bool] = {}
+    verdicts: dict[tuple[int, ...], bool] = {}  # read again: the fan's, random mode's draws
 
-    def positive(subset: tuple[int, ...]) -> bool:
-        if subset not in verdicts:
-            quad_points = tuple(pts[i] for i in subset)
-            quadruple = dihedral_partition(*quad_points)
-            verdicts[subset] = is_positive_quadruple([flags[p] for p in quad_points], quadruple)
-        return verdicts[subset]
+    def positive(subset: tuple[int, ...], keep: bool) -> bool:
+        if subset in verdicts:
+            return verdicts[subset]
+        quad = tuple(pts[i] for i in subset)
+        verdict = is_positive_quadruple([flags[p] for p in quad], dihedral_partition(*quad))
+        return verdicts.setdefault(subset, verdict) if keep else verdict
 
     fan = [(0, i, i + 1, i + 2) for i in range(1, len(pts) - 2)]
     try:
-        fan_decides = mode == "exhaustive" and all(map(positive, fan))
+        fan_decides = mode == "exhaustive" and all(positive(s, True) for s in fan)
     except DomainError:
         fan_decides = False
-    misses = (s for s in (() if fan_decides else subsets) if not positive(s))
+    misses = (s for s in (() if fan_decides else subsets) if not positive(s, mode == "random"))
     first = next(misses, None)
     failed = sum(1 for _ in misses) + (first is not None)
     return CurveReport(

@@ -2,9 +2,11 @@
 
 Two matrix formats are accepted: a whitespace grid (one row per line,
 ``#`` comments and blank lines ignored) and a JSON array of row arrays.
-Exact scalars render as integer or ``p/q`` strings so round-trips lose
-nothing; float matrices use plain JSON numbers.  ``payload`` converts the
-package's result dataclasses into JSON-ready trees for the CLI.
+Every number, a grid token or a JSON string or number, is read from its
+text by ``parse_scalar``.  Exact scalars render as integer or ``p/q``
+strings so round-trips lose nothing; float matrices use plain JSON
+numbers.  ``payload`` converts the package's result dataclasses into
+JSON-ready trees for the CLI.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ import dataclasses
 import enum
 import hashlib
 import json
-import math
 from fractions import Fraction
 from typing import Any
 
 from .curves import CirclePoint
 from .errors import InputError
 from .linalg import Matrix
-from .scalars import format_scalar, parse_scalar
+from .scalars import _MAX_DIGITS, format_scalar, parse_scalar
 
 
 def input_digest(text: str) -> str:
@@ -44,6 +45,7 @@ def parse_matrix_grid(text: str, exact: bool = True) -> Matrix:
 
 
 def parse_matrix_json(data: Any, exact: bool = True) -> Matrix:
+    """Rows of strings and numbers, each read from its text (a number's repr)."""
     if isinstance(data, dict) and "entries" in data:
         data = data["entries"]
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
@@ -52,30 +54,23 @@ def parse_matrix_json(data: Any, exact: bool = True) -> Matrix:
     for row in data:
         parsed = []
         for cell in row:
-            if isinstance(cell, str):
-                parsed.append(parse_scalar(cell, exact=exact))
-            elif isinstance(cell, bool):
-                raise InputError("matrix entries must be numbers, not booleans")
-            elif isinstance(cell, int):
-                # the grid's rule, so an int past the float range is refused
-                parsed.append(Fraction(cell) if exact else parse_scalar(str(cell), exact=False))
-            elif isinstance(cell, float):
-                # json.loads reads 1e400 as inf and accepts NaN/Infinity
-                if not math.isfinite(cell):
-                    raise InputError(
-                        f"JSON matrix entries must be finite numbers, got {cell!r}"
-                    )
-                parsed.append(Fraction(cell) if exact else cell)
-            else:
+            if isinstance(cell, bool) or not isinstance(cell, (str, int, float)):
                 raise InputError(f"unsupported matrix entry {cell!r}")
+            try:
+                text = cell if isinstance(cell, str) else repr(cell)
+            except ValueError:  # an int past the int-to-str digit limit
+                raise InputError(f"integer entry has more than {_MAX_DIGITS} digits") from None
+            parsed.append(parse_scalar(text, exact=exact))
         rows.append(parsed)
     return Matrix(rows)
 
 
 def _load_json(text: str, what: str) -> Any:
-    """JSON input, its integers held to the digit bound of parse_scalar."""
+    """JSON input, its integers held to the digit bound of parse_scalar and
+    its other numbers, NaN and Infinity kept as their text for it."""
     try:
-        return json.loads(text, parse_int=lambda token: int(parse_scalar(token)))
+        return json.loads(text, parse_int=lambda token: int(parse_scalar(token)),
+                          parse_float=str, parse_constant=str)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON {what}: {exc}") from None
 

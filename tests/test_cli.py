@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,12 +20,15 @@ from hypothesis import strategies as st
 
 from totpos import cli
 from totpos.bilinear import A_to_form
+from totpos.classify import classify
 from totpos.cli import main
 from totpos.curves import CirclePoint, MomentCurve, TableFlagCurve
 from totpos.flags import flag_from_matrix
 from totpos.linalg import Matrix
+from totpos.errors import InputError
 from totpos.sampling import random_tp_matrix
-from totpos.serialization import format_matrix_grid, input_digest, payload
+from totpos.scalars import format_scalar, parse_scalar
+from totpos.serialization import format_matrix_grid, input_digest, parse_matrix, payload
 from totpos.whitney import factorize
 
 
@@ -342,12 +346,89 @@ def test_float_overflow_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_non_finite_json_entry_is_input_error(tmp_path, capsys, backend):
+    # the JSON number 1e400 is 10^400, as the grid token is: exact, it
+    # classifies; on the float backend it fails with the grid's message
     path = tmp_path / "huge.json"
     path.write_text("[[1e400, 1], [1, 1]]\n")
+    if backend == "exact":
+        assert main(["classify", str(path)]) == 0
+        assert "kind: TotallyPositive" in capsys.readouterr().out
+    else:
+        assert main(["classify", str(path), "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: scalar '1e400' is outside the float range\n"
+        (tmp_path / "huge.txt").write_text("1e400 1\n1 1\n")
+        assert main(["classify", str(tmp_path / "huge.txt"), "--backend", backend]) == 2
+        assert capsys.readouterr().err == "error: line 1: " + err[len("error: "):]
+    path.write_text("[[NaN, 1], [1, 1]]\n")
     assert main(["classify", str(path), "--backend", backend]) == 2
-    assert capsys.readouterr().err == (
-        "error: JSON matrix entries must be finite numbers, got inf\n"
-    )
+    assert capsys.readouterr().err == "error: cannot parse scalar 'NaN'\n"
+
+
+# -- one reading of every number -----------------------------------------------
+
+_READ_ALIKE = ["0.1", "2.675", "1e-5", "1.5e300", "1e400", "1e-400", "-0.0", "5e-324",
+               "1.7976931348623157e308", "2.2250738585072014e-308", "0.10000000000000000001"]
+
+
+def _decimal_tokens(count, seed=30):
+    """JSON number tokens: the cases above, then seeded signs, integer parts,
+    fractions of up to 30 digits and exponents from -340 to 320."""
+    rng = random.Random(seed)
+    tokens = list(_READ_ALIKE)
+    while len(tokens) < count:
+        whole = str(rng.randrange(10 ** rng.choice([1, 3, 15, 30])))
+        digits = "".join(rng.choices("0123456789", k=rng.choice([0, 1, 5, 17, 30])))
+        exponent = rng.choice(["", f"e{rng.randint(-340, 320)}", f"E+{rng.randint(0, 30)}",
+                               f"e-{rng.randint(0, 30)}"])
+        tokens.append(rng.choice(["", "-"]) + whole + ("." + digits if digits else "") + exponent)
+    return tokens
+
+
+def _read(text, exact):
+    try:
+        return repr(parse_matrix(text, exact=exact))
+    except InputError as exc:
+        return re.sub(r"^line \d+: ", "", str(exc))  # the grid names the line
+
+
+def test_grid_and_json_read_the_same_decimals():
+    tokens = _decimal_tokens(400)
+    motivation = [["0.1", "0.3", "1.1", "3.3"], ["0.1", "0.3", "0.3", "0.9"]]
+    for cells in motivation + [tokens[i : i + 4] for i in range(0, len(tokens), 4)]:
+        rows = [cells[:2], cells[2:]]
+        grid = "\n".join(" ".join(row) for row in rows)
+        numbers = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+        strings = json.dumps(rows)
+        for exact in (True, False):
+            want = _read(grid, exact)
+            assert _read(numbers, exact) == _read(strings, exact) == want, (cells, exact)
+    for text in ("0.1 0.3\n1.1 3.3", "0.1 0.3\n0.3 0.9"):
+        assert classify(parse_matrix(text)).kind.value == "TotallyNonNegativeOnly"
+    # the float backend reads each JSON number as the double json.loads gives
+    for token in tokens:
+        value = float(json.loads(token))
+        if math.isinf(value):
+            with pytest.raises(InputError, match="outside the float range"):
+                parse_scalar(token, exact=False)
+        else:
+            assert parse_scalar(token, exact=False) == value, token
+
+
+def test_synth_params_read_numbers_as_strings(tmp_path, capsys):
+    positive = [t for t in _decimal_tokens(80) if Fraction(t) > 0]
+    path = tmp_path / "params.json"
+    for i in range(0, len(positive) - 3, 4):
+        a, t1, t2, b = positive[i : i + 4]
+        printed = []
+        for quote in ("", '"'):
+            a_, t1_, t2_, b_ = (quote + x + quote for x in (a, t1, t2, b))
+            path.write_text(f'{{"n": 2, "word": [1], "a": [{a_}], "t": [{t1_}, {t2_}], "b": [{b_}]}}')
+            assert main(["synth", "--params", str(path), "--json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            printed.append((out["params"], out["matrix"]))
+        assert printed[0] == printed[1], (a, t1, t2, b)
+        assert printed[0][0]["a"] == [format_scalar(Fraction(a))]
 
 
 def test_exact_entry_past_float_range_classifies(tmp_path, capsys):
@@ -362,11 +443,13 @@ def test_exact_entry_past_float_range_classifies(tmp_path, capsys):
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_huge_decimal_exponent_is_input_error(tmp_path, capsys, backend):
-    path = tmp_path / "huge.txt"
-    path.write_text("1e100000000 1\n1 -3.5E-4301\n")
-    assert main(["classify", str(path), "--backend", backend]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "decimal exponent beyond 4300" in err
+    grid, numbers = tmp_path / "huge.txt", tmp_path / "huge.json"
+    grid.write_text("1e100000000 1\n1 -3.5E-4301\n")
+    numbers.write_text("[[1e100000000, 1], [1, 1]]\n")
+    for path in (grid, numbers):
+        assert main(["classify", str(path), "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "decimal exponent beyond 4300" in err
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

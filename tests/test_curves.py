@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -772,3 +773,33 @@ def test_failing_curve_tests_each_subset_at_most_once(quadruple_calls):
     assert report.failed > 0 and report.total == math.comb(7, 4)
     assert len(quadruple_calls) <= report.total
     assert len({tuple(map(str, q.points)) for _, q in quadruple_calls}) == len(quadruple_calls)
+
+
+def test_failing_curve_keeps_only_the_fans_verdicts(monkeypatch):
+    # 16 points on the degree-2 moment curve, one flag sign-flipped: the fan
+    # fails, so all C(16, 4) = 1,820 subsets are tested, each once.  The
+    # replayed verdicts keep the traced call to the check's own bookkeeping.
+    base = MomentCurve(2)
+    pts = [CirclePoint.at(F(v)) for v in range(1, 17)]
+    flags = [base.flag_at(p) for p in pts]
+    flags[8] = flag_from_matrix(Matrix.diagonal([1, -1, 1]) @ flags[8].rep)
+    curve = TableFlagCurve(list(zip(pts, flags)))
+    original, seen = curves.is_positive_quadruple, {}
+
+    def replayed(quad_flags, quadruple):
+        key = tuple(map(id, quad_flags))
+        if key not in seen:
+            seen[key] = original(quad_flags, quadruple)
+        return seen[key]
+
+    monkeypatch.setattr(curves, "is_positive_quadruple", replayed)
+    want = is_positive_curve_sampled(curve)  # also fills the interpreter's free lists
+    assert (want.total, want.failed) == (1820, 364) and len(seen) == 1820
+    tracemalloc.start()
+    try:
+        got = is_positive_curve_sampled(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(got) == repr(want)
+    assert peak < 100_000, peak

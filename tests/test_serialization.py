@@ -1,6 +1,7 @@
 """Matrix interchange formats and the JSON payload encoder."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -46,10 +47,29 @@ def test_json_matrix_forms():
         parse_matrix_json([[True]])
     with pytest.raises(InputError):
         parse_matrix_json("nope")
-    for text in ("[[1e400, 1], [1, 1]]", "[[NaN, 1], [1, 1]]", "[[1, -Infinity], [1, 1]]"):
+    # a JSON number is read from its text, as the grid reads the same token
+    assert parse_matrix("[[1e400, 1], [1, 1]]") == parse_matrix("1e400 1\n1 1")
+    with pytest.raises(InputError, match="outside the float range"):
+        parse_matrix("[[1e400, 1], [1, 1]]", exact=False)
+    for text in ("[[NaN, 1], [1, 1]]", "[[1, -Infinity], [1, 1]]"):
         for exact in (True, False):
-            with pytest.raises(InputError, match="finite numbers"):
+            with pytest.raises(InputError, match="cannot parse scalar"):
                 parse_matrix(text, exact=exact)
+
+
+def test_json_int_past_the_digit_bound_is_input_error():
+    # repr of such an int raises ValueError past the interpreter's digit
+    # limit; with the limit lifted, the scalar rule refuses the digits
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (old, 0):
+            sys.set_int_max_str_digits(limit)
+            for exact in (True, False):
+                with pytest.raises(InputError, match="more than 4300 digits"):
+                    parse_matrix_json([[10**5000, 1], [1, 1]], exact=exact)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert parse_matrix_json([[10**4299, 0.1]]) == Matrix([[10**4299, F(1, 10)]])
 
 
 def test_parse_matrix_autodetect():
