@@ -38,7 +38,9 @@ from .flags import flag_from_matrix, in_B_pos, in_B_pos_prime, opposed, stable_f
 from .linalg import Matrix
 from .sampling import random_tp_parameters
 from .scalars import parse_scalar
-from .serialization import _load_json, format_matrix_grid, input_digest, parse_matrix, payload
+from .serialization import (
+    _json_repr, _load_json, format_matrix_grid, input_digest, parse_matrix, payload,
+)
 from .spectra import verify_gk
 from .whitney import TPParameters, factorize, synthesize
 
@@ -93,7 +95,7 @@ def _cmd_factor(args: argparse.Namespace) -> _Output:
 def _json_int(value: Any, what: str) -> int:
     # bool is an int subclass, but JSON true/false is not a JSON integer
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+        raise InputError(f"{what} must be a JSON integer, got {_json_repr(value)}")
     return value
 
 
@@ -118,7 +120,7 @@ def _params_from_json(text: str) -> TPParameters:
         strict = data.get("strict", True)
         if not isinstance(strict, bool):
             raise InputError(
-                f"parameter field 'strict' must be a JSON boolean, got {strict!r}"
+                f"parameter field 'strict' must be a JSON boolean, got {_json_repr(strict)}"
             )
 
         return TPParameters(

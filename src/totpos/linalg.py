@@ -11,7 +11,9 @@ Every float is an exact dyadic rational, so there is one elimination path:
 determinants, rank, solves, inverses and kernels all come from one
 fraction-free Bareiss elimination of the exact copy of the input, run on its
 integer form A = diag(R)·M·diag(C), which the LDU, the peel and flag
-representatives read too.  Entries are checked where a matrix enters
+representatives read too.  Determinants and rank read its forward pass;
+solves, inverses and kernels reach the reduced form from that echelon form
+by fraction-free back-substitution.  Entries are checked where a matrix enters
 (:class:`Matrix`, :meth:`Matrix.from_columns`, :meth:`Matrix.diagonal`, the
 parsers); a matrix an exact kernel (a product too) builds skips the check and
 stores its form, with a grid marking its int entries, so no kernel clears it
@@ -376,8 +378,12 @@ def _bareiss(
 
     Runs on the integer form A = diag(R)·M·diag(C) of :func:`_cleared`.  Each
     update divides exactly by the previous pivot.  Returns (A, pivot
-    columns, row permutation sign, R, C): A in echelon form, or with
-    ``reduce`` in d·RREF form, every pivot equal to the last one, d.
+    columns p, row permutation sign, R, C): A in echelon form U, or with
+    ``reduce`` in d·RREF form X, every pivot equal to the last one, d.  X comes
+    from U by fraction-free back-substitution (Nakos, Turner and Williams 1997),
+    from the last pivot row up, over the non-pivot columns f only:
+    X_r[f] = (d·U_r[f] - sum over s > r of U_r[p_s]·X_s[f]) // U_r[p_r], exact
+    because X is integral.  Pivots, d, sign and X are those of Gauss-Jordan.
     """
     a, row_den, col_den = _cleared(*blocks)
     a = list(a)
@@ -397,12 +403,28 @@ def _bareiss(
             sign = -sign
         row = a[r]
         pivot = row[c]
-        for i in range(nrows) if reduce else range(r + 1, nrows):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], row)]
+        for i in range(r + 1, nrows):
+            f = a[i][c]
+            a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], row)]
         pivots.append(c)
         prev = pivot
+    if reduce and pivots:
+        free = [c for c in range(len(col_den)) if c not in pivots]
+        # (p_s, X_s[free]) for the pivot rows s below r; the last one is already X's
+        solved = [(pivots[-1], [a[len(pivots) - 1][f] for f in free])]
+        for r in range(len(pivots) - 2, -1, -1):
+            row = a[r]
+            x = [prev * row[f] for f in free]
+            for p, xs in solved:
+                if k := row[p]:
+                    x = [u - k * v for u, v in zip(x, xs)]
+            x = [u // row[pivots[r]] for u in x]
+            solved.append((pivots[r], x))
+            out = [0] * len(col_den)
+            out[pivots[r]] = prev
+            for f, v in zip(free, x):
+                out[f] = v
+            a[r] = out
     return a, pivots, sign, row_den, col_den
 
 

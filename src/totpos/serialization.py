@@ -3,7 +3,8 @@
 Two matrix formats are accepted: a whitespace grid (one row per line,
 ``#`` comments and blank lines ignored) and a JSON array of row arrays.
 Every number, a grid token or a JSON string or number, is read from its
-text by ``parse_scalar``.  Exact scalars render as integer or ``p/q``
+text by ``parse_scalar``; an error names the grid line, or the JSON row and
+column, it comes from.  Exact scalars render as integer or ``p/q``
 strings so round-trips lose nothing; float matrices use plain JSON
 numbers.  ``payload`` converts the package's result dataclasses into
 JSON-ready trees for the CLI.
@@ -45,24 +46,47 @@ def parse_matrix_grid(text: str, exact: bool = True) -> Matrix:
 
 
 def parse_matrix_json(data: Any, exact: bool = True) -> Matrix:
-    """Rows of strings and numbers, each read from its text (a number's repr)."""
+    """Rows of strings and numbers, each read from its text (a number's repr);
+    an error names the cell's row and column, 1-based."""
     if isinstance(data, dict) and "entries" in data:
         data = data["entries"]
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise InputError("JSON matrix must be a non-empty array of row arrays")
     rows = []
-    for row in data:
+    for i, row in enumerate(data, start=1):
         parsed = []
-        for cell in row:
-            if isinstance(cell, bool) or not isinstance(cell, (str, int, float)):
-                raise InputError(f"unsupported matrix entry {cell!r}")
+        for j, cell in enumerate(row, start=1):
             try:
-                text = cell if isinstance(cell, str) else repr(cell)
-            except ValueError:  # an int past the int-to-str digit limit
-                raise InputError(f"integer entry has more than {_MAX_DIGITS} digits") from None
-            parsed.append(parse_scalar(text, exact=exact))
+                parsed.append(parse_scalar(_cell_text(cell), exact=exact))
+            except InputError as exc:
+                raise InputError(f"row {i}, column {j}: {exc}") from None
         rows.append(parsed)
     return Matrix(rows)
+
+
+def _cell_text(cell: Any) -> str:
+    if isinstance(cell, bool) or not isinstance(cell, (str, int, float)):
+        raise InputError(f"unsupported matrix entry {_json_repr(cell)}")
+    try:
+        return str(cell) if isinstance(cell, str) else repr(cell)
+    except ValueError:  # an int past the int-to-str digit limit
+        raise InputError(f"integer entry has more than {_MAX_DIGITS} digits") from None
+
+
+def _json_repr(value: Any) -> str:
+    """A value as an error shows it: true, false and null in JSON's spelling,
+    a number token from :func:`_load_json` bare, anything else by repr."""
+    return json.dumps(value) if value is None or isinstance(value, bool) else repr(value)
+
+
+class _Number(str):
+    """A JSON number that is not an integer, or NaN or Infinity, kept as its
+    token text; its repr is the bare token, so an error tells it from a string."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return str(self)
 
 
 def _load_json(text: str, what: str) -> Any:
@@ -70,7 +94,7 @@ def _load_json(text: str, what: str) -> Any:
     its other numbers, NaN and Infinity kept as their text for it."""
     try:
         return json.loads(text, parse_int=lambda token: int(parse_scalar(token)),
-                          parse_float=str, parse_constant=str)
+                          parse_float=_Number, parse_constant=_Number)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON {what}: {exc}") from None
 

@@ -11,10 +11,10 @@ solver, and cross-checks the compound identities against Rayleigh quotients
 taken exactly over the input.
 
 :func:`refine_eigenbasis` runs on integers: one integer form of the matrix
-per call, one fraction-free elimination per shifted solve, one
-continued-fraction rounding per entry; a shift that is an exact eigenvalue
-takes the :func:`totpos.linalg.nullspace` line, and :func:`verify_gk` reads
-the same step.
+per call, one fraction-free forward elimination and back-substitution per
+shifted solve, one continued-fraction rounding per entry; a shift that is an
+exact eigenvalue takes the :func:`totpos.linalg.nullspace` line, and
+:func:`verify_gk` reads the same step.
 
 :func:`gk_spectrum` owns the spectral law itself: it returns only when the
 eigenvalues are positive and separated by the gap tolerance and every
@@ -81,16 +81,17 @@ class _SingularSystem(Exception):
 def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting in the dtype of ``a``."""
     n = a.shape[0]
-    m = np.concatenate([a.copy(), b.reshape(n, 1)], axis=1)
+    m = np.empty((n, n + 1), dtype=np.result_type(a, b))
+    m[:, :n] = a
+    m[:, n] = b
     for k in range(n):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
+        p = k + int(abs(m[k:, k]).argmax())
         if m[p, k] == 0:
             raise _SingularSystem
         if p != k:
             m[[k, p]] = m[[p, k]]
-        factors = m[k + 1 :, k] / m[k, k]
-        if factors.size:
-            m[k + 1 :, k:] -= np.outer(factors, m[k, k:])
+        if k + 1 < n:
+            m[k + 1 :, k:] -= (m[k + 1 :, k] / m[k, k])[:, None] * m[k, k:]
     x = np.empty(n, dtype=a.dtype)
     for i in range(n - 1, -1, -1):
         x[i] = (m[i, n] - m[i, i + 1 : n] @ x[i + 1 : n]) / m[i, i]
@@ -166,13 +167,16 @@ def _power_perron(a: np.ndarray) -> tuple[float, np.ndarray]:
     x = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
     converged = False
+    ax = a @ x
     for _ in range(_POWER_CAP):
-        y = a @ x
+        # the product the last quotient formed is the next step's a @ x
+        y = ax
         norm = float(np.sqrt(y @ y))
         if norm == 0.0 or not np.isfinite(norm):
             raise ConvergenceError("power iteration degenerated")
         y /= norm
-        lam_new = float(y @ (a @ y))
+        ax = a @ y
+        lam_new = float(y @ ax)
         if abs(lam_new - lam) <= _POWER_TOL * max(abs(lam_new), 1.0):
             x, lam = y, lam_new
             converged = True

@@ -220,6 +220,24 @@ def test_synth_params_refuse_non_json_types(tmp_path, capsys, field, value):
     assert captured.err.startswith("error: ") and "must be a JSON" in captured.err
 
 
+@pytest.mark.parametrize(
+    "field, number, string, shown",
+    [("n", "2.7", '"2.7"', "parameter field 'n' must be a JSON integer"),
+     ("word", "[1.5]", '["1.5"]', "word letter must be a JSON integer"),
+     ("strict", "1.5", '"1.5"', "parameter field 'strict' must be a JSON boolean"),
+     ("strict", "Infinity", '"Infinity"', "parameter field 'strict' must be a JSON boolean")],
+)
+def test_synth_params_errors_tell_a_number_from_a_string(tmp_path, capsys, field, number,
+                                                         string, shown):
+    pfile = tmp_path / "params.json"
+    token = number.strip("[]")
+    for value, got in ((number, token), (string, repr(token))):
+        fields = {k: v for k, v in _PARAMS2.items() if k != field}
+        pfile.write_text(json.dumps(fields)[:-1] + f', "{field}": {value}}}')
+        assert main(["synth", "--params", str(pfile)]) == 2
+        assert capsys.readouterr().err == f"error: {shown}, got {got}\n"
+
+
 def test_synth_params_strict_flag(tmp_path, capsys):
     pfile = tmp_path / "params.json"
     relaxed = {**_PARAMS2, "a": ["0"]}
@@ -356,13 +374,28 @@ def test_non_finite_json_entry_is_input_error(tmp_path, capsys, backend):
     else:
         assert main(["classify", str(path), "--backend", backend]) == 2
         err = capsys.readouterr().err
-        assert err == "error: scalar '1e400' is outside the float range\n"
+        assert err == "error: row 1, column 1: scalar '1e400' is outside the float range\n"
         (tmp_path / "huge.txt").write_text("1e400 1\n1 1\n")
         assert main(["classify", str(tmp_path / "huge.txt"), "--backend", backend]) == 2
-        assert capsys.readouterr().err == "error: line 1: " + err[len("error: "):]
+        assert capsys.readouterr().err == err.replace("row 1, column 1", "line 1")
     path.write_text("[[NaN, 1], [1, 1]]\n")
     assert main(["classify", str(path), "--backend", backend]) == 2
-    assert capsys.readouterr().err == "error: cannot parse scalar 'NaN'\n"
+    assert capsys.readouterr().err == "error: row 1, column 1: cannot parse scalar 'NaN'\n"
+
+
+@pytest.mark.parametrize(
+    "text, backend, err",
+    [("[[1, 2], [3, 1e400]]", "float", "row 2, column 2: scalar '1e400' is outside the float range"),
+     ('[[1, 2, 3], [4, 5, "x"]]', "exact", "row 2, column 3: cannot parse scalar 'x'"),
+     ("[[1, true], [3, 4]]", "exact", "row 1, column 2: unsupported matrix entry true"),
+     ("[[1, 2], [null, 4]]", "exact", "row 2, column 1: unsupported matrix entry null"),
+     ("[[1, 2], [3, [4]]]", "exact", "row 2, column 2: unsupported matrix entry [4]")],
+)
+def test_json_matrix_errors_name_the_row_and_column(tmp_path, capsys, text, backend, err):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert main(["classify", str(path), "--backend", backend]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 # -- one reading of every number -----------------------------------------------
@@ -389,7 +422,8 @@ def _read(text, exact):
     try:
         return repr(parse_matrix(text, exact=exact))
     except InputError as exc:
-        return re.sub(r"^line \d+: ", "", str(exc))  # the grid names the line
+        # the grid names the line, JSON the row and column
+        return re.sub(r"^(line \d+|row \d+, column \d+): ", "", str(exc))
 
 
 def test_grid_and_json_read_the_same_decimals():

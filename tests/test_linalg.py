@@ -678,3 +678,101 @@ def test_exact_kernel_matches_sympy():
         assert inverse(m) == Matrix([list(_from_sympy(inv.row(i))) for i in range(m.rows)])
         assert solve(m, rhs) == _from_sympy(sm.LUsolve(sympy.Matrix(rhs)))
     assert deficient >= 25 and column_cleared >= 10
+
+
+def _gauss_jordan(*blocks):
+    """Fraction-free Gauss-Jordan elimination: each pivot step updates every
+    other row, above and below, the loop the reduced kernel replaced."""
+    from totpos.linalg import _cleared
+
+    a, row_den, col_den = _cleared(*blocks)
+    a = list(a)
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(col_den)):
+        r = len(pivots)
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        row, pivot = a[r], a[r][c]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], row)]
+        pivots.append(c)
+        prev = pivot
+    return a, pivots, sign, row_den, col_den
+
+
+def _shaped_cases(rng, max_rows, max_cols, trials):
+    """Seeded integer and rational rows of every shape up to the bounds, some
+    with a zero row, a zero column or a row that combines two others."""
+    for rows in range(1, max_rows + 1):
+        for cols in range(1, max_cols + 1):
+            for trial in range(trials):
+                if trial % 2:
+                    m = [[F(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(cols)]
+                         for _ in range(rows)]
+                else:
+                    m = [[rng.choice([0, 1, -2, rng.randint(-10**9, 10**9)]) for _ in range(cols)]
+                         for _ in range(rows)]
+                if trial % 4 == 1:
+                    m[rng.randrange(rows)] = [0] * cols
+                if trial % 4 == 2:
+                    j = rng.randrange(cols)
+                    for row in m:
+                        row[j] = 0
+                if trial % 4 == 3 and rows > 2:
+                    m[-1] = [x - 3 * y for x, y in zip(m[0], m[1])]
+                yield m
+
+
+def test_reduced_kernel_is_the_gauss_jordan_form():
+    from totpos.linalg import _bareiss
+
+    deficient = 0
+    for m in _shaped_cases(random.Random(31), 8, 16, 4):
+        got = _bareiss(m, reduce=True)
+        assert got == _gauss_jordan(m), m
+        deficient += len(got[1]) < min(len(m), len(m[0]))
+    # a solve's blocks too: a square system and its right-hand sides
+    for m in _shaped_cases(random.Random(32), 6, 6, 2):
+        if len(m) == len(m[0]):
+            rhs = Matrix([[x + 1 for x in row] for row in m])
+            assert _bareiss(Matrix(m), rhs, reduce=True) == _gauss_jordan(Matrix(m), rhs)
+    assert deficient >= 100
+
+
+def test_exact_solves_and_kernels_match_sympy_on_every_shape():
+    rng = random.Random(33)
+    square = singular = 0
+    for rows in _shaped_cases(rng, 7, 7, 4):
+        m = Matrix(rows)
+        sm = _sympy_matrix(m)
+        basis = nullspace(m)
+        theirs = sm.nullspace()
+        assert len(basis) == len(theirs) == m.cols - sm.rank()
+        for v in basis:
+            assert all(sum(m[i, j] * v[j] for j in range(m.cols)) == 0 for i in range(m.rows))
+        if basis:
+            ours = sympy.Matrix([[sympy.Rational(x) for x in v] for v in basis]).T
+            assert sympy.Matrix.hstack(ours, *theirs).rank() == len(theirs)
+        if not m.is_square:
+            continue
+        square += 1
+        rhs = [F(rng.randint(-99, 99), rng.randint(1, 10**6)) for _ in range(m.rows)]
+        if sm.det() == 0:
+            singular += 1
+            with pytest.raises(SingularityError):
+                inverse(m)
+            with pytest.raises(SingularityError):
+                solve(m, rhs)
+            continue
+        inv = sm.inv()
+        assert inverse(m) == Matrix([list(_from_sympy(inv.row(i))) for i in range(m.rows)])
+        assert solve(m, rhs) == _from_sympy(sm.LUsolve(sympy.Matrix(rhs)))
+    assert square == 28 and singular >= 14

@@ -72,6 +72,19 @@ def test_json_int_past_the_digit_bound_is_input_error():
     assert parse_matrix_json([[10**4299, 0.1]]) == Matrix([[10**4299, F(1, 10)]])
 
 
+def test_json_cell_errors_name_the_row_and_column():
+    # an int past the digit limit reaches the cell reader only from a direct
+    # caller: in JSON text the integer hook refuses it while loading
+    cases = [([[1, 2], [3, 10**5000]], "row 2, column 2: integer entry has more than 4300 digits"),
+             ([[1, 2, 3], [4, 5, False]], "row 2, column 3: unsupported matrix entry false"),
+             ([[1, object]], "row 1, column 2: unsupported matrix entry <class 'object'>"),
+             ([["1/0"]], "row 1, column 1: cannot parse scalar '1/0'")]
+    for rows, message in cases:
+        with pytest.raises(InputError) as info:
+            parse_matrix_json(rows)
+        assert str(info.value) == message
+
+
 def test_parse_matrix_autodetect():
     assert parse_matrix("[[1, 2], [3, 4]]") == Matrix([[1, 2], [3, 4]])
     assert parse_matrix("1 2\n3 4\n") == Matrix([[1, 2], [3, 4]])

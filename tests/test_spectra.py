@@ -356,3 +356,110 @@ def test_rayleigh_refine_returns_its_best_pair_when_the_cap_runs_out(monkeypatch
     theta, vec, res = spectra._rayleigh_refine(a, 2.5, np.array([3.0, 4.0]))
     assert theta == 2.5 and list(vec) == [0.6, 0.8]
     assert res == spectra._residual(a, 2.5, vec)
+
+
+# -- the dense solve and the power iteration against their earlier loops ---------
+
+
+def _concatenated_solve(a, b):
+    """Gaussian elimination with partial pivoting on a concatenated copy, an
+    np.outer rank-one update per step: the solver the dense solve replaced."""
+    n = a.shape[0]
+    m = np.concatenate([a.copy(), b.reshape(n, 1)], axis=1)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        if m[p, k] == 0:
+            raise spectra._SingularSystem
+        if p != k:
+            m[[k, p]] = m[[p, k]]
+        factors = m[k + 1 :, k] / m[k, k]
+        if factors.size:
+            m[k + 1 :, k:] -= np.outer(factors, m[k, k:])
+    x = np.empty(n, dtype=a.dtype)
+    for i in range(n - 1, -1, -1):
+        x[i] = (m[i, n] - m[i, i + 1 : n] @ x[i + 1 : n]) / m[i, i]
+    return x
+
+
+def _recomputing_power_perron(a):
+    """The power iteration that formed a @ x afresh at every step."""
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0]), np.ones(1)
+    top = float(np.max(np.abs(a)))
+    if top > spectra._POWER_RANGE or 0 < top < 1 / spectra._POWER_RANGE:
+        e = math.frexp(top)[1]
+        root, vec = _recomputing_power_perron(np.ldexp(a, -e))
+        return math.ldexp(root, e), vec
+    scale = float(np.sqrt(np.sum(a * a)))
+    x = np.full(n, 1.0 / np.sqrt(n))
+    lam = 0.0
+    converged = False
+    for _ in range(spectra._POWER_CAP):
+        y = a @ x
+        norm = float(np.sqrt(y @ y))
+        if norm == 0.0 or not np.isfinite(norm):
+            raise ConvergenceError("power iteration degenerated")
+        y /= norm
+        lam_new = float(y @ (a @ y))
+        if abs(lam_new - lam) <= spectra._POWER_TOL * max(abs(lam_new), 1.0):
+            x, lam = y, lam_new
+            converged = True
+            break
+        x, lam = y, lam_new
+    if not converged and spectra._residual(a, lam, x) > 1e-6 * (scale + abs(lam)):
+        raise ConvergenceError(
+            f"power iteration did not converge within {spectra._POWER_CAP} steps"
+        )
+    theta, vec, _ = spectra._rayleigh_refine(a.astype(np.longdouble), lam, x.astype(np.longdouble))
+    return float(theta), vec.astype(np.float64)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (spectra._SingularSystem, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        return got == want
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_dense_solve_is_the_concatenated_solve_bit_for_bit():
+    rng = np.random.default_rng(31)
+    singular = 0
+    for n in range(1, 71):
+        for trial in range(4):
+            a = rng.standard_normal((n, n)).astype(np.longdouble)
+            b = rng.standard_normal(n).astype(np.longdouble)
+            if trial == 1:
+                a[:, rng.integers(n)] = 0  # singular at the step of that column
+            if trial == 2 and n > 1:
+                a[-1] = 3 * a[0]  # singular at the last step, or earlier by cancellation
+            if trial == 3:
+                a = a.astype(np.float64) * 10.0 ** rng.integers(-300, 300)
+                b = b.astype(np.float64)
+            want = _outcome(_concatenated_solve, a, b)
+            singular += isinstance(want, tuple)
+            assert _same(_outcome(spectra._solve_dense, a, b), want), (n, trial)
+    assert singular >= 70
+
+
+def test_power_perron_is_the_recomputing_iteration_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = [rng.random((n, n)) + 0.01 for n in range(1, 13) for _ in range(3)]
+    cases += [rng.random((4, 4)) * 2.0**e for e in (-900, -600, 600, 900)]  # rescaled
+    for a in cases:
+        root, vec = spectra._power_perron(a)
+        want_root, want_vec = _recomputing_power_perron(a)
+        assert root == want_root and _same(vec, want_vec)
+    # too few steps for a slowly converging matrix: both give up with one error
+    monkeypatch.setattr(spectra, "_POWER_CAP", 3)
+    slow = np.array([[1.0, 1e-3], [1e-3, 0.999]])
+    want = _outcome(_recomputing_power_perron, slow)
+    assert want[0] is ConvergenceError
+    assert _outcome(spectra._power_perron, slow) == want
