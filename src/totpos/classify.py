@@ -151,7 +151,7 @@ def _factored_least(m: Matrix) -> _Least | None:
     pivot, a zero pivot of an invertible matrix (Cryer 1976) or a factor
     the peel rejects proves a negative minor (Cryer; Lusztig).
     """
-    if any(x < 0 for i in range(m.rows) for x in m.row_tuple(i)):
+    if min(map(min, map(m.row_tuple, range(m.rows)))) < 0:
         return _Least.NEGATIVE
     pivots, lower, upper = _ldu(m, positive=True)
     if lower is None:

@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, InputError
 from .flags import Flag, _cell_params, adapted_basis, flag_from_matrix, reversed_flag
-from .linalg import Matrix, _cleared, _cleared_line, _is_int, _solve_exact
+from .linalg import Matrix, _cleared, _cleared_line, _ints_only, _is_int, _solve_exact
 from .scalars import Scalar, _require_scalar, as_fraction
 
 
@@ -338,6 +338,17 @@ def is_positive_curve_sampled(
 # -- hyperplane sections of the moment curve --------------------------------
 
 
+def _integer_line(coeffs: Sequence[Scalar]) -> list[int]:
+    """Integer coefficients of the same roots, in a new list: ints only as they are,
+    as :func:`totpos.linalg._cleared` reads a grid of ints; other coefficients are
+    checked by the entry rule and cleared of their denominators, a float read exactly."""
+    if _ints_only(coeffs):
+        return list(coeffs)
+    for x in coeffs:
+        _require_scalar(x)
+    return _cleared_line([as_fraction(x) for x in coeffs])[0]
+
+
 def sturm_distinct_real_roots(coeffs: Sequence[Scalar]) -> int:
     """Number of distinct real roots, by one Sturm chain on integers.
 
@@ -347,9 +358,7 @@ def sturm_distinct_real_roots(coeffs: Sequence[Scalar]) -> int:
     of non-square-free input scales whole chain evaluations without changing
     sign variation counts.  The zero polynomial is rejected.
     """
-    for x in coeffs:
-        _require_scalar(x)
-    p = _cleared_line([as_fraction(x) for x in coeffs])[0]
+    p = _integer_line(coeffs)
     while p and p[-1] == 0:
         p.pop()
     if not p:
@@ -394,11 +403,10 @@ def hyperplane_intersection_count(
     n = curve.n
     if len(coeffs) != n:
         raise InputError(f"hyperplane needs {n} coefficients")
-    for x in coeffs:
-        _require_scalar(x)
-    if all(x == 0 for x in coeffs):
+    p = _integer_line(coeffs)
+    if not any(p):
         raise InputError("hyperplane coefficients must not all vanish")
-    finite = sturm_distinct_real_roots(coeffs)
+    finite = sturm_distinct_real_roots(p)
     at_infinity = 1 if coeffs[-1] == 0 else 0
     return finite + at_infinity
 

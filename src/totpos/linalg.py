@@ -11,9 +11,10 @@ Every float is an exact dyadic rational, so there is one elimination path:
 determinants, rank, solves, inverses and kernels all come from one
 fraction-free Bareiss elimination of the exact copy of the input, run on its
 integer form A = diag(R)·M·diag(C), which the LDU, the peel and flag
-representatives read too.  Determinants and rank read its forward pass;
-solves, inverses and kernels reach the reduced form from that echelon form
-by fraction-free back-substitution.  Entries are checked where a matrix enters
+representatives read too; a grid of ints is its own form, R = C = 1.
+Determinants and rank read its forward pass; solves, inverses and kernels
+reach the reduced form from that echelon form by fraction-free
+back-substitution.  Entries are checked where a matrix enters
 (:class:`Matrix`, :meth:`Matrix.from_columns`, :meth:`Matrix.diagonal`, the
 parsers); a matrix an exact kernel (a product too) builds skips the check and
 stores its form, with a grid marking its int entries, so no kernel clears it
@@ -337,8 +338,10 @@ def submatrix(m: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Matr
 
 def _cleared(*blocks) -> tuple[Sequence[Sequence[int]], Sequence[int], Sequence[int]]:
     """Integer form (A, R, C), A = diag(R)·M·diag(C), of the exact blocks M = [M1 | M2 | ...],
-    each a Matrix or rows.  A kernel's form (a product's too) is read as is; other entries
-    are cleared on the side whose lcms have fewer bits, the other side's scales all ones.
+    each a Matrix or rows.  A kernel's form (a product's too) is read as is, and a grid of
+    ints only (no bool) is its own form, A = M and R = C = 1, with no lcm and no copy:
+    callers must not mutate A.  Other entries have their denominators read once and are
+    cleared on the side whose lcms have fewer bits, the other side's scales all ones.
     Joined, each row is scaled to its scales' lcm."""
     if len(blocks) > 1:
         forms = [_cleared(b) for b in blocks]
@@ -351,17 +354,19 @@ def _cleared(*blocks) -> tuple[Sequence[Sequence[int]], Sequence[int], Sequence[
         if rows._form:
             return rows._form
         rows = rows.to_exact()._entries
-    row_den = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    col_den = [math.lcm(*(x.denominator for x in col)) for col in zip(*rows)]
+    if _ints_only(itertools.chain.from_iterable(rows)):
+        return rows, [1] * len(rows), [1] * len(rows[0])
+    dens = [[x.denominator for x in row] for row in rows]
+    row_den = [math.lcm(*d) for d in dens]
+    col_den = [math.lcm(*d) for d in zip(*dens)]
     if sum(d.bit_length() for d in row_den) <= sum(d.bit_length() for d in col_den):
         col_den = [1] * len(col_den)
     else:
         row_den = [1] * len(row_den)
-    a = [
-        [x.numerator * (r * c // x.denominator) for x, c in zip(row, col_den)]
-        for row, r in zip(rows, row_den)
-    ]
-    return a, row_den, col_den
+    return [
+        [x.numerator * (r * c // e) for x, c, e in zip(row, col_den, ds)]
+        for row, r, ds in zip(rows, row_den, dens)
+    ], row_den, col_den
 
 
 def _columns(form) -> list[tuple[list[int], int]]:
@@ -513,6 +518,11 @@ class _MinorLevel(Mapping):
 
 def _is_int(k: object) -> bool:
     return isinstance(k, int) and not isinstance(k, bool)
+
+
+def _ints_only(values: Iterable[object]) -> bool:
+    """True when every value's type is int: no bool, no Fraction, however integral."""
+    return set(map(type, values)) == {int}
 
 
 def _require_order(k: object, what: str) -> None:

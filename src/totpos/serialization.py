@@ -80,8 +80,8 @@ def _json_repr(value: Any) -> str:
 
 
 class _Number(str):
-    """A JSON number that is not an integer, or NaN or Infinity, kept as its
-    token text; its repr is the bare token, so an error tells it from a string."""
+    """A JSON number, NaN or Infinity kept as its token text (an integer only in a
+    matrix); its repr is the bare token, so an error tells it from a string."""
 
     __slots__ = ()
 
@@ -89,12 +89,11 @@ class _Number(str):
         return str(self)
 
 
-def _load_json(text: str, what: str) -> Any:
-    """JSON input, its integers held to the digit bound of parse_scalar and
-    its other numbers, NaN and Infinity kept as their text for it."""
+def _load_json(text: str, what: str, parse_int=lambda token: int(parse_scalar(token))) -> Any:
+    """JSON input, its integers held to the digit bound of parse_scalar (or read by
+    ``parse_int``) and its other numbers, NaN and Infinity kept as their text for it."""
     try:
-        return json.loads(text, parse_int=lambda token: int(parse_scalar(token)),
-                          parse_float=_Number, parse_constant=_Number)
+        return json.loads(text, parse_int=parse_int, parse_float=_Number, parse_constant=_Number)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON {what}: {exc}") from None
 
@@ -103,7 +102,8 @@ def parse_matrix(text: str, exact: bool = True) -> Matrix:
     """Auto-detect grid versus JSON by the first non-space character."""
     stripped = text.lstrip()
     if stripped.startswith(("[", "{")):
-        return parse_matrix_json(_load_json(stripped, "matrix"), exact=exact)
+        # integers too are kept as text, so an error names the cell they are in
+        return parse_matrix_json(_load_json(stripped, "matrix", _Number), exact=exact)
     return parse_matrix_grid(text, exact=exact)
 
 

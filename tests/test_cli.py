@@ -389,7 +389,10 @@ def test_non_finite_json_entry_is_input_error(tmp_path, capsys, backend):
      ('[[1, 2, 3], [4, 5, "x"]]', "exact", "row 2, column 3: cannot parse scalar 'x'"),
      ("[[1, true], [3, 4]]", "exact", "row 1, column 2: unsupported matrix entry true"),
      ("[[1, 2], [null, 4]]", "exact", "row 2, column 1: unsupported matrix entry null"),
-     ("[[1, 2], [3, [4]]]", "exact", "row 2, column 2: unsupported matrix entry [4]")],
+     ("[[1, 2], [3, [4]]]", "exact", "row 2, column 2: unsupported matrix entry [4]"),
+     pytest.param(f"[[1, 2], [3, 1{'0' * 4300}]]", "exact",
+                  "row 2, column 2: scalar '10000000000000000000'... has more than 4300 digits",
+                  id="int-past-the-digit-bound")],
 )
 def test_json_matrix_errors_name_the_row_and_column(tmp_path, capsys, text, backend, err):
     path = tmp_path / "m.json"
@@ -833,6 +836,9 @@ def test_token_past_the_digit_bound_is_one_short_error(tmp_path, capsys, form):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "more than 4300 digits" in err and len(err) < 100
+    # the grid names the line and a JSON matrix the cell; parameters have no cell
+    where = {"grid": "line 1: ", "json": "row 1, column 1: ", "params": ""}[form]
+    assert err == f"error: {where}scalar '10000000000000000000'... has more than 4300 digits\n"
 
 
 def test_a_dash_reads_the_matrix_from_stdin(monkeypatch, capsys):

@@ -337,6 +337,28 @@ def test_sturm_coefficients_follow_the_entry_rule(bad):
         hyperplane_intersection_count(MomentCurve(1), bad)
 
 
+def test_int_coefficients_are_read_in_place_and_checked_once(monkeypatch):
+    checked, cleared = [], []
+    check, clear = curves._require_scalar, curves._cleared_line
+    monkeypatch.setattr(curves, "_require_scalar", lambda x: checked.append(x) or check(x))
+    monkeypatch.setattr(curves, "_cleared_line", lambda v: cleared.append(v) or clear(v))
+    rng = random.Random(71)
+    curve = MomentCurve(4)
+    lines = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(300)]
+    lines = [h for h in lines + [[1, 0, 0, 0, 0], [0, -2, 0, 0, 0]] if any(h)]
+    counts = []
+    for h in lines:
+        before = list(h)
+        counts.append((hyperplane_intersection_count(curve, h), sturm_distinct_real_roots(h)))
+        assert h == before  # trailing zeros are dropped from a copy
+    assert checked == cleared == []
+    for h, count in zip(lines, counts):
+        copy = [F(x) for x in h]
+        assert (hyperplane_intersection_count(curve, copy), sturm_distinct_real_roots(copy)) == count
+    # each Fraction coefficient is checked once per call
+    assert len(checked) == 2 * 5 * len(lines) and len(cleared) == 2 * len(lines)
+
+
 def test_hyperplane_intersection_counts():
     curve = MomentCurve(3)
     # x2 - x0 = 0 meets at t = -1, 1, and at infinity

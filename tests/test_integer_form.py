@@ -13,8 +13,14 @@ from fractions import Fraction as F
 import pytest
 
 from totpos import flags as flags_module
-from totpos import spectra
+from totpos import linalg, spectra
 from totpos.bilinear import tilde
+from totpos.classify import (
+    classify,
+    is_totally_nonnegative,
+    is_totally_positive,
+    monoid_generate_check,
+)
 from totpos.curves import CirclePoint, MomentCurve, dihedral_partition, is_positive_quadruple
 from totpos.errors import InputError, SingularityError
 from totpos.flags import (
@@ -28,7 +34,9 @@ from totpos.flags import (
 )
 from totpos.linalg import (
     Matrix,
+    _bareiss,
     _cleared,
+    _columns,
     _flipped,
     _solve_exact,
     compound,
@@ -536,3 +544,155 @@ def test_products_and_views_hold_no_operand():
     t = b.transpose()
     assert (sys.getrefcount(a), sys.getrefcount(b)) == counts
     assert p.to_lists() == [[F(1, 2), 0], [-1, 5]] and t.to_lists() == [[1, -1], [-1, 2]]
+
+
+# -- a grid of ints is its own integer form -----------------------------------
+
+
+def _oracle_cleared(*blocks):
+    """The clearing rule before grids of ints were read as their own form: every
+    grid pays both lcms and is rebuilt."""
+    if len(blocks) > 1:
+        forms = [_oracle_cleared(b) for b in blocks]
+        row_den = [math.lcm(*r) for r in zip(*(f[1] for f in forms))]
+        a = [[x * k for f in forms for k in [r // f[1][i]] for x in f[0][i]]
+             for i, r in enumerate(row_den)]
+        return a, row_den, [c for f in forms for c in f[2]]
+    (rows,) = blocks
+    if isinstance(rows, Matrix):
+        if rows._form:
+            return rows._form
+        rows = rows.to_exact()._entries
+    row_den = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    col_den = [math.lcm(*(x.denominator for x in col)) for col in zip(*rows)]
+    if sum(d.bit_length() for d in row_den) <= sum(d.bit_length() for d in col_den):
+        col_den = [1] * len(col_den)
+    else:
+        row_den = [1] * len(row_den)
+    return [[x.numerator * (r * c // x.denominator) for x, c in zip(row, col_den)]
+            for row, r in zip(rows, row_den)], row_den, col_den
+
+
+def _int_grids(rng):
+    yield [[7]]
+    yield [[0]]
+    yield [[-(2**1100) - 3]]
+    for n, m in [(1, 4), (3, 1), (2, 2), (3, 5), (6, 6), (8, 8)]:
+        yield [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        yield [[0] * m for _ in range(n)]
+        yield [[rng.getrandbits(1100) - 2**1099 for _ in range(m)] for _ in range(n)]
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        rows[rng.randrange(n)] = [0] * m
+        yield rows
+
+
+def _same_form(got, want):
+    a, r, c = got
+    assert [list(row) for row in a] == [list(row) for row in want[0]]
+    assert (list(r), list(c)) == (list(want[1]), list(want[2]))
+    assert all(type(x) is int for row in a for x in row)
+
+
+def test_int_grids_are_their_own_form_and_match_the_clearing_rule():
+    rng = random.Random(3201)
+    for rows in _int_grids(rng):
+        form = _cleared(rows)
+        assert form[0] is rows  # no copy
+        _same_form(form, _oracle_cleared(rows))
+        _same_form(_cleared(Matrix(rows)), _oracle_cleared(Matrix(rows)))
+        fractions = [[F(x, rng.choice([1, 1, 2, 3, 7])) for x in row] for row in rows]
+        kernel = _solve_exact(Matrix.identity(len(rows)), Matrix(fractions))
+        blocks = [rows, Matrix(rows), fractions, Matrix(fractions), kernel]
+        for i, j in [(0, 2), (2, 0), (1, 3), (0, 1), (3, 4), (4, 0)]:
+            _same_form(_cleared(blocks[i], blocks[j]), _oracle_cleared(blocks[i], blocks[j]))
+        _same_form(_cleared(rows, fractions, rows), _oracle_cleared(rows, fractions, rows))
+    # an integral Fraction, or a bool in rows a kernel was handed, takes the general path
+    for rows in ([[1, F(3)], [2, 5]], [[F(3)]], [[True, 2], [0, 1]]):
+        form = _cleared(rows)
+        assert form[0] is not rows
+        _same_form(form, _oracle_cleared(rows))
+
+
+def test_kernels_leave_the_int_rows_they_are_handed_unchanged():
+    rng = random.Random(3202)
+    for n in range(1, 7):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n > 2:
+            rows[-1] = [0] * n
+        rhs = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)]
+        w = [rng.randint(1, 9) for _ in range(n)]
+        before = [list(row) for row in rows], [list(row) for row in rhs], list(w)
+        m = Matrix(rows)
+        _bareiss(rows)
+        _bareiss(rows, reduce=True)
+        _bareiss(rows, rhs, reduce=True)
+        _columns(_cleared(rows))
+        for value in (F(1, 3), rows[0][0], 0):  # a diagonal entry may be an eigenvalue
+            spectra._inverse_step(_cleared(rows), value, w)
+        spectra._inverse_step(_cleared([[2] + [0] * (n - 1)] + [[0] * n] * (n - 1)), 2, w)
+        if det(m) != 0:
+            _solve_exact(m, rhs)
+            inverse(m)
+        det(m), rank(m), nullspace(m), gauss_ldu(m)
+        assert ([list(row) for row in rows], [list(row) for row in rhs], list(w)) == before
+        assert m == Matrix(before[0])
+
+
+def _integer_matrices(rng):
+    """Seeded int matrices at n = 1..8: the quick rejects of the certify
+    bench, Vandermonde and Pascal matrices, singular ones and zero rows."""
+    for n in range(1, 9):
+        yield [[i**j for j in range(n)] for i in range(1, n + 1)]
+        yield [[math.comb(i + j, i) for j in range(n)] for i in range(n)]
+        for _ in range(3):
+            rows = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+            rows[rng.randrange(n)][rng.randrange(n)] *= -1
+            yield rows
+            if n > 1:
+                rows = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+                r1, r2 = sorted(rng.sample(range(n), 2))
+                c1, c2 = sorted(rng.sample(range(n), 2))
+                rows[r1][c1], rows[r2][c2], rows[r1][c2], rows[r2][c1] = 1, 1, 9, 9
+                yield rows
+            yield [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        yield rows[:-1] + [list(rows[0])] if n > 1 else [[0]]  # a repeated row
+        yield [[0] * n] + rows[1:]
+        yield [[i * j for j in range(1, n + 1)] for i in range(1, n + 1)]  # rank one
+
+
+VERDICTS = {
+    "classify": classify,
+    "is_totally_positive": is_totally_positive,
+    "is_totally_nonnegative": is_totally_nonnegative,
+    "monoid_generate_check": monoid_generate_check,
+    "det": det,
+    "rank": rank,
+    "gauss_ldu": gauss_ldu,
+    "factorize": factorize,
+}
+
+
+def test_int_matrices_get_the_verdicts_of_their_fraction_copies():
+    for rows in _integer_matrices(random.Random(3203)):
+        m, copy = Matrix(rows), Matrix([[F(x) for x in row] for row in rows])
+        assert _cleared(copy)[0] is not copy._entries  # the copy takes the general path
+        for name, verdict in VERDICTS.items():
+            got, want = _outcome(verdict, m), _outcome(verdict, copy)
+            assert (_typed(got[0]), got[1]) == (_typed(want[0]), want[1]), (name, rows)
+
+
+def test_quick_rejects_of_int_matrices_take_no_lcm(monkeypatch):
+    rng = random.Random(3204)
+    rows = [[rng.randint(1, 9) for _ in range(6)] for _ in range(6)]
+    rows[0][:2], rows[1][:2] = [1, 9], [9, 1]  # the leading 2x2 minor is -80
+    m = Matrix(rows)
+    assert det(m) != 0
+    calls = []
+    real = linalg.math.lcm
+    monkeypatch.setattr(linalg.math, "lcm", lambda *args: calls.append(args) or real(*args))
+    assert not is_totally_positive(m) and not monoid_generate_check(m)
+    assert calls == []
+    # the spy sees the general path's lcms
+    assert not is_totally_positive(Matrix([[F(x) for x in row] for row in rows]))
+    assert calls

@@ -73,8 +73,7 @@ def test_json_int_past_the_digit_bound_is_input_error():
 
 
 def test_json_cell_errors_name_the_row_and_column():
-    # an int past the digit limit reaches the cell reader only from a direct
-    # caller: in JSON text the integer hook refuses it while loading
+    # a direct caller's int past the digit limit; JSON text's is below
     cases = [([[1, 2], [3, 10**5000]], "row 2, column 2: integer entry has more than 4300 digits"),
              ([[1, 2, 3], [4, 5, False]], "row 2, column 3: unsupported matrix entry false"),
              ([[1, object]], "row 1, column 2: unsupported matrix entry <class 'object'>"),
@@ -83,6 +82,20 @@ def test_json_cell_errors_name_the_row_and_column():
         with pytest.raises(InputError) as info:
             parse_matrix_json(rows)
         assert str(info.value) == message
+
+
+def test_json_text_integer_past_the_digit_bound_names_its_cell():
+    # a JSON integer token is read in its cell, as a decimal or a string is
+    for digits, sign in [(4301, ""), (4301, "-"), (9000, "")]:
+        token = sign + "1" + "0" * (digits - 1)
+        for text in (f"[[1, 2], [3, {token}]]", f'{{"entries": [[1, 2], [3, {token}]]}}'):
+            for exact in (True, False):
+                with pytest.raises(InputError) as info:
+                    parse_matrix(text, exact=exact)
+                assert str(info.value) == (f"row 2, column 2: scalar {token[:20]!r}... "
+                                           "has more than 4300 digits")
+    token = "-1" + "0" * 4299  # at the bound, read as before
+    assert parse_matrix(f"[[{token}, -0], [1, 2]]") == Matrix([[-(10**4299), 0], [1, 2]])
 
 
 def test_parse_matrix_autodetect():
