@@ -20,6 +20,9 @@ exactly one flag from each cell, spanned by its eigenbasis in decreasing
 respectively increasing eigenvalue order, and the induced action on the
 tangent spaces at those fixed flags dilates at one and contracts at the
 other, read in the eigenbasis itself: it is the frame adapted to the pair.
+The two flags and both cells are read off that frame, its columns scaled to
+a bottom entry of 1, and not off the canonical representatives, whose
+integers are about twice as long.
 Two flags are opposed exactly when one Gauss decomposition of their
 relative position exists, which also yields that frame, and the images of
 a stable pair and its moduli come from one frame map.  The stability and
@@ -198,7 +201,9 @@ def _bottom_normalized(frame: Matrix) -> Matrix:
     each column over its content, signed to a positive bottom, scaled by it; R = 1."""
     columns = []
     for v, _ in _columns(_cleared(frame)):
-        bottom = next(x for x in reversed(v) if x)
+        bottom = next((x for x in reversed(v) if x), 0)
+        if not bottom:
+            raise SingularityError("matrix columns are linearly dependent")
         g = math.gcd(*v) if bottom > 0 else -math.gcd(*v)
         columns.append(([x // g for x in v], bottom // g))
     ints, bottoms = zip(*columns)
@@ -275,8 +280,12 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
     eigenvectors in decreasing eigenvalue order and lands in the open
     positive cell; the repelling flag takes the increasing order and lands
     in the primed cell; the eigenvectors are refined exactly, and a float map
-    is read as its dyadic copy.  Both fixed-point claims are re-verified on
-    the computed flags, as are the cell memberships and the transversal moduli.
+    is read as its dyadic copy.  The flags and both cell certificates are read
+    off the eigenbasis with its columns scaled to a bottom entry of 1, the frame
+    w adapted to the pair: a flag's canonical representative is w times an upper
+    triangular matrix, so it has w's lower Gauss factor and the same certificate.
+    Both fixed-point claims are re-verified on the computed flags, as are the
+    cell memberships and the transversal moduli.
     """
     if not g.is_square:
         raise InputError("stable flags require a square matrix")
@@ -299,17 +308,20 @@ def stable_flags(g: Matrix, sigma_mode: SigmaMode = "identity") -> StableFlagPai
     except DomainError:
         raise DomainError(requirement) from None
     v = refine_eigenbasis(composite, spectrum.eigenvalues, spectrum.eigenvectors)
-    flag = flag_from_matrix(v)
-    flag_prime = flag_from_matrix(_flipped(v, False, True))
-    params = in_B_pos(flag)
+    # column k of v spans F_k meet F'_{n-k+1}, so v, and w with its columns
+    # scaled, frames the pair; the flags and both cells are read off w, whose
+    # integers are about half as long as the canonical representatives'
+    w = _bottom_normalized(v)
+    w_flipped = _flipped(w, False, True)
+    flag = flag_from_matrix(w)
+    flag_prime = flag_from_matrix(w_flipped)
+    params = _cell_params(w, False)
     if params is None:
         raise ConsistencyError("attracting flag missed the open positive cell")
-    params_prime = in_B_pos_prime(flag_prime)
+    params_prime = _cell_params(w_flipped, True)
     if params_prime is None:
         raise ConsistencyError("repelling flag missed the primed positive cell")
-    # column k of v spans F_k meet F'_{n-k+1}, so v frames the pair, which is
-    # opposed: flag_from_matrix has already rejected a dependent v
-    w = _bottom_normalized(v)
+    # the pair is opposed: flag_from_matrix has already rejected a dependent w
     w_inv = inverse(w)
     # the representatives are w and w reversed times upper triangular
     # matrices, which tilde keeps upper triangular: the images are the flags

@@ -97,6 +97,12 @@ _MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\Z")
 
 
+def _echo(token: str) -> str:
+    """A token as an error quotes it: its repr, cut to its first 20 characters and ...
+    when it is longer."""
+    return repr(token) if len(token) <= 20 else f"{token[:20]!r}..."
+
+
 def parse_scalar(text: str, exact: bool = True) -> Scalar:
     """Parse ``int``, ``p/q`` or decimal notation.
 
@@ -112,22 +118,22 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
         digits = exponent.group(1).replace("_", "")
         if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS:
             raise InputError(
-                f"scalar {text!r} has a decimal exponent beyond "
+                f"scalar {_echo(text)} has a decimal exponent beyond "
                 f"{_MAX_DIGITS} in magnitude"
             )
     mantissa = s if exponent is None else s[: exponent.start()]
     if any(sum(map(str.isdecimal, side)) > _MAX_DIGITS for side in mantissa.split("/")):
-        raise InputError(f"scalar {s[:20]!r}... has more than {_MAX_DIGITS} digits")
+        raise InputError(f"scalar {_echo(s)} has more than {_MAX_DIGITS} digits")
     try:
         value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse scalar {text!r}") from exc
+        raise InputError(f"cannot parse scalar {_echo(text)}") from exc
     if exact:
         return value
     try:
         return float(value)
     except OverflowError:
-        raise InputError(f"scalar {text!r} is outside the float range") from None
+        raise InputError(f"scalar {_echo(text)} is outside the float range") from None
 
 
 def format_scalar(x: Scalar) -> str:

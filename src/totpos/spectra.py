@@ -12,9 +12,9 @@ taken exactly over the input.
 
 :func:`refine_eigenbasis` runs on integers: one integer form of the matrix
 per call, one fraction-free forward elimination and back-substitution per
-shifted solve, one continued-fraction rounding per entry; a shift that is an
-exact eigenvalue takes the :func:`totpos.linalg.nullspace` line, and
-:func:`verify_gk` reads the same step.
+shifted solve, one continued-fraction rounding per entry, and the result is
+held as its integer columns; a shift that is an exact eigenvalue takes the
+:func:`totpos.linalg.nullspace` line, and :func:`verify_gk` reads the same step.
 
 :func:`gk_spectrum` owns the spectral law itself: it returns only when the
 eigenvalues are positive and separated by the gap tolerance and every
@@ -456,8 +456,11 @@ def refine_eigenbasis(
     <= 10^30, or relative to its own size if that gives 0.  When a shift is
     an exact eigenvalue the column is its kernel line from
     :func:`totpos.linalg.nullspace`, or is kept as rationalized if the
-    kernel is not a line.  Eigenvalues follow the entry rule: an int,
-    Fraction or finite float, else InputError.
+    kernel is not a line.  The result is a kernel output whose integer form
+    is its columns: column j's numerators over the lcm of its denominators,
+    R = 1 and C the column lcms, so every entry is a Fraction built only when
+    read.  Eigenvalues follow the entry rule: an int, Fraction or finite
+    float, else InputError.
     """
     if not m.is_square:
         raise InputError("eigenbasis refinement requires a square matrix")
@@ -469,17 +472,18 @@ def refine_eigenbasis(
     form = _cleared(m)
     start = _rationalize_columns(vectors)
     top = _MAX_DENOMINATOR
-    columns = []
+    columns, lcms = [], []
     for j in range(n):
-        col = start.col_tuple(j)
-        z = _inverse_step(form, eigenvalues[j], _cleared_line(col)[0])
-        if z is None:
-            columns.append(col)
-            continue
-        pivot = max(z, key=abs)
-        # an entry that would round to 0 is rounded relative to its own size
-        rounded = [_limited(x, pivot, top) for x in z]
-        columns.append([Fraction(*(y if y[0] or not x else
-                                   _limited(x, pivot, top * -(-abs(pivot) // abs(x)))))
-                        for x, y in zip(z, rounded)])
-    return Matrix._of(list(zip(*columns)))
+        col, d = _cleared_line(start.col_tuple(j))
+        z = _inverse_step(form, eigenvalues[j], col)
+        if z is not None:
+            pivot = max(z, key=abs)
+            # an entry that would round to 0 is rounded relative to its own size
+            pairs = [y if y[0] or not x else _limited(x, pivot, top * -(-abs(pivot) // abs(x)))
+                     for x, y in zip(z, (_limited(x, pivot, top) for x in z))]
+            d = math.lcm(*(q for _, q in pairs))
+            col = [p * (d // q) for p, q in pairs]
+        columns.append(col)
+        lcms.append(d)
+    # every entry a Fraction, built when read
+    return Matrix._of(form=(list(zip(*columns)), [1] * n, lcms), ints=[[0] * n] * n)

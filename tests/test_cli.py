@@ -841,6 +841,28 @@ def test_token_past_the_digit_bound_is_one_short_error(tmp_path, capsys, form):
     assert err == f"error: {where}scalar '10000000000000000000'... has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("form", ["grid", "json"])
+@pytest.mark.parametrize(
+    "token, message",
+    [("-1" + "0" * 4299, "scalar '-1000000000000000000'... is outside the float range"),
+     ("1e" + "9" * 30, "scalar '1e999999999999999999'... has a decimal exponent beyond 4300 in magnitude"),
+     ("1/" + "x" * 40, "cannot parse scalar '1/xxxxxxxxxxxxxxxxxx'..."),
+     # 20 characters are echoed whole
+     ("1e40000000000000000x", "cannot parse scalar '1e40000000000000000x'"),
+     ("1e400", "scalar '1e400' is outside the float range")],
+    ids=["float-range", "exponent", "unparsed", "twenty-characters", "short"],
+)
+def test_float_backend_errors_cut_a_long_token(tmp_path, capsys, form, token, message):
+    # a JSON string holds every token; a bare JSON number only the numeric ones
+    quoted = token if token[-1].isdigit() else f'"{token}"'
+    text = {"grid": f"1 2\n3 {token}\n", "json": f"[[1, 2], [3, {quoted}]]"}[form]
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert main(["classify", str(path), "--backend", "float"]) == 2
+    where = {"grid": "line 2: ", "json": "row 2, column 2: "}[form]
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
+
+
 def test_a_dash_reads_the_matrix_from_stdin(monkeypatch, capsys):
     text = "1 1 1\n1 2 4\n1 3 9\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -1,6 +1,7 @@
 """Flags, positive cells, opposed pairs, and stable flags of positive maps."""
 
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -687,3 +688,81 @@ def test_cell_tests_match_the_flag_minor_rule():
             verdicts[primed, inside] += 1
     # each cell answers both ways, many times
     assert min(verdicts.values()) > 100
+
+
+def _old_route_stable_flags(g, sigma_mode):
+    """stable_flags with the flags and cells read off the canonical representatives of
+    the refined eigenbasis v and of v·w0; the frame is the basis adapted to that pair."""
+    from totpos.spectra import gk_spectrum, refine_eigenbasis
+
+    g = g.to_exact()
+    composite = g if sigma_mode == "identity" else g @ tilde(g)
+    spectrum = gk_spectrum(composite)
+    v = refine_eigenbasis(composite, spectrum.eigenvalues, spectrum.eigenvectors)
+    flag = flag_from_matrix(v)
+    flag_prime = flag_from_matrix(Matrix.from_columns([v.col_tuple(j) for j in reversed(range(v.cols))]))
+    params, params_prime = in_B_pos(flag), in_B_pos_prime(flag_prime)
+    w = adapted_basis(flag, flag_prime)
+    w_alpha = w if sigma_mode == "identity" else tilde(w)
+    image = g @ w_alpha
+    w0 = reversal_permutation(g.rows)
+    residual = max(flags_module._flag_distance(flag_from_matrix(image), flag),
+                   flags_module._flag_distance(flag_from_matrix(image @ w0), flag_prime))
+    if sigma_mode == "tilde":
+        image = image @ c0_matrix(g.rows)
+    moduli = _transport_blocks(inverse(w) @ image, sigma_mode)
+    return flags_module.StableFlagPair(
+        flag, flag_prime, params, params_prime, spectrum.eigenvalues, *moduli, residual,
+        min(float(c) for c in params.c + params_prime.c), sigma_mode)
+
+
+def test_stable_flags_read_off_the_frame_match_the_canonical_route():
+    rng = random.Random(1007)
+    cases = [(random_tp_matrix(n, rng), "identity") for n in (2, 3, 4, 5) for _ in range(100)]
+    rng = random.Random(1008)
+    cases += [(random_tp_matrix(2 + k % 3, rng), "tilde") for k in range(50)]
+    rng = random.Random(1821)
+    cases += [(random_tp_matrix(n, rng), mode) for n in range(2, 9) for mode in ("identity", "tilde")]
+    cases += [(g.to_float(), mode) for g, mode in cases]
+    for g, mode in cases:
+        got, want = stable_flags(g, mode), _old_route_stable_flags(g, mode)
+        for field in dataclasses.fields(got):
+            assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), (g, mode, field.name)
+        for f, h in ((got.flag, want.flag), (got.flag_prime, want.flag_prime)):
+            assert [[type(x) for x in row] for row in f.rep.to_lists()] == \
+                [[type(x) for x in row] for row in h.rep.to_lists()]
+        assert got == want
+    assert len(cases) == 928
+
+
+def test_cell_params_are_the_same_for_every_representative():
+    # g·U·D spans g's flag for any upper unitriangular U and invertible diagonal D
+    rng = random.Random(1822)
+    answers = {(p, a): 0 for p in (False, True) for a in (False, True)}
+    for n in range(2, 7):
+        for _ in range(6):
+            units = [synthesize_uni(random_uni_params(n, rng, side="lower", strict=s)) for s in (True, False)]
+            for g in (*units, *map(inverse, units), random_flag(n, rng).rep, reversal_permutation(n),
+                      Matrix.identity(n)):
+                canonical = flag_from_matrix(g).rep
+                for _ in range(2):
+                    d = Matrix.diagonal([F(rng.choice([1, -1]) * rng.randint(1, 9), rng.randint(1, 5))
+                                         for _ in range(n)])
+                    moved = g @ _random_upper_unitriangular(n, rng) @ d
+                    for primed in (False, True):
+                        want = _cell_params(canonical, primed)
+                        assert repr(_cell_params(moved, primed)) == repr(want), (g, primed)
+                        answers[primed, want is not None] += 1
+    # both cells answer both ways, the boundary flags (non-strict units, w0, 1) among the Nones
+    assert min(answers.values()) > 50
+
+
+@pytest.mark.parametrize("column", ["repeated", "zero"])
+def test_a_dependent_eigenbasis_raises_singularity(monkeypatch, column):
+    def dependent(m, eigenvalues, vectors):
+        rows = [[1, 2, 1], [2, 1, 2], [3, 5, 3]]
+        return Matrix([[row[0], row[1], 0 if column == "zero" else row[2]] for row in rows])
+
+    monkeypatch.setattr(flags_module, "refine_eigenbasis", dependent)
+    with pytest.raises(SingularityError, match="linearly dependent"):
+        stable_flags(random_tp_matrix(3, random.Random(1823)))

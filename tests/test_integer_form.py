@@ -483,6 +483,81 @@ def test_refinement_on_integers_matches_the_fraction_path(monkeypatch):
     assert sorted(kernels) == [n for n in (3, 5, 7) for _ in range(4)]
 
 
+def _per_entry_refine_eigenbasis(m, eigenvalues, vectors):
+    """refine_eigenbasis with one Fraction built per entry: the same integer steps and
+    roundings, its columns stored as entries, not as their integer form."""
+    form = _cleared(m)
+    start = spectra._rationalize_columns(vectors)
+    top = spectra._MAX_DENOMINATOR
+    columns = []
+    for j in range(m.rows):
+        col = start.col_tuple(j)
+        z = spectra._inverse_step(form, eigenvalues[j], linalg._cleared_line(col)[0])
+        if z is None:
+            columns.append(col)
+            continue
+        pivot = max(z, key=abs)
+        rounded = [spectra._limited(x, pivot, top) for x in z]
+        columns.append([F(*(y if y[0] or not x else
+                            spectra._limited(x, pivot, top * -(-abs(pivot) // abs(x)))))
+                        for x, y in zip(z, rounded)])
+    return Matrix._of(list(zip(*columns)))
+
+
+def _refinement_inputs():
+    """The refinement corpus, every tenth criterion 7 matrix and a kept column, each with
+    the float copy of its matrix."""
+    cases = [(m, gk_spectrum(m)) for m in _refinement_corpus() + _criterion_7_corpus()[::10]]
+    cases = [(m, s.eigenvalues, s.eigenvectors) for m, s in cases]
+    # the identity's kernel at the shift 1 is not a line: both columns are kept
+    cases.append((Matrix.identity(2), (1, 1), Matrix([[0.6, -0.8], [0.8, 0.6]])))
+    return cases + [(m.to_float(), *rest) for m, *rest in cases]
+
+
+def test_refined_columns_read_as_the_per_entry_build():
+    for args in _refinement_inputs():
+        got, want = refine_eigenbasis(*args), _per_entry_refine_eigenbasis(*args)
+        assert not _entries_built(got)
+        rows = got.to_lists()
+        assert repr(rows) == repr(want.to_lists())
+        assert {type(x) for row in rows for x in row} == {F}
+        assert got == want and hash(got) == hash(want)
+
+
+def test_a_refined_eigenbasis_is_cleared_by_its_columns():
+    for args in _refinement_inputs():
+        v = refine_eigenbasis(*args)
+        a, r, c = form = _cleared(v)
+        assert form is v._form and list(r) == [1] * v.rows
+        for j, col in enumerate(zip(*_per_entry_refine_eigenbasis(*args).to_lists())):
+            # column j over the lcm of its denominators
+            assert c[j] == math.lcm(*(x.denominator for x in col))
+            assert [row[j] for row in a] == [x * c[j] for x in col]
+
+
+def test_stable_flags_and_canonical_bases_build_no_eigenbasis_entry(monkeypatch):
+    from totpos import bilinear
+    from totpos.sampling import random_positive_form
+
+    bases = []
+
+    def spy(*args):
+        bases.append(refine_eigenbasis(*args))
+        return bases[-1]
+
+    monkeypatch.setattr(flags_module, "refine_eigenbasis", spy)
+    monkeypatch.setattr(bilinear, "refine_eigenbasis", spy)
+    rng = random.Random(2406)
+    for n in range(2, 7):
+        g = random_tp_matrix(n, rng)
+        for m in (g, g.to_float()):
+            for mode in ("identity", "tilde"):
+                flags_module.stable_flags(m, mode)
+        bilinear.canonical_basis(random_positive_form(n, rng))
+    assert len(bases) == 25
+    assert not any(_entries_built(v) for v in bases)
+
+
 def test_quadruple_frames_match_checked_builds():
     rng = random.Random(2404)
     compared = 0
